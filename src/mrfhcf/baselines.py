@@ -125,6 +125,23 @@ def _gibbs_draw(row, temperature, rng):
     return len(row) - 1
 
 
+def _gibbs_sweep(field, data, cfg, temperature, rng, current):
+    """Resample every site of ``cfg`` in scan order, in place.
+
+    Returns the total energy ``current`` updated by the exact per-flip
+    deltas, and the number of sites whose label changed.
+    """
+    changes = 0
+    for s in range(field.num_sites):
+        row = _local_row(field, data, cfg, s)
+        drawn = _gibbs_draw(row, temperature, rng)
+        if drawn != cfg[s]:
+            current += row[drawn] - row[cfg[s]]
+            cfg[s] = drawn
+            changes += 1
+    return current, changes
+
+
 def anneal_run(field, data, init, schedule: AnnealSchedule, seed: int):
     """Simulated annealing with Gibbs resampling sweeps under geometric cooling.
 
@@ -145,14 +162,7 @@ def anneal_run(field, data, init, schedule: AnnealSchedule, seed: int):
     rows = [TraceRow(0, current, n, 0)]
     for k in range(schedule.sweeps):
         temperature = schedule.t0 * schedule.alpha ** k
-        changes = 0
-        for s in range(n):
-            row = _local_row(field, data, cfg, s)
-            drawn = _gibbs_draw(row, temperature, rng)
-            if drawn != cfg[s]:
-                current += row[drawn] - row[cfg[s]]
-                cfg[s] = drawn
-                changes += 1
+        current, changes = _gibbs_sweep(field, data, cfg, temperature, rng, current)
         rows.append(TraceRow(k + 1, current, n, changes))
         if current < best_energy:
             best_energy = current
@@ -171,14 +181,7 @@ def _mpm_core(field, data, init, params):
     counts = np.zeros((n, field.num_labels), dtype=np.int64)
     sites = np.arange(n)
     for k in range(params.burn_in + params.samples):
-        changes = 0
-        for s in range(n):
-            row = _local_row(field, data, cfg, s)
-            drawn = _gibbs_draw(row, 1.0, rng)
-            if drawn != cfg[s]:
-                current += row[drawn] - row[cfg[s]]
-                cfg[s] = drawn
-                changes += 1
+        current, changes = _gibbs_sweep(field, data, cfg, 1.0, rng, current)
         rows.append(TraceRow(k + 1, current, n, changes))
         if k >= params.burn_in:
             counts[sites, cfg] += 1

@@ -22,11 +22,10 @@ from .fileio import (FileFormatError, _fmt, parse_config, read_mrfl, read_mrfllr
                      write_trace_csv)
 from .hcf import hcf_run
 from .local_hcf import assign_ranks, local_hcf_run
-from .oracles import SEARCH_GUARD, brute_force_map, chain_dp_map, is_local_minimum
+from .oracles import brute_force_map, chain_dp_map, is_local_minimum
 from .trace import TraceRow
 
 ESTIMATORS = ("tlr", "annealing", "mpm", "icm-scan", "icm-random", "hcf", "local-hcf")
-COMPARE_ORDER = ESTIMATORS
 STOCHASTIC = frozenset({"annealing", "mpm", "icm-random"})
 RANK_MODES = ("site-index", "seeded-permutation")
 
@@ -227,7 +226,7 @@ def cmd_compare(args) -> int:
     cfg = resolve_run_config(args)
     field, data, _image, _dims = load_problem(args, cfg)
     table = []
-    for name in COMPARE_ORDER:
+    for name in ESTIMATORS:
         seeds = cfg.seeds if name in STOCHASTIC else (None,)
         finals = []
         iteration_counts = []
@@ -255,11 +254,6 @@ def cmd_oracle(args) -> int:
         result = chain_dp_map(field, data)
         method = "chain-dp"
     except ValueError:
-        if field.num_labels ** field.num_sites > SEARCH_GUARD:
-            raise RuntimeError(
-                f"refusing: state space {field.num_labels}**{field.num_sites} "
-                "exceeds the exhaustive-search guard (2**24) and the field "
-                "is not a chain") from None
         result = brute_force_map(field, data)
         method = "brute-force"
     print(f"method: {method}")
@@ -333,7 +327,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="tie-break rank assignment")
     params.add_argument("--rank-seed", dest="rank_seed", type=int)
     params.add_argument("--threads", type=int,
-                        help="reader threads for synchronous sweeps")
+                        help="accepted for local-hcf; has no effect on results")
     params.add_argument("--max-iterations", dest="max_iterations", type=int)
 
     lab = sub.add_parser("label", parents=[common],

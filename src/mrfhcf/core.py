@@ -145,7 +145,7 @@ def new_configuration(num_sites: int) -> np.ndarray:
 
 def fully_committed(config) -> bool:
     """True when no site carries the UNCOMMITTED label."""
-    return bool((np.asarray(config) != UNCOMMITTED).all() and (np.asarray(config) >= 0).all())
+    return bool((np.asarray(config) >= 0).all())
 
 
 def _as_labels(config):
@@ -162,13 +162,17 @@ def _check_problem(field, data):
             f"({field.num_sites} sites, {field.num_labels} labels)")
 
 
-def _check_config(field, cfg):
+def _checked_labels(field, data, config):
+    # the configuration as a plain list, after checking it fits the problem
+    _check_problem(field, data)
+    cfg = _as_labels(config)
     if len(cfg) != field.num_sites:
         raise ValueError(f"configuration has {len(cfg)} entries for {field.num_sites} sites")
     num_labels = field.num_labels
     for s, l in enumerate(cfg):
         if l < UNCOMMITTED or l >= num_labels:
             raise ValueError(f"site {s}: label {l} out of range")
+    return cfg
 
 
 def energy(field: Field, data: DataTerm, config) -> float:
@@ -177,23 +181,11 @@ def energy(field: Field, data: DataTerm, config) -> float:
     Sums clique potentials in ascending clique id order, then data terms in
     ascending site id order. Raises ValueError if any site is uncommitted.
     """
-    _check_problem(field, data)
-    cfg = _as_labels(config)
-    _check_config(field, cfg)
+    cfg = _checked_labels(field, data, config)
     if any(l < 0 for l in cfg):
         raise ValueError("energy of a partially committed configuration is undefined; "
                          "use augmented_energy")
-    total = 0.0
-    tables = field.clique_tables
-    for cid, c in enumerate(field.cliques):
-        sel = tables[cid]
-        for m in c.members:
-            sel = sel[cfg[m]]
-        total += sel
-    rows = data.rows
-    for s in range(field.num_sites):
-        total += rows[s][cfg[s]]
-    return total
+    return _augmented_sum(field, data, cfg)
 
 
 def augmented_energy(field: Field, data: DataTerm, config) -> float:
@@ -204,9 +196,10 @@ def augmented_energy(field: Field, data: DataTerm, config) -> float:
     :func:`energy` on fully committed configurations and is exactly 0.0 on
     the all-uncommitted configuration.
     """
-    _check_problem(field, data)
-    cfg = _as_labels(config)
-    _check_config(field, cfg)
+    return _augmented_sum(field, data, _checked_labels(field, data, config))
+
+
+def _augmented_sum(field, data, cfg):
     total = 0.0
     tables = field.clique_tables
     for cid, c in enumerate(field.cliques):
@@ -263,9 +256,7 @@ def local_energy(field: Field, data: DataTerm, config, site: int, label: int) ->
     touch an uncommitted other member, plus the site's own data term.
     The site's current label in ``config`` plays no role.
     """
-    _check_problem(field, data)
-    cfg = _as_labels(config)
-    _check_config(field, cfg)
+    cfg = _checked_labels(field, data, config)
     if not 0 <= site < field.num_sites:
         raise ValueError(f"site {site} out of range")
     if not 0 <= label < field.num_labels:
@@ -275,9 +266,7 @@ def local_energy(field: Field, data: DataTerm, config, site: int, label: int) ->
 
 def local_energies(field: Field, data: DataTerm, config) -> np.ndarray:
     """Local energies for every site and label as a (num_sites, num_labels) array."""
-    _check_problem(field, data)
-    cfg = _as_labels(config)
-    _check_config(field, cfg)
+    cfg = _checked_labels(field, data, config)
     return np.array([_local_row(field, data, cfg, s) for s in range(field.num_sites)],
                     dtype=np.float64)
 

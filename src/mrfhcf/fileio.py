@@ -67,6 +67,9 @@ def read_pgm(path) -> Image:
         raise FileFormatError(f"{path}: expected {width * height} pixel bytes, "
                               f"found {len(raster)}")
     pixels = np.frombuffer(raster, dtype=np.uint8).reshape(height, width)
+    if int(pixels.max()) > maxval:
+        raise FileFormatError(f"{path}: pixel value {int(pixels.max())} exceeds "
+                              f"the declared maxval {maxval}")
     return Image(pixels.copy())
 
 

@@ -6,12 +6,11 @@ when its ordered stability (stability, rank) is strictly below the minimum
 ordered stability over all of its neighbors, and either its stability is
 negative or it is uncommitted with stability exactly 0. Two neighbors can
 never change in the same iteration, so the sweep is safe to evaluate in
-parallel; any thread count produces bit-identical results.
+parallel. The sweep itself runs on the calling thread.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,38 +44,18 @@ def assign_ranks(field, mode: str = "site-index", seed: int | None = None) -> np
     raise ValueError(f"unknown rank mode: {mode!r}")
 
 
-def _read_range(field, data, cfg, lo, hi, g_out, best_out):
-    for s in range(lo, hi):
-        row = _local_row(field, data, cfg, s)
-        b, _bv, g = _row_stats(row, cfg[s])
-        best_out[s] = b
-        g_out[s] = g
+def _sweep(field, data, cfg, rank):
+    """Read every site of ``cfg`` (a list of labels), then select the eligible ones.
 
-
-def local_hcf_step(field, data, config, ranks, threads: int = 1):
-    """One synchronous iteration; returns (new configuration, StepResult).
-
-    Reads all stabilities and best labels from ``config``, then writes the
-    changes of every eligible site. The input configuration is not
-    modified. ``energy_after`` is the augmented energy of the returned
-    configuration.
+    Returns (g, best, changed, commits): every site's stability and best
+    label, the eligible sites in ascending order, and how many of those are
+    uncommitted. ``cfg`` is not modified.
     """
-    cfg_arr = np.asarray(config)
-    cfg = cfg_arr.tolist()
     n = field.num_sites
-    rank = _check_ranks(field, ranks)
-
     g = [0.0] * n
     best = [0] * n
-    if threads <= 1 or n < 2 * threads:
-        _read_range(field, data, cfg, 0, n, g, best)
-    else:
-        # disjoint per-site writes keep any chunking bit-identical
-        step = (n + threads - 1) // threads
-        spans = [(lo, min(lo + step, n)) for lo in range(0, n, step)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda span: _read_range(field, data, cfg, span[0], span[1],
-                                                   g, best), spans))
+    for s in range(n):
+        best[s], _bv, g[s] = _row_stats(_local_row(field, data, cfg, s), cfg[s])
 
     adjacency = field.adjacency
     changed = []
@@ -95,10 +74,23 @@ def local_hcf_step(field, data, config, ranks, threads: int = 1):
                 changed.append(s)
                 if cfg[s] == UNCOMMITTED:
                     commits += 1
+    return g, best, changed, commits
 
-    new_cfg = np.array(cfg_arr, dtype=np.int64)
+
+def local_hcf_step(field, data, config, ranks, threads: int = 1):
+    """One synchronous iteration; returns (new configuration, StepResult).
+
+    Reads all stabilities and best labels from ``config``, then writes the
+    changes of every eligible site. The input configuration is not
+    modified. ``energy_after`` is the augmented energy of the returned
+    configuration. ``threads`` is accepted and has no effect on results;
+    the sweep runs on the calling thread and starts no other.
+    """
+    cfg = np.asarray(config).tolist()
+    _g, best, changed, commits = _sweep(field, data, cfg, _check_ranks(field, ranks))
     for s in changed:
-        new_cfg[s] = best[s]
+        cfg[s] = best[s]
+    new_cfg = np.array(cfg, dtype=np.int64)
     energy_after = augmented_energy(field, data, new_cfg)
     return new_cfg, StepResult(tuple(changed), commits, energy_after, bool(changed))
 
@@ -111,53 +103,46 @@ def local_hcf_run(field, data, ranks=None, max_iterations: int | None = None,
     all-uncommitted state; each subsequent row records one sweep with the
     augmented energy of the configuration it produced. The returned
     configuration is fully committed; output and trace are bit-identical
-    across repeated runs and across thread counts.
+    across repeated runs. ``threads`` is accepted and has no effect on
+    results; the run starts no thread.
     """
     _check_runnable(field, data)
     n = field.num_sites
-    if ranks is None:
-        ranks = assign_ranks(field)
     rank = _check_ranks(field, ranks)
     cap = max_iterations if max_iterations is not None else 100 * n * field.num_labels
 
-    cfg = np.full(n, UNCOMMITTED, dtype=np.int64)
+    cfg = [UNCOMMITTED] * n
     rows = [TraceRow(0, 0.0, 0, 0)]
     committed = 0
     iteration = 0
 
     while True:
-        while True:
-            iteration += 1
-            if iteration > cap:
-                raise RuntimeError(f"local HCF exceeded its iteration cap ({cap}); "
-                                   "check the inputs for pathological values")
-            cfg, result = local_hcf_step(field, data, cfg, ranks, threads=threads)
-            committed += result.new_commits
-            rows.append(TraceRow(iteration, result.energy_after, committed,
-                                 len(result.changed_sites)))
-            if not result.any_change:
-                break
+        iteration += 1
+        if iteration > cap:
+            raise RuntimeError(f"local HCF exceeded its iteration cap ({cap}); "
+                               "check the inputs for pathological values")
+        g, best, changed, commits = _sweep(field, data, cfg, rank)
+        for s in changed:
+            cfg[s] = best[s]
+        committed += commits
+        rows.append(TraceRow(iteration, augmented_energy(field, data, cfg), committed,
+                             len(changed)))
+        if changed:
+            continue
         leftovers = [s for s in range(n) if cfg[s] == UNCOMMITTED]
         if not leftovers:
             break
         # Exact-tie degenerate case: a zero-stability uncommitted site can
         # be blocked forever by a committed neighbor of equal stability and
-        # lower rank. Commit the lowest ordered stability by hand, then
-        # resume the synchronous sweeps.
+        # lower rank. The quiet sweep just read every leftover on this very
+        # configuration, so commit the lowest ordered stability among them
+        # by hand, then resume the synchronous sweeps.
         iteration += 1
         if iteration > cap:
             raise RuntimeError(f"local HCF exceeded its iteration cap ({cap})")
-        cfg_list = cfg.tolist()
-        ordered = []
-        for s in leftovers:
-            row = _local_row(field, data, cfg_list, s)
-            b, _bv, g = _row_stats(row, UNCOMMITTED)
-            ordered.append(((g, rank[s]), s, b))
-        ordered.sort()
-        _key, s, b = ordered[0]
-        cfg = cfg.copy()
-        cfg[s] = b
+        s = min(leftovers, key=lambda t: (g[t], rank[t]))
+        cfg[s] = best[s]
         committed += 1
         rows.append(TraceRow(iteration, augmented_energy(field, data, cfg), committed, 1))
 
-    return cfg, RunTrace(tuple(rows))
+    return np.array(cfg, dtype=np.int64), RunTrace(tuple(rows))

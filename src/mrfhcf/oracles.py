@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _as_labels, _check_config, _check_problem, _local_row, energy
+from .core import _check_problem, _checked_labels, _local_row, energy
 
 SEARCH_GUARD = 1 << 24
 
@@ -40,7 +40,7 @@ def brute_force_map(field, data) -> OracleResult:
     total = num_labels ** n
     if total > SEARCH_GUARD:
         raise ValueError(
-            f"state space {num_labels}**{n} exceeds the exhaustive-search guard "
+            f"refusing: state space {num_labels}**{n} exceeds the exhaustive-search guard "
             f"(2**24); use the chain oracle or a smaller field")
 
     powers = np.array([num_labels ** (n - 1 - j) for j in range(n)], dtype=np.int64)
@@ -204,9 +204,7 @@ def is_local_minimum(field, data, config, tolerance: float = 1e-12) -> bool:
     per-site local energies. A flip must be more than ``tolerance`` below
     the current label to disqualify.
     """
-    _check_problem(field, data)
-    cfg = _as_labels(config)
-    _check_config(field, cfg)
+    cfg = _checked_labels(field, data, config)
     if any(l < 0 for l in cfg):
         raise ValueError("local minimum check needs a fully committed configuration")
     num_labels = field.num_labels

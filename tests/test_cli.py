@@ -211,3 +211,11 @@ def test_rank_flags_reach_the_run(capsys):
                           "--ranks", "seeded-permutation", "--rank-seed", "11")
     assert code == 0
     assert "energy:" in stdout
+
+
+def test_label_rejects_pgm_pixels_above_maxval(tmp_path, capsys):
+    board = tmp_path / "bright.pgm"
+    board.write_bytes(b"P5\n2 2\n100\n\x00\xc8\xff\x10")
+    code, _, stderr = run(capsys, "label", "--in", str(board))
+    assert code == 3
+    assert "maxval" in stderr

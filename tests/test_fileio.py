@@ -39,6 +39,13 @@ def test_pgm_maxval_range(tmp_path):
         read_pgm(path)
 
 
+def test_pgm_rejects_pixels_above_the_declared_maxval(tmp_path):
+    path = tmp_path / "m.pgm"
+    path.write_bytes(b"P5\n2 1\n100\n\xc8\xff")
+    with pytest.raises(FileFormatError, match="maxval"):
+        read_pgm(path)
+
+
 def test_pgm_rejects_bad_magic_and_truncation(tmp_path):
     path = tmp_path / "bad.pgm"
     path.write_bytes(b"P2\n2 2\n255\n0 1 2 3")

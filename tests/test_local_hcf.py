@@ -1,9 +1,13 @@
+import threading
+import warnings
+
 import numpy as np
 import pytest
 
-from mrfhcf import (Clique, DataTerm, Field, UNCOMMITTED, assign_ranks,
-                    augmented_energy, energy, is_local_minimum, local_hcf_run,
-                    local_hcf_step, new_configuration, stability)
+from mrfhcf import (Clique, DataTerm, EdgePotentials, Field, TraceRow, UNCOMMITTED,
+                    assign_ranks, augmented_energy, best_label, build_edge_field,
+                    energy, is_local_minimum, local_hcf_run, local_hcf_step,
+                    new_configuration, stability)
 from support import random_field
 
 
@@ -185,3 +189,57 @@ def test_trace_final_properties(chain):
     config, trace = local_hcf_run(field, data)
     assert trace.final_energy == energy(field, data, config)
     assert trace.final_committed == 8
+
+
+def test_threads_start_no_os_thread(monkeypatch):
+    field, data = random_field(3, max_sites=12)
+    assert field.num_sites >= 6
+    base_cfg, base_trace = local_hcf_run(field, data)
+
+    def refuse(_self):
+        raise AssertionError("local HCF started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    cfg, trace = local_hcf_run(field, data, threads=3)
+    assert (cfg == base_cfg).all()
+    assert trace.rows == base_trace.rows
+    start, ranks = new_configuration(field.num_sites), assign_ranks(field)
+    cfg, result = local_hcf_step(field, data, start, ranks, threads=3)
+    base_cfg, base_result = local_hcf_step(field, data, start, ranks)
+    assert (cfg == base_cfg).all() and result == base_result
+
+
+def test_tie_fallback_commits_the_lowest_ordered_leftover():
+    # every stability is exactly 0, and data rows of 2**s make each row's
+    # augmented energy the bit mask of the committed sites
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        field = build_edge_field(4, 4, EdgePotentials(0.0, 0.0, 0.0, 0.0))
+    n = field.num_sites
+    data = DataTerm([[2.0 ** s, 2.0 ** s] for s in range(n)])
+    for seed in range(1, 9):
+        ranks = assign_ranks(field, "seeded-permutation", seed)
+        cfg = new_configuration(n)
+        rows = [TraceRow(0, 0.0, 0, 0)]
+        committed = 0
+        fallbacks = 0
+        while True:
+            cfg, result = local_hcf_step(field, data, cfg, ranks)
+            committed += result.new_commits
+            rows.append(TraceRow(len(rows), result.energy_after, committed,
+                                 len(result.changed_sites)))
+            if result.any_change:
+                continue
+            leftovers = [s for s in range(n) if cfg[s] == UNCOMMITTED]
+            if not leftovers:
+                break
+            s = min(leftovers, key=lambda t: (stability(field, data, cfg, t), ranks[t]))
+            cfg = cfg.copy()
+            cfg[s] = best_label(field, data, cfg, s)[0]
+            committed += 1
+            fallbacks += 1
+            rows.append(TraceRow(len(rows), augmented_energy(field, data, cfg), committed, 1))
+        assert fallbacks > 0
+        run_cfg, trace = local_hcf_run(field, data, ranks=ranks)
+        assert trace.rows == tuple(rows)
+        assert run_cfg.tolist() == cfg.tolist()
