@@ -21,7 +21,6 @@ from .fileio import (COMPARE_HEADER, TRACE_HEADER, FileFormatError, parse_config
                      read_mrfl, read_mrfllr, read_pgm, write_compare_csv,
                      write_mrfl, write_mrfllr, write_pgm, write_trace_csv)
 from .hcf import HCFStep, HCFTrace, best_label, hcf_run, stability
-from .heap import IndexedMinHeap
 from .local_hcf import StepResult, assign_ranks, local_hcf_run, local_hcf_step
 from .oracles import (SEARCH_GUARD, OracleResult, brute_force_map, chain_dp_map,
                       is_local_minimum)
@@ -42,7 +41,6 @@ __all__ = [
     "read_mrfl", "read_mrfllr", "read_pgm", "write_compare_csv", "write_mrfl",
     "write_mrfllr", "write_pgm", "write_trace_csv",
     "HCFStep", "HCFTrace", "best_label", "hcf_run", "stability",
-    "IndexedMinHeap",
     "StepResult", "assign_ranks", "local_hcf_run", "local_hcf_step",
     "SEARCH_GUARD", "OracleResult", "brute_force_map", "chain_dp_map",
     "is_local_minimum",

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import UNCOMMITTED, _local_row, energy
+from .core import _check_problem, _local_row, energy
 from .hcf import _argmin_row, _check_runnable
 from .trace import RunTrace, TraceRow
 
@@ -52,8 +52,7 @@ def tlr(field, data) -> np.ndarray:
 
     Ties go to label 0. Exact MAP whenever the field has no cliques.
     """
-    if data.values.shape[0] != field.num_sites:
-        raise ValueError("data term does not match the field")
+    _check_problem(field, data)
     return np.argmin(data.values, axis=1).astype(np.int64)
 
 

@@ -44,8 +44,11 @@ class Field:
     """Immutable site graph plus clique potentials.
 
     ``adjacency[s]`` lists the neighbors of site ``s``. Every clique's
-    members must be pairwise adjacent; use :func:`validate_field` to check
-    the structural invariants after construction.
+    members must be pairwise adjacent. The structural invariants are
+    checked once, on construction, and :func:`validate_field` reports what
+    that check found. Neither the field nor its clique tables may change
+    after construction: that check and the nested-list caches below are
+    computed once and never refreshed.
     """
 
     def __init__(self, num_sites, num_labels, adjacency, cliques):
@@ -55,6 +58,7 @@ class Field:
         self.cliques = tuple(cliques)
         self._nested_tables = None
         self._incident = None
+        self._problems = _structure_problems(self)
 
     @property
     def clique_tables(self):
@@ -148,13 +152,6 @@ def fully_committed(config) -> bool:
     return bool((np.asarray(config) >= 0).all())
 
 
-def _as_labels(config):
-    # normalize to a plain list of ints for the scalar hot paths
-    if isinstance(config, np.ndarray):
-        return config.tolist()
-    return [int(l) for l in config]
-
-
 def _check_problem(field, data):
     if data.values.shape != (field.num_sites, field.num_labels):
         raise ValueError(
@@ -165,14 +162,15 @@ def _check_problem(field, data):
 def _checked_labels(field, data, config):
     # the configuration as a plain list, after checking it fits the problem
     _check_problem(field, data)
-    cfg = _as_labels(config)
-    if len(cfg) != field.num_sites:
-        raise ValueError(f"configuration has {len(cfg)} entries for {field.num_sites} sites")
-    num_labels = field.num_labels
-    for s, l in enumerate(cfg):
-        if l < UNCOMMITTED or l >= num_labels:
-            raise ValueError(f"site {s}: label {l} out of range")
-    return cfg
+    cfg = np.asarray(config, dtype=np.int64)
+    if cfg.shape != (field.num_sites,):
+        raise ValueError(f"configuration of shape {cfg.shape} does not fit "
+                         f"{field.num_sites} sites")
+    bad = np.flatnonzero((cfg < UNCOMMITTED) | (cfg >= field.num_labels))
+    if bad.size:
+        s = int(bad[0])
+        raise ValueError(f"site {s}: label {cfg[s]} out of range")
+    return cfg.tolist()
 
 
 def energy(field: Field, data: DataTerm, config) -> float:
@@ -272,7 +270,15 @@ def local_energies(field: Field, data: DataTerm, config) -> np.ndarray:
 
 
 def validate_field(field: Field) -> list[str]:
-    """Check the structural invariants; returns human-readable violations."""
+    """Human-readable violations of the structural invariants, empty if none.
+
+    The check ran once when the field was built; this returns a copy of
+    its findings.
+    """
+    return list(field._problems)
+
+
+def _structure_problems(field):
     out = []
     n = field.num_sites
     num_labels = field.num_labels

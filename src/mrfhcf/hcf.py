@@ -1,4 +1,4 @@
-"""Serial highest-confidence-first relaxation driven by an indexed min-heap.
+"""Serial highest-confidence-first relaxation driven by a priority queue.
 
 Every site starts uncommitted and carries a stability value: for an
 uncommitted site the (non-positive) negated gap between its best and
@@ -6,17 +6,18 @@ second-best local energies, for a committed site the gap between its
 current label and the best alternative (negative exactly when a strictly
 better label exists). Stabilities are ordered lexicographically with a
 per-site rank as tie-break, and the site with the minimum ordered
-stability acts first.
+stability acts first. Only sites that can act wait in the queue: the
+uncommitted ones and the committed ones with negative stability.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import UNCOMMITTED, _as_labels, _check_problem, _local_row, validate_field
-from .heap import IndexedMinHeap
+from .core import UNCOMMITTED, _check_problem, _checked_labels, _local_row
 
 
 @dataclass(frozen=True)
@@ -65,13 +66,10 @@ def best_label(field, data, config, site: int) -> tuple[int, float]:
     Ties go to the smallest label index; the site's own current label does
     not influence the result.
     """
-    _check_problem(field, data)
-    cfg = _as_labels(config)
+    cfg = _checked_labels(field, data, config)
     if not 0 <= site < field.num_sites:
         raise ValueError(f"site {site} out of range")
-    row = _local_row(field, data, cfg, site)
-    best, best_val = _argmin_row(row)
-    return best, best_val
+    return _argmin_row(_local_row(field, data, cfg, site))
 
 
 def stability(field, data, config, site: int) -> float:
@@ -81,10 +79,9 @@ def stability(field, data, config, site: int) -> float:
     <= 0); committed sites get the best-alternative gap relative to their
     current label (negative iff a strictly better label exists).
     """
-    _check_problem(field, data)
     if field.num_labels < 2:
         raise ValueError("stability needs at least two labels")
-    cfg = _as_labels(config)
+    cfg = _checked_labels(field, data, config)
     if not 0 <= site < field.num_sites:
         raise ValueError(f"site {site} out of range")
     row = _local_row(field, data, cfg, site)
@@ -92,9 +89,8 @@ def stability(field, data, config, site: int) -> float:
 
 
 def _check_runnable(field, data):
-    problems = validate_field(field)
-    if problems:
-        raise ValueError("invalid field: " + "; ".join(problems[:3]))
+    if field._problems:
+        raise ValueError("invalid field: " + "; ".join(field._problems[:3]))
     if field.num_labels < 2:
         raise ValueError("estimators need at least two labels")
     _check_problem(field, data)
@@ -113,12 +109,14 @@ def _check_ranks(field, ranks):
 def hcf_run(field, data, ranks=None, max_steps: int | None = None):
     """Run serial HCF from the all-uncommitted configuration.
 
-    Repeatedly takes the site with the minimum ordered stability off the
-    heap while that stability is negative, moves it to its best label, and
-    refreshes the stabilities of the site and its neighbors. Uncommitted
-    sites whose labels tie exactly (stability 0) are committed once no
-    negative stability remains, lowest ordered stability first, so the
-    result is always fully committed.
+    A priority queue holds the sites that can act: every uncommitted site
+    and every committed site with negative stability, keyed by the ordered
+    stability (stability, rank). The loop pops the minimum, moves that site
+    to its best label, and re-keys the site and its neighbors; entries whose
+    key has since changed are skipped when popped. Negative stabilities
+    therefore act first, and uncommitted sites whose labels tie exactly
+    (stability 0) commit after them in rank order, so the run ends fully
+    committed when the queue is empty.
 
     Returns (configuration, HCFTrace). The trace's energy entries are the
     augmented energy maintained incrementally from the exact per-step
@@ -131,52 +129,44 @@ def hcf_run(field, data, ranks=None, max_steps: int | None = None):
     cap = max_steps if max_steps is not None else 100 * n * field.num_labels
 
     cfg = [UNCOMMITTED] * n
-    stab = [0.0] * n
+    key = [None] * n  # each site's queued (stability, rank); None when it cannot act
+    queue = []
+
+    def refresh(t, row):
+        g = _row_stats(row, cfg[t])[2]
+        k = (g, rank[t]) if cfg[t] == UNCOMMITTED or g < 0 else None
+        if k != key[t]:
+            key[t] = k
+            if k is not None:
+                heapq.heappush(queue, (k, t))
+
     for s in range(n):
-        row = _local_row(field, data, cfg, s)
-        stab[s] = _row_stats(row, UNCOMMITTED)[2]
-    heap = IndexedMinHeap((stab[s], rank[s]) for s in range(n))
+        refresh(s, _local_row(field, data, cfg, s))
 
     steps = []
     aug = 0.0
     committed = 0
-
-    def refresh(t):
-        row = _local_row(field, data, cfg, t)
-        g = _row_stats(row, cfg[t])[2]
-        stab[t] = g
-        heap.update(t, (g, rank[t]))
-
-    def change(s, g_at_pop):
-        nonlocal aug, committed
+    while queue:
+        k, s = heapq.heappop(queue)
+        if k != key[s]:
+            continue
         if len(steps) >= cap:
             raise RuntimeError(f"HCF exceeded its step cap ({cap}); "
                                "check the inputs for pathological values")
+        # the site's own label does not enter its row, so one read serves
+        # both the move and the site's new stability
         row = _local_row(field, data, cfg, s)
         best, best_val = _argmin_row(row)
         prev = cfg[s]
-        delta = best_val if prev == UNCOMMITTED else best_val - row[prev]
         cfg[s] = best
         if prev == UNCOMMITTED:
             committed += 1
-        aug += delta
-        refresh(s)
+            aug += best_val
+        else:
+            aug += best_val - row[prev]
+        refresh(s, row)
         for r in field.adjacency[s]:
-            refresh(r)
-        steps.append(HCFStep(len(steps), s, best, g_at_pop, aug, committed))
-
-    while True:
-        (g, _rk), s = heap.peek()
-        if g < 0:
-            change(s, g)
-            continue
-        if committed == n:
-            break
-        # Exact-tie degenerate case: every remaining uncommitted site has
-        # stability 0. Commit them lowest ordered stability first so the
-        # run still ends fully committed.
-        s = min((t for t in range(n) if cfg[t] == UNCOMMITTED),
-                key=lambda t: (stab[t], rank[t]))
-        change(s, stab[s])
+            refresh(r, _local_row(field, data, cfg, r))
+        steps.append(HCFStep(len(steps), s, best, k[0], aug, committed))
 
     return np.array(cfg, dtype=np.int64), HCFTrace(tuple(steps))

@@ -13,6 +13,12 @@ def test_tlr_chain_golden(chain):
     assert tlr(field, data).tolist() == [1, 0, 0, 0, 0, 1, 0, 0]
 
 
+def test_tlr_rejects_a_data_term_with_the_wrong_label_count(chain):
+    field, _data = chain
+    with pytest.raises(ValueError, match="does not match field"):
+        tlr(field, DataTerm(np.zeros((8, 3))))
+
+
 def test_tlr_breaks_ties_toward_zero():
     field = Field(2, 3, [(), ()], [])
     data = DataTerm([[0.5, 0.5, 0.9], [2.0, 1.0, 1.0]])

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from mrfhcf import (Clique, DataTerm, Field, UNCOMMITTED, augmented_energy, energy,
-                    fully_committed, local_energies, local_energy,
-                    new_configuration, validate_field)
+from mrfhcf import (AnnealSchedule, Clique, DataTerm, Field, MpmParams, UNCOMMITTED,
+                    anneal_run, augmented_energy, energy, fully_committed, hcf_run,
+                    icm_run, local_energies, local_energy, local_hcf_run,
+                    mpm_run, new_configuration, validate_field)
 from support import random_field
 
 ALL_N = np.zeros(8, dtype=np.int64)
@@ -26,6 +27,26 @@ def test_validate_reports_asymmetric_adjacency():
     problems = validate_field(field)
     assert len(problems) == 1
     assert "asymmetric" in problems[0]
+
+
+def test_validate_field_returns_a_fresh_copy():
+    field = Field(2, 2, [(1,), ()], [])
+    validate_field(field).clear()
+    assert len(validate_field(field)) == 1
+
+
+def test_estimators_reject_an_invalid_field():
+    field = Field(2, 2, [(1,), ()], [])
+    data = DataTerm(np.zeros((2, 2)))
+    init = [0, 0]
+    runs = (lambda: local_hcf_run(field, data),
+            lambda: hcf_run(field, data),
+            lambda: icm_run(field, data, init),
+            lambda: anneal_run(field, data, init, AnnealSchedule(sweeps=1), seed=0),
+            lambda: mpm_run(field, data, init, MpmParams(0, 1)))
+    for run in runs:
+        with pytest.raises(ValueError, match="invalid field: .*asymmetric"):
+            run()
 
 
 def test_validate_reports_clique_on_non_neighbors():

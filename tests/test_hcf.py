@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from mrfhcf import (Clique, DataTerm, Field, UNCOMMITTED, augmented_energy,
-                    best_label, energy, hcf_run, is_local_minimum,
+from mrfhcf import (Clique, DataTerm, EdgePotentials, Field, UNCOMMITTED,
+                    assign_ranks, augmented_energy, best_label, build_edge_field,
+                    energy, hcf_run, is_local_minimum, llr_data_term,
                     new_configuration, stability)
 from mrfhcf.core import _local_row
 from mrfhcf.hcf import _row_stats
@@ -32,6 +35,16 @@ def test_stability_hand_values(chain):
                                                                     abs=1e-12)
     assert stability(field, data, blank, 0) == -4.0
     assert stability(field, data, blank, 5) == -0.1
+
+
+def test_readers_reject_a_configuration_that_does_not_fit(chain):
+    field, data = chain
+    with pytest.raises(ValueError, match="site 0: label 5 out of range"):
+        stability(field, data, [5] * 8, 0)
+    with pytest.raises(ValueError, match="does not fit"):
+        best_label(field, data, [0] * 3, 0)
+    with pytest.raises(ValueError, match="site 2: label -2 out of range"):
+        best_label(field, data, [0, 1, -2, 0, 0, 0, 9, 0], 0)
 
 
 def test_stability_of_settled_committed_site_is_positive():
@@ -145,6 +158,17 @@ def test_all_tied_sites_still_commit():
     config, trace = hcf_run(field, data)
     assert config.tolist() == [0, 0, 0]
     assert [s.site for s in trace.steps] == [0, 1, 2]
+    # on an all-zero lattice the sites commit in rank order, each at stability 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        field = build_edge_field(9, 9, EdgePotentials(0.0, 0.0, 0.0, 0.0))
+    data = llr_data_term(np.zeros(field.num_sites))
+    for seed in range(1, 4):
+        ranks = assign_ranks(field, "seeded-permutation", seed)
+        config, trace = hcf_run(field, data, ranks=ranks)
+        assert [s.site for s in trace.steps] == np.argsort(ranks).tolist()
+        assert all(s.stability == 0 and s.label == 0 for s in trace.steps)
+        assert config.tolist() == [0] * field.num_sites
 
 
 def test_step_cap_triggers():
