@@ -11,11 +11,26 @@ scored by the augmented energy: any clique touching an uncommitted site
 contributes nothing, and uncommitted sites contribute no data term. The
 all-uncommitted configuration therefore has augmented energy exactly 0.
 
-Summation order is fixed everywhere (ascending clique id, then ascending
-site id) so repeated evaluations are reproducible bit for bit.
+Every reader works on one array form of the field, built on first use
+(:class:`CompiledField`). Summation order is fixed everywhere so repeated
+evaluations are reproducible bit for bit:
+
+- a site's local energies start from a +0.0 row, add the incident cliques'
+  rows one column of the padded per-site arrays at a time in ascending
+  clique id order, then add the site's data row;
+- an energy is ``np.add.accumulate`` over a leading +0.0, the clique terms
+  in ascending clique id order, then the data terms in ascending site id
+  order, never ``np.sum`` or a dot product, whose pairwise order differs.
+
+A suppressed term (an uncommitted member, or padding) enters as +0.0. A
+running sum that starts at +0.0 never becomes -0.0, so adding +0.0 leaves
+it unchanged, and the leading +0.0 keeps an energy of -0.0 data terms at
+0.0 as a plain Python sum from 0.0 would.
 """
 
 from __future__ import annotations
+
+from itertools import chain
 
 import numpy as np
 
@@ -47,8 +62,8 @@ class Field:
     members must be pairwise adjacent. The structural invariants are
     checked once, on construction, and :func:`validate_field` reports what
     that check found. Neither the field nor its clique tables may change
-    after construction: that check and the nested-list caches below are
-    computed once and never refreshed.
+    after construction: that check and the array form in :attr:`compiled`
+    are computed once and never refreshed.
     """
 
     def __init__(self, num_sites, num_labels, adjacency, cliques):
@@ -56,56 +71,166 @@ class Field:
         self.num_labels = int(num_labels)
         self.adjacency = tuple(tuple(int(r) for r in nbrs) for nbrs in adjacency)
         self.cliques = tuple(cliques)
-        self._nested_tables = None
-        self._incident = None
+        self._compiled = None
         self._problems = _structure_problems(self)
 
     @property
-    def clique_tables(self):
-        """Per-clique potential tables as nested Python lists (cached)."""
-        if self._nested_tables is None:
-            cache = {}
-            tables = []
-            for c in self.cliques:
-                nested = cache.get(id(c.table))
-                if nested is None:
-                    nested = c.table.tolist()
-                    cache[id(c.table)] = nested
-                tables.append(nested)
-            self._nested_tables = tables
-        return self._nested_tables
+    def compiled(self) -> CompiledField:
+        """The array form every reader uses, built on first access.
 
-    @property
-    def incident(self):
-        """Per site: (clique id, other members, table arranged others-then-own).
-
-        The arranged table is a nested list indexed first by the other
-        members' labels in member order, then by this site's own label.
-        Entries are in ascending clique id order.
+        Raises ValueError on a field that failed its structural check.
         """
-        if self._incident is None:
-            inc = [[] for _ in range(self.num_sites)]
-            cache = {}
-            for cid, c in enumerate(self.cliques):
-                k = len(c.members)
-                for pos in range(k):
-                    s = c.members[pos]
-                    others = c.members[:pos] + c.members[pos + 1:]
-                    key = (id(c.table), pos)
-                    arranged = cache.get(key)
-                    if arranged is None:
-                        if k == 1:
-                            arranged = c.table.tolist()
-                        else:
-                            arranged = np.moveaxis(c.table, pos, -1).tolist()
-                        cache[key] = arranged
-                    inc[s].append((cid, others, arranged))
-            self._incident = inc
-        return self._incident
+        if self._compiled is None:
+            if self._problems:
+                raise ValueError("invalid field: " + "; ".join(self._problems[:3]))
+            self._compiled = CompiledField(self)
+        return self._compiled
 
     def __repr__(self):
         return (f"Field(num_sites={self.num_sites}, num_labels={self.num_labels}, "
                 f"cliques={len(self.cliques)})")
+
+
+class CompiledField:
+    """Padded arrays of one field, shared by every estimator and reader.
+
+    Index ``n = num_sites`` is a virtual site that pads the arrays; the
+    array readers append label 0 for it to the configuration. With ``m``
+    the largest clique arity minus one (at least 1) and ``D`` the largest
+    number of cliques at one site:
+
+    - ``tables[t]`` is a clique table arranged others-then-own and
+      flattened to ``(height, num_labels)`` with ``height = num_labels**m
+      + 1``. Row ``r`` holds the own-label energies when the other
+      members' labels, read as the base-``num_labels`` digits of ``r``
+      (first other most significant), are all committed. The last row is
+      all zero and stands for an uncommitted other: a row index of -1
+      (UNCOMMITTED) lands on it. A unary table repeats on every other row.
+      Table 0 is all zero and serves the padding slots.
+    - ``tids[j, s]`` and ``others[:, j, s]`` (``m`` sites, padded in front
+      with ``n``) describe site ``s``'s ``j``-th incident clique in
+      ascending clique id order, for ``D`` slots ``j``; the slots past the
+      site's degree hold table 0.
+      Slot-major, so that each slot is one contiguous column of the
+      gather. ``strides`` turns ``m`` labels into a row index.
+    - ``neighbors[s]`` lists the neighbors of ``s``, padded with ``n``.
+    - ``members[:, c]`` lists clique ``c``'s members (``m + 1`` sites,
+      padded in front with ``n``) and ``clique_tids[c]`` its table
+      arranged for its last member, which is the table as given.
+    - ``site_terms[s]`` holds the same entries for the scalar per-site
+      reader, as lists taken once from the arrays: ``(table rows, other
+      members)`` per incident clique, padding dropped.
+
+    The arrays are read-only and the lists must not be mutated.
+    """
+
+    def __init__(self, field):
+        n, num_labels = field.num_sites, field.num_labels
+        member_lists = [c.members for c in field.cliques]
+        arity = np.fromiter(map(len, member_lists), np.int64, len(member_lists))
+        m = max(int(arity.max(initial=2)) - 1, 1)
+        self.height = num_labels ** m + 1
+        self.tables, base = _stacked_tables(field.cliques, self.height, num_labels)
+        self.members, site, tid, oth = _incidences(member_lists, arity, base, n, m)
+
+        degree = np.bincount(site, minlength=n)
+        start = np.cumsum(degree) - degree
+        slot = np.arange(site.size) - start[site]
+        self.tids = np.zeros((int(degree.max(initial=0)), n), dtype=np.int64)
+        self.tids[slot, site] = tid
+        self.others = np.full((m,) + self.tids.shape, n, dtype=np.int64)
+        self.others[:, slot, site] = oth
+
+        counts = np.fromiter(map(len, field.adjacency), np.int64, n)
+        owner = np.repeat(np.arange(n), counts)
+        self.neighbors = np.full((n, int(counts.max(initial=0))), n, dtype=np.int64)
+        self.neighbors[owner, np.arange(owner.size) - (np.cumsum(counts) - counts)[owner]] = \
+            np.fromiter(chain.from_iterable(field.adjacency), np.int64, owner.size)
+
+        self.strides = num_labels ** np.arange(m - 1, -1, -1, dtype=np.int64)
+        self.clique_tids = base + arity - 1
+        self.sites = np.arange(n)
+        for a in (self.tables, self.tids, self.others, self.strides, self.neighbors,
+                  self.members, self.clique_tids, self.sites):
+            a.setflags(write=False)
+
+        # the scalar reader's lists, per site in clique id order: each
+        # clique's table rows and its other members without the padding;
+        # equal member tuples are one shared object
+        table_rows = self.tables.tolist()
+        distinct, inverse = _distinct_columns(oth)
+        member_tuples = [tuple(o for o in col if o != n) for col in distinct.T.tolist()]
+        terms = list(zip(map(table_rows.__getitem__, tid.tolist()),
+                         map(member_tuples.__getitem__, inverse.tolist())))
+        self.site_terms = [terms[i:j] for i, j in
+                           zip(start.tolist(), (start + degree).tolist())]
+
+
+def _stacked_tables(cliques, height, num_labels):
+    """The stacked tables, and each clique's table id for its member at position 0.
+
+    One stacked table per distinct (clique table, own position); position p
+    of a clique uses its position-0 id plus p. Table 0 is all zero.
+    """
+    tables = [c.table for c in cliques]
+    table_ids = list(map(id, tables))
+    blocks = [np.zeros((height, num_labels))]
+    block_of = {}
+    for key, table in dict(zip(table_ids, tables)).items():
+        block_of[key] = len(blocks)
+        blocks.extend(_arranged(table, height))
+    return (np.stack(blocks),
+            np.fromiter(map(block_of.__getitem__, table_ids), np.int64, len(table_ids)))
+
+
+def _arranged(table, height):
+    """Per own position, the clique table arranged others-then-own and stacked."""
+    k = table.ndim
+    num_labels = table.shape[-1]
+    out = []
+    for pos in range(k):
+        block = np.zeros((height, num_labels))
+        if k == 1:
+            block[:-1] = table
+        else:
+            block[:num_labels ** (k - 1)] = np.moveaxis(table, pos, -1).reshape(-1, num_labels)
+        out.append(block)
+    return out
+
+
+def _incidences(member_lists, arity, base, n, m):
+    """Clique members, and one incidence per (clique, member).
+
+    Returns the ``(m + 1, cliques)`` member array padded in front with
+    ``n``, then each incidence's site, table id and other members (``(m,
+    incidences)``, padded in front with ``n``), ordered by site and, within
+    a site, by clique id.
+    """
+    cid = np.repeat(np.arange(len(member_lists)), arity)
+    site = np.fromiter(chain.from_iterable(member_lists), np.int64, cid.size)
+    pos = np.arange(cid.size) - (np.cumsum(arity) - arity)[cid]
+    col = m + 1 - arity[cid] + pos
+    members = np.full((m + 1, len(member_lists)), n, dtype=np.int64)
+    members[col, cid] = site
+    tid = base[cid] + pos
+    oth = np.stack([members[q + (q >= col), cid] for q in range(m)])
+    order = np.argsort(site, kind="stable")
+    return members, site[order], tid[order], oth[:, order]
+
+
+def _distinct_columns(a):
+    """(the distinct columns of a 2-D int array, each column's index among them).
+
+    A sort-based ``np.unique(a, axis=1, return_inverse=True)``, which takes
+    several times longer on these arrays.
+    """
+    order = np.lexsort(a)
+    ordered = a[:, order]
+    first = np.ones(a.shape[1], dtype=bool)
+    first[1:] = (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)
+    inverse = np.empty(a.shape[1], dtype=np.int64)
+    inverse[order] = np.cumsum(first) - 1
+    return ordered[:, first], inverse
 
 
 class DataTerm:
@@ -160,7 +285,7 @@ def _check_problem(field, data):
 
 
 def _checked_labels(field, data, config):
-    # the configuration as a plain list, after checking it fits the problem
+    # the configuration as an int64 array, after checking it fits the problem
     _check_problem(field, data)
     cfg = np.asarray(config, dtype=np.int64)
     if cfg.shape != (field.num_sites,):
@@ -170,7 +295,12 @@ def _checked_labels(field, data, config):
     if bad.size:
         s = int(bad[0])
         raise ValueError(f"site {s}: label {cfg[s]} out of range")
-    return cfg.tolist()
+    return cfg
+
+
+def _extended(cfg):
+    """The configuration with label 0 appended for the virtual padding site."""
+    return np.append(cfg, 0)
 
 
 def energy(field: Field, data: DataTerm, config) -> float:
@@ -180,10 +310,10 @@ def energy(field: Field, data: DataTerm, config) -> float:
     ascending site id order. Raises ValueError if any site is uncommitted.
     """
     cfg = _checked_labels(field, data, config)
-    if any(l < 0 for l in cfg):
+    if (cfg < 0).any():
         raise ValueError("energy of a partially committed configuration is undefined; "
                          "use augmented_energy")
-    return _augmented_sum(field, data, cfg)
+    return _augmented_sum(field.compiled, data.values, _extended(cfg))
 
 
 def augmented_energy(field: Field, data: DataTerm, config) -> float:
@@ -194,29 +324,56 @@ def augmented_energy(field: Field, data: DataTerm, config) -> float:
     :func:`energy` on fully committed configurations and is exactly 0.0 on
     the all-uncommitted configuration.
     """
-    return _augmented_sum(field, data, _checked_labels(field, data, config))
+    cfg = _checked_labels(field, data, config)
+    return _augmented_sum(field.compiled, data.values, _extended(cfg))
 
 
-def _augmented_sum(field, data, cfg):
-    total = 0.0
-    tables = field.clique_tables
-    for cid, c in enumerate(field.cliques):
-        sel = tables[cid]
-        live = True
-        for m in c.members:
-            lab = cfg[m]
-            if lab < 0:
-                live = False
-                break
-            sel = sel[lab]
-        if live:
-            total += sel
-    rows = data.rows
-    for s in range(field.num_sites):
-        lab = cfg[s]
-        if lab >= 0:
-            total += rows[s][lab]
-    return total
+def _table_rows(comp, labs):
+    """Table row for each column of other members' labels ``labs[:, ...]``.
+
+    The zero row (the last) where any of them is uncommitted.
+    """
+    rows = labs[0] * comp.strides[0]
+    dead = labs[0] < 0
+    for j in range(1, len(comp.strides)):
+        rows += labs[j] * comp.strides[j]
+        dead |= labs[j] < 0
+    return np.where(dead, comp.height - 1, rows)
+
+
+def _augmented_sum(comp, values, cfg):
+    """Augmented energy of an extended configuration, as a Python float."""
+    num_labels = values.shape[1]
+    labs = cfg[comp.members]
+    own = labs[-1]
+    rows = _table_rows(comp, labs[:-1])
+    # an uncommitted last member also takes the zero row, at any column
+    rows[own < 0] = comp.height - 1
+    cells = ((comp.clique_tids * comp.height + rows) * num_labels
+             + np.maximum(own, 0))
+    committed = cfg[:-1]
+    terms = np.concatenate((
+        [0.0],
+        np.take(comp.tables, cells),
+        np.where(committed >= 0, values[comp.sites, committed], 0.0)))
+    return float(np.add.accumulate(terms)[-1])
+
+
+def _local_rows(comp, values, cfg):
+    """Local energies of every site and label of an extended configuration.
+
+    The same sums as :func:`_local_row`, for all sites at once: one gather
+    of each incident clique's row, added slot by slot in clique id order
+    onto +0.0, then the data rows.
+    """
+    rows = _table_rows(comp, cfg[comp.others])
+    terms = np.take(comp.tables.reshape(-1, values.shape[1]),
+                    comp.tids * comp.height + rows, axis=0)
+    e = np.zeros(values.shape)
+    for column in terms:
+        e += column
+    e += values
+    return e
 
 
 def _local_row(field, data, cfg, site):
@@ -228,16 +385,15 @@ def _local_row(field, data, cfg, site):
     """
     num_labels = field.num_labels
     e = [0.0] * num_labels
-    for _cid, others, arranged in field.incident[site]:
-        sel = arranged
-        live = True
+    for rows, others in field.compiled.site_terms[site]:
+        r = 0
         for o in others:
             lab = cfg[o]
             if lab < 0:
-                live = False
                 break
-            sel = sel[lab]
-        if live:
+            r = r * num_labels + lab
+        else:
+            sel = rows[r]
             for l in range(num_labels):
                 e[l] += sel[l]
     drow = data.rows[site]
@@ -259,14 +415,13 @@ def local_energy(field: Field, data: DataTerm, config, site: int, label: int) ->
         raise ValueError(f"site {site} out of range")
     if not 0 <= label < field.num_labels:
         raise ValueError(f"label {label} is not a committed label")
-    return _local_row(field, data, cfg, site)[label]
+    return _local_row(field, data, cfg.tolist(), site)[label]
 
 
 def local_energies(field: Field, data: DataTerm, config) -> np.ndarray:
     """Local energies for every site and label as a (num_sites, num_labels) array."""
     cfg = _checked_labels(field, data, config)
-    return np.array([_local_row(field, data, cfg, s) for s in range(field.num_sites)],
-                    dtype=np.float64)
+    return _local_rows(field.compiled, data.values, _extended(cfg))
 
 
 def validate_field(field: Field) -> list[str]:

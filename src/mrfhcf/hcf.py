@@ -66,7 +66,7 @@ def best_label(field, data, config, site: int) -> tuple[int, float]:
     Ties go to the smallest label index; the site's own current label does
     not influence the result.
     """
-    cfg = _checked_labels(field, data, config)
+    cfg = _checked_labels(field, data, config).tolist()
     if not 0 <= site < field.num_sites:
         raise ValueError(f"site {site} out of range")
     return _argmin_row(_local_row(field, data, cfg, site))
@@ -81,7 +81,7 @@ def stability(field, data, config, site: int) -> float:
     """
     if field.num_labels < 2:
         raise ValueError("stability needs at least two labels")
-    cfg = _checked_labels(field, data, config)
+    cfg = _checked_labels(field, data, config).tolist()
     if not 0 <= site < field.num_sites:
         raise ValueError(f"site {site} out of range")
     row = _local_row(field, data, cfg, site)

@@ -6,7 +6,8 @@ when its ordered stability (stability, rank) is strictly below the minimum
 ordered stability over all of its neighbors, and either its stability is
 negative or it is uncommitted with stability exactly 0. Two neighbors can
 never change in the same iteration, so the sweep is safe to evaluate in
-parallel. The sweep itself runs on the calling thread.
+parallel. The sweep runs as whole-array numpy work on the field's compiled
+arrays (read, stability, eligibility, energy), on the calling thread.
 """
 
 from __future__ import annotations
@@ -15,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import UNCOMMITTED, _local_row, augmented_energy
-from .hcf import _check_ranks, _check_runnable, _row_stats
+from .core import (UNCOMMITTED, _augmented_sum, _checked_labels, _extended,
+                   _local_rows, new_configuration)
+from .hcf import _check_ranks, _check_runnable
 from .trace import RunTrace, TraceRow
 
 
@@ -44,37 +46,53 @@ def assign_ranks(field, mode: str = "site-index", seed: int | None = None) -> np
     raise ValueError(f"unknown rank mode: {mode!r}")
 
 
-def _sweep(field, data, cfg, rank):
-    """Read every site of ``cfg`` (a list of labels), then select the eligible ones.
+def _sweep(comp, values, cfg, rank):
+    """Read every site of ``cfg`` at once, then select the eligible ones.
 
-    Returns (g, best, changed, commits): every site's stability and best
-    label, the eligible sites in ascending order, and how many of those are
-    uncommitted. ``cfg`` is not modified.
+    ``cfg`` is the configuration with label 0 appended for the padding
+    site and ``rank`` the ranks with ``n`` appended. Returns (g, best,
+    changed): every site's stability and best label, and the eligible
+    sites in ascending order. ``cfg`` is not modified.
     """
-    n = field.num_sites
-    g = [0.0] * n
-    best = [0] * n
-    for s in range(n):
-        best[s], _bv, g[s] = _row_stats(_local_row(field, data, cfg, s), cfg[s])
+    n, num_labels = values.shape
+    e = _local_rows(comp, values, cfg)
+    own = cfg[:n]
+    sites = comp.sites
+    # stability against the best label (uncommitted) or the own label
+    # (committed), as _row_stats computes it; ties go to the lowest label
+    if num_labels == 2:
+        best = (e[:, 1] < e[:, 0]).astype(np.int64)
+        ref = np.where(own == UNCOMMITTED, best, own)
+        other = e[sites, 1 - ref]
+    else:
+        best = e.argmin(axis=1)
+        ref = np.where(own == UNCOMMITTED, best, own)
+        masked = e.copy()
+        masked[sites, ref] = np.inf
+        other = masked.min(axis=1)
+    gap = other - e[sites, ref]
+    g = np.where(own == UNCOMMITTED, -gap, gap)
 
-    adjacency = field.adjacency
-    changed = []
-    commits = 0
-    for s in range(n):
-        gs = g[s]
-        if gs < 0 or (gs == 0 and cfg[s] == UNCOMMITTED):
-            rs = rank[s]
-            eligible = True
-            for r in adjacency[s]:
-                gr = g[r]
-                if not (gs < gr or (gs == gr and rs < rank[r])):
-                    eligible = False
-                    break
-            if eligible:
-                changed.append(s)
-                if cfg[s] == UNCOMMITTED:
-                    commits += 1
-    return g, best, changed, commits
+    # eligible: can act, and (g, rank) below every neighbor's; the
+    # padding neighbor n stands at (+inf, n)
+    can = np.flatnonzero((g < 0) | ((g == 0) & (own == UNCOMMITTED)))
+    nbrs = comp.neighbors[can]
+    g_ext = np.append(g, np.inf)
+    gs, gn = g[can, None], g_ext[nbrs]
+    first = ((gs < gn) | ((gs == gn) & (rank[can, None] < rank[nbrs]))).all(axis=1)
+    return g, best, can[first]
+
+
+def _apply(cfg, best, changed):
+    """Move the changed sites to their best labels; returns how many were uncommitted."""
+    commits = int(np.count_nonzero(cfg[changed] == UNCOMMITTED))
+    cfg[changed] = best[changed]
+    return commits
+
+
+def _ranks(field, ranks):
+    """Checked ranks as an int64 array with ``n`` appended for the padding site."""
+    return np.array(_check_ranks(field, ranks) + [field.num_sites], dtype=np.int64)
 
 
 def local_hcf_step(field, data, config, ranks, threads: int = 1):
@@ -86,13 +104,14 @@ def local_hcf_step(field, data, config, ranks, threads: int = 1):
     configuration. ``threads`` is accepted and has no effect on results;
     the sweep runs on the calling thread and starts no other.
     """
-    cfg = np.asarray(config).tolist()
-    _g, best, changed, commits = _sweep(field, data, cfg, _check_ranks(field, ranks))
-    for s in changed:
-        cfg[s] = best[s]
-    new_cfg = np.array(cfg, dtype=np.int64)
-    energy_after = augmented_energy(field, data, new_cfg)
-    return new_cfg, StepResult(tuple(changed), commits, energy_after, bool(changed))
+    _check_runnable(field, data)
+    cfg = _extended(_checked_labels(field, data, config))
+    comp = field.compiled
+    _g, best, changed = _sweep(comp, data.values, cfg, _ranks(field, ranks))
+    commits = _apply(cfg, best, changed)
+    energy_after = _augmented_sum(comp, data.values, cfg)
+    return cfg[:-1].copy(), StepResult(tuple(changed.tolist()), commits, energy_after,
+                                       bool(changed.size))
 
 
 def local_hcf_run(field, data, ranks=None, max_iterations: int | None = None,
@@ -108,10 +127,12 @@ def local_hcf_run(field, data, ranks=None, max_iterations: int | None = None,
     """
     _check_runnable(field, data)
     n = field.num_sites
-    rank = _check_ranks(field, ranks)
+    rank = _ranks(field, ranks)
     cap = max_iterations if max_iterations is not None else 100 * n * field.num_labels
+    comp = field.compiled
+    values = data.values
 
-    cfg = [UNCOMMITTED] * n
+    cfg = _extended(new_configuration(n))
     rows = [TraceRow(0, 0.0, 0, 0)]
     committed = 0
     iteration = 0
@@ -121,16 +142,14 @@ def local_hcf_run(field, data, ranks=None, max_iterations: int | None = None,
         if iteration > cap:
             raise RuntimeError(f"local HCF exceeded its iteration cap ({cap}); "
                                "check the inputs for pathological values")
-        g, best, changed, commits = _sweep(field, data, cfg, rank)
-        for s in changed:
-            cfg[s] = best[s]
-        committed += commits
-        rows.append(TraceRow(iteration, augmented_energy(field, data, cfg), committed,
-                             len(changed)))
-        if changed:
+        g, best, changed = _sweep(comp, values, cfg, rank)
+        committed += _apply(cfg, best, changed)
+        rows.append(TraceRow(iteration, _augmented_sum(comp, values, cfg), committed,
+                             int(changed.size)))
+        if changed.size:
             continue
-        leftovers = [s for s in range(n) if cfg[s] == UNCOMMITTED]
-        if not leftovers:
+        leftovers = np.flatnonzero(cfg[:n] == UNCOMMITTED)
+        if not leftovers.size:
             break
         # Exact-tie degenerate case: a zero-stability uncommitted site can
         # be blocked forever by a committed neighbor of equal stability and
@@ -140,9 +159,10 @@ def local_hcf_run(field, data, ranks=None, max_iterations: int | None = None,
         iteration += 1
         if iteration > cap:
             raise RuntimeError(f"local HCF exceeded its iteration cap ({cap})")
-        s = min(leftovers, key=lambda t: (g[t], rank[t]))
+        tied = leftovers[g[leftovers] == g[leftovers].min()]
+        s = tied[np.argmin(rank[tied])]
         cfg[s] = best[s]
         committed += 1
-        rows.append(TraceRow(iteration, augmented_energy(field, data, cfg), committed, 1))
+        rows.append(TraceRow(iteration, _augmented_sum(comp, values, cfg), committed, 1))
 
-    return np.array(cfg, dtype=np.int64), RunTrace(tuple(rows))
+    return cfg[:-1].copy(), RunTrace(tuple(rows))

@@ -204,7 +204,7 @@ def is_local_minimum(field, data, config, tolerance: float = 1e-12) -> bool:
     per-site local energies. A flip must be more than ``tolerance`` below
     the current label to disqualify.
     """
-    cfg = _checked_labels(field, data, config)
+    cfg = _checked_labels(field, data, config).tolist()
     if any(l < 0 for l in cfg):
         raise ValueError("local minimum check needs a fully committed configuration")
     num_labels = field.num_labels

@@ -94,3 +94,63 @@ def exact_marginals(field, data):
         if pos == n:
             break
     return weights / total
+
+
+def reference_local_rows(field, data, config):
+    """Local energies of every site and label, walking ``field.cliques`` directly.
+
+    Per site: a +0.0 start, each clique containing the site in ascending
+    clique id order (skipped when another member is uncommitted), then the
+    data row. The plain reference the compiled readers must match bit for bit.
+    """
+    cfg = [int(l) for l in config]
+    num_labels = field.num_labels
+    out = []
+    for s in range(field.num_sites):
+        e = [0.0] * num_labels
+        for c in field.cliques:
+            if s not in c.members:
+                continue
+            pos = c.members.index(s)
+            if any(cfg[m] < 0 for i, m in enumerate(c.members) if i != pos):
+                continue
+            for l in range(num_labels):
+                labels = [cfg[m] for m in c.members]
+                labels[pos] = l
+                e[l] += float(c.table[tuple(labels)])
+        for l in range(num_labels):
+            e[l] += float(data.values[s, l])
+        out.append(e)
+    return out
+
+
+def reference_augmented_energy(field, data, config):
+    """Augmented energy walking ``field.cliques`` then the sites, from 0.0."""
+    cfg = [int(l) for l in config]
+    total = 0.0
+    for c in field.cliques:
+        if all(cfg[m] >= 0 for m in c.members):
+            total += float(c.table[tuple(cfg[m] for m in c.members)])
+    for s, lab in enumerate(cfg):
+        if lab >= 0:
+            total += float(data.values[s, lab])
+    return total
+
+
+def triple_clique_field(seed, num_labels):
+    """Five sites with one 3-member clique on (0, 1, 2), plus pairs and a unary.
+
+    Sites 0-2 form a triangle carrying both the triple and pair cliques;
+    sites 3 and 4 hang off it, so the field mixes arities 1, 2 and 3.
+    """
+    rng = np.random.default_rng(seed)
+    adjacency = [(1, 2, 3), (0, 2), (0, 1, 4), (0,), (2,)]
+    cliques = [
+        Clique((2, 4), rng.uniform(-1.0, 1.0, (num_labels, num_labels))),
+        Clique((1, 0, 2), rng.uniform(-1.0, 1.0, (num_labels,) * 3)),
+        Clique((3,), rng.uniform(-1.0, 1.0, num_labels)),
+        Clique((0, 1), rng.uniform(-1.0, 1.0, (num_labels, num_labels))),
+        Clique((0, 3), rng.uniform(-1.0, 1.0, (num_labels, num_labels))),
+    ]
+    data = DataTerm(rng.uniform(-2.0, 2.0, (5, num_labels)))
+    return Field(5, num_labels, adjacency, cliques), data

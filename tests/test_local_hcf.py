@@ -243,3 +243,21 @@ def test_tie_fallback_commits_the_lowest_ordered_leftover():
         run_cfg, trace = local_hcf_run(field, data, ranks=ranks)
         assert trace.rows == tuple(rows)
         assert run_cfg.tolist() == cfg.tolist()
+
+
+def test_step_rejects_configurations_that_do_not_fit(chain):
+    field, data = chain
+    ranks = assign_ranks(field)
+    with pytest.raises(ValueError, match="site 0: label 5 out of range"):
+        local_hcf_step(field, data, [5] * 8, ranks)
+    with pytest.raises(ValueError, match="site 3: label -2 out of range"):
+        local_hcf_step(field, data, [0, 0, 0, -2, 0, 0, 0, 0], ranks)
+    with pytest.raises(ValueError, match=r"configuration of shape \(3,\) does not fit 8 sites"):
+        local_hcf_step(field, data, [0] * 3, ranks)
+
+
+def test_step_rejects_an_invalid_field():
+    field = Field(2, 2, [(1,), ()], [])
+    data = DataTerm(np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="invalid field: .*asymmetric"):
+        local_hcf_step(field, data, new_configuration(2), [0, 1])
