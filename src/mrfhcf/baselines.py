@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _check_problem, _local_row, energy
+from .core import _check_problem, _checked_labels, _local_row, energy
 from .hcf import _argmin_row, _check_runnable
 from .trace import RunTrace, TraceRow
 
@@ -56,13 +56,11 @@ def tlr(field, data) -> np.ndarray:
     return np.argmin(data.values, axis=1).astype(np.int64)
 
 
-def _check_init(field, init):
-    cfg = [int(l) for l in np.asarray(init)]
-    if len(cfg) != field.num_sites:
-        raise ValueError("initial configuration has the wrong length")
-    if any(l < 0 or l >= field.num_labels for l in cfg):
+def _check_init(field, data, init):
+    cfg = _checked_labels(field, data, init)
+    if (cfg < 0).any():
         raise ValueError("initial configuration must be fully committed")
-    return cfg
+    return cfg.tolist()
 
 
 def icm_run(field, data, init, order: str = "scan", seed: int | None = None,
@@ -75,7 +73,7 @@ def icm_run(field, data, init, order: str = "scan", seed: int | None = None,
     changes nothing; the fixpoint is a single-flip local minimum.
     """
     _check_runnable(field, data)
-    cfg = _check_init(field, init)
+    cfg = _check_init(field, data, init)
     n = field.num_sites
     if order == "scan":
         rng = None
@@ -151,7 +149,7 @@ def anneal_run(field, data, init, schedule: AnnealSchedule, seed: int):
     its start.
     """
     _check_runnable(field, data)
-    cfg = _check_init(field, init)
+    cfg = _check_init(field, data, init)
     n = field.num_sites
     rng = np.random.default_rng(seed)
 
@@ -171,7 +169,7 @@ def anneal_run(field, data, init, schedule: AnnealSchedule, seed: int):
 
 def _mpm_core(field, data, init, params):
     _check_runnable(field, data)
-    cfg = _check_init(field, init)
+    cfg = _check_init(field, data, init)
     n = field.num_sites
     rng = np.random.default_rng(params.seed)
 

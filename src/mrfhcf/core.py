@@ -461,7 +461,9 @@ def _structure_problems(field):
         for r in seen:
             if s not in neighbor_sets[r]:
                 out.append(f"adjacency asymmetric: {r} neighbors {s} but not conversely")
-    shape_per_arity = {}
+    # shared tables are checked once per arity; the field keeps every
+    # table alive, so their ids stay distinct
+    table_problem = {}
     for cid, c in enumerate(field.cliques):
         k = len(c.members)
         if len(set(c.members)) != k:
@@ -479,9 +481,17 @@ def _structure_problems(field):
                 a, b = c.members[i], c.members[j]
                 if b not in neighbor_sets[a]:
                     out.append(f"clique {cid}: members {a} and {b} are not neighbors")
-        want = shape_per_arity.setdefault(k, (num_labels,) * k)
-        if c.table.shape != want:
-            out.append(f"clique {cid}: table shape {c.table.shape} is not {want}")
-        elif not np.isfinite(c.table).all():
-            out.append(f"clique {cid}: table has non-finite entries")
+        key = (id(c.table), k)
+        if key not in table_problem:
+            table_problem[key] = _table_problem(c.table, (num_labels,) * k)
+        if table_problem[key]:
+            out.append(f"clique {cid}: {table_problem[key]}")
     return out
+
+
+def _table_problem(table, want):
+    if table.shape != want:
+        return f"table shape {table.shape} is not {want}"
+    if not np.isfinite(table).all():
+        return "table has non-finite entries"
+    return None

@@ -3,10 +3,12 @@
 An edge site sits between two adjacent pixels and takes one of two labels,
 non-edge (0) or edge (1). Vertical sites separate horizontally adjacent
 pixels and are numbered first, row-major; horizontal sites separate
-vertically adjacent pixels and follow, also row-major. Every site has a
-second-order neighborhood: the six other sites sharing one of its two
-endpoints plus the two nearest parallel sites of the same orientation, so
-interior sites have exactly eight neighbors.
+vertically adjacent pixels and follow, also row-major. A site's neighbors are
+the sites it shares a pair clique with, which gives a second-order
+neighborhood: the six other sites sharing one of its two endpoints plus the
+two nearest parallel sites of the same orientation, so interior sites have
+exactly eight neighbors. :func:`build_edge_field` lays the cliques out from
+index grids of the lattice, in an order that is part of its contract.
 """
 
 from __future__ import annotations
@@ -141,39 +143,6 @@ class EdgeLattice:
             return ((x, y), (x + 1, y))
         return ((x, y), (x, y + 1))
 
-    def neighbors(self, site: int) -> tuple[int, ...]:
-        """Second-order neighborhood: 6 endpoint-sharing sites + 2 parallels."""
-        kind, x, y = self.site_info(site)
-        w, h = self.width, self.height
-        out = []
-        if kind == "v":
-            if y > 0:
-                out.append(self.vertical_id(x, y - 1))
-                out.append(self.horizontal_id(x, y - 1))
-                out.append(self.horizontal_id(x + 1, y - 1))
-            if y < h - 1:
-                out.append(self.vertical_id(x, y + 1))
-                out.append(self.horizontal_id(x, y))
-                out.append(self.horizontal_id(x + 1, y))
-            if x > 0:
-                out.append(self.vertical_id(x - 1, y))
-            if x < w - 2:
-                out.append(self.vertical_id(x + 1, y))
-        else:
-            if x > 0:
-                out.append(self.horizontal_id(x - 1, y))
-                out.append(self.vertical_id(x - 1, y))
-                out.append(self.vertical_id(x - 1, y + 1))
-            if x < w - 1:
-                out.append(self.horizontal_id(x + 1, y))
-                out.append(self.vertical_id(x, y))
-                out.append(self.vertical_id(x, y + 1))
-            if y > 0:
-                out.append(self.horizontal_id(x, y - 1))
-            if y < h - 2:
-                out.append(self.horizontal_id(x, y + 1))
-        return tuple(sorted(out))
-
 
 def build_edge_field(width: int, height: int,
                      potentials: EdgePotentials | None = None) -> Field:
@@ -182,12 +151,19 @@ def build_edge_field(width: int, height: int,
     Instantiates one unary clique per site (edge prior), pair cliques for
     collinear continuations, endpoint-sharing turns, and nearest parallel
     runs. The four potential tables are shared across all cliques of their
-    family.
+    family. A site's neighbors are the sites it shares a pair clique with.
+
+    Clique ids fix the summation order of every energy, so their order is
+    part of the contract: the unary cliques by site; vertical, then
+    horizontal continuations; the turns of each vertical site (x, y) in
+    row-major order, with the horizontal sites at (x, y-1), (x+1, y-1),
+    (x, y), (x+1, y) that exist; vertical, then horizontal parallels. Each
+    family runs row-major over its first member's position.
     """
     if potentials is None:
         potentials = EdgePotentials()
     lattice = EdgeLattice(width, height)
-    w, h = lattice.width, lattice.height
+    w, h, n = lattice.width, lattice.height, lattice.num_sites
 
     unary = np.array([0.0, potentials.edge_prior])
     cont = np.zeros((2, 2))
@@ -197,32 +173,39 @@ def build_edge_field(width: int, height: int,
     par = np.zeros((2, 2))
     par[EDGE, EDGE] = potentials.parallel
 
-    cliques = [Clique((s,), unary) for s in range(lattice.num_sites)]
-    for y in range(h - 1):
-        for x in range(w - 1):
-            cliques.append(Clique((lattice.vertical_id(x, y),
-                                   lattice.vertical_id(x, y + 1)), cont))
-    for y in range(h - 1):
-        for x in range(w - 1):
-            cliques.append(Clique((lattice.horizontal_id(x, y),
-                                   lattice.horizontal_id(x + 1, y)), cont))
-    for y in range(h):
-        for x in range(w - 1):
-            v = lattice.vertical_id(x, y)
-            for hx, hy in ((x, y - 1), (x + 1, y - 1), (x, y), (x + 1, y)):
-                if 0 <= hy < h - 1:
-                    cliques.append(Clique((v, lattice.horizontal_id(hx, hy)), turn))
-    for y in range(h):
-        for x in range(w - 2):
-            cliques.append(Clique((lattice.vertical_id(x, y),
-                                   lattice.vertical_id(x + 1, y)), par))
-    for y in range(h - 2):
-        for x in range(w):
-            cliques.append(Clique((lattice.horizontal_id(x, y),
-                                   lattice.horizontal_id(x, y + 1)), par))
+    # v[y, x] is vertical site (x, y); hp[y + 1, x] is horizontal site
+    # (x, y), with a row of -1 above and below for the missing turn slots
+    v = np.arange(lattice.num_vertical).reshape(h, w - 1)
+    hp = np.full((h + 1, w), -1)
+    hp[1:-1] = np.arange(lattice.num_vertical, n).reshape(h - 1, w)
+    hz = hp[1:-1]
+    corners = np.stack([hp[:-1, :-1], hp[:-1, 1:], hp[1:, :-1], hp[1:, 1:]], axis=-1)
+    turns = _pairs(*np.broadcast_arrays(v[..., None], corners))
+    families = (
+        (_pairs(v[:-1], v[1:]), cont),
+        (_pairs(hz[:, :-1], hz[:, 1:]), cont),
+        (turns[turns[:, 1] >= 0], turn),
+        (_pairs(v[:, :-1], v[:, 1:]), par),
+        (_pairs(hz[:-1], hz[1:]), par),
+    )
+    cliques = [Clique((s,), unary) for s in range(n)]
+    for pairs, table in families:
+        cliques.extend(Clique(p, table) for p in pairs.tolist())
 
-    adjacency = [lattice.neighbors(s) for s in range(lattice.num_sites)]
-    return Field(lattice.num_sites, 2, adjacency, cliques)
+    # the neighborhood graph of the pair cliques, each list ascending
+    pairs = np.concatenate([p for p, _ in families])
+    site = np.concatenate([pairs[:, 0], pairs[:, 1]])
+    other = np.concatenate([pairs[:, 1], pairs[:, 0]])
+    order = np.lexsort((other, site))
+    nbrs = other[order].tolist()
+    ends = np.cumsum(np.bincount(site, minlength=n)).tolist()
+    adjacency = [nbrs[i:j] for i, j in zip([0] + ends[:-1], ends)]
+    return Field(n, 2, adjacency, cliques)
+
+
+def _pairs(first, second):
+    """(first, second) site pairs of two equal-shape index grids, row-major."""
+    return np.stack([first.ravel(), second.ravel()], axis=1)
 
 
 def edge_llr(image: Image, model: EdgeModel) -> np.ndarray:
@@ -316,10 +299,7 @@ def render_overlay(image: Image, config) -> Image:
                          f"{lattice.num_sites} sites")
     canvas = np.full((2 * h + 1, 2 * w + 1), 255, dtype=np.uint8)
     canvas[1::2, 1::2] = image.pixels
-    for s in np.flatnonzero(cfg == EDGE):
-        kind, x, y = lattice.site_info(int(s))
-        if kind == "v":
-            canvas[2 * y + 1, 2 * x + 2] = 0
-        else:
-            canvas[2 * y + 2, 2 * x + 1] = 0
+    edge = cfg == EDGE
+    canvas[1::2, 2:-1:2][edge[:lattice.num_vertical].reshape(h, w - 1)] = 0
+    canvas[2:-1:2, 1::2][edge[lattice.num_vertical:].reshape(h - 1, w)] = 0
     return Image(canvas)

@@ -68,6 +68,20 @@ def test_icm_validates_arguments(chain):
         icm_run(field, data, init, order="random")
 
 
+def test_estimators_reject_a_bad_start(chain):
+    field, data = chain
+    runs = (lambda init: icm_run(field, data, init),
+            lambda init: anneal_run(field, data, init, AnnealSchedule(sweeps=1), seed=0),
+            lambda init: mpm_run(field, data, init, MpmParams(0, 1)))
+    starts = ((np.full(8, 2), "label 2 out of range"),
+              (np.zeros(7, dtype=np.int64), "does not fit 8 sites"),
+              (np.array([0, 0, 0, UNCOMMITTED, 0, 0, 0, 0]), "fully committed"))
+    for run in runs:
+        for init, message in starts:
+            with pytest.raises(ValueError, match=message):
+                run(init)
+
+
 def test_anneal_zero_sweeps_returns_the_init(chain):
     field, data = chain
     init = tlr(field, data)

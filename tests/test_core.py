@@ -64,6 +64,20 @@ def test_validate_reports_self_loop_and_bad_table():
     assert any("table shape" in p for p in problems)
 
 
+def test_validate_reports_a_shared_bad_table_once_per_clique():
+    adjacency = [(1, 2), (0, 2), (0, 1)]
+    nan_table = np.array([[0.0, np.nan], [0.0, 0.0]])
+    good = Clique((0, 1), np.zeros((2, 2)))
+    field = Field(3, 2, adjacency,
+                  [Clique((0, 2), nan_table), good, Clique((1, 2), nan_table)])
+    assert validate_field(field) == ["clique 0: table has non-finite entries",
+                                     "clique 2: table has non-finite entries"]
+    wide = np.zeros((2, 3))
+    field = Field(3, 2, adjacency, [Clique((0, 1), wide), Clique((1, 2), wide)])
+    assert validate_field(field) == ["clique 0: table shape (2, 3) is not (2, 2)",
+                                     "clique 1: table shape (2, 3) is not (2, 2)"]
+
+
 def test_energy_golden_values(chain):
     field, data = chain
     assert energy(field, data, ALL_N) == -3.5

@@ -67,35 +67,38 @@ def test_site_ids_are_a_bijection():
 
 def test_interior_sites_have_eight_neighbors():
     lat = EdgeLattice(10, 10)
+    adjacency = build_edge_field(10, 10).adjacency
     for y in range(1, 9):
         for x in range(1, 7):
-            assert len(lat.neighbors(lat.vertical_id(x, y))) == 8
+            assert len(adjacency[lat.vertical_id(x, y)]) == 8
     for y in range(1, 7):
         for x in range(1, 8):
-            assert len(lat.neighbors(lat.horizontal_id(x, y))) == 8
+            assert len(adjacency[lat.horizontal_id(x, y)]) == 8
     # a corner-most vertical site touches fewer
-    assert len(lat.neighbors(lat.vertical_id(0, 0))) == 4
+    assert len(adjacency[lat.vertical_id(0, 0)]) == 4
 
 
 def test_neighbors_match_the_geometric_definition():
-    lat = EdgeLattice(5, 5)
-    infos = [lat.site_info(s) for s in range(lat.num_sites)]
-    for s in range(lat.num_sites):
-        near = set(lat.neighbors(s))
-        for t in range(lat.num_sites):
-            if t == s:
-                continue
-            assert (t in near) == geometric_neighbors(infos[s], infos[t])
+    for w, h in ((5, 5), (2, 2), (2, 5), (5, 2), (3, 4), (7, 3)):
+        lat = EdgeLattice(w, h)
+        adjacency = build_edge_field(w, h).adjacency
+        infos = [lat.site_info(s) for s in range(lat.num_sites)]
+        for s in range(lat.num_sites):
+            near = set(adjacency[s])
+            for t in range(lat.num_sites):
+                if t == s:
+                    continue
+                assert (t in near) == geometric_neighbors(infos[s], infos[t])
 
 
 def test_neighborhood_is_symmetric_and_irreflexive():
-    lat = EdgeLattice(6, 4)
-    for s in range(lat.num_sites):
-        near = lat.neighbors(s)
-        assert s not in near
-        assert len(set(near)) == len(near)
-        for t in near:
-            assert s in lat.neighbors(t)
+    for w, h in ((6, 4), (2, 2), (2, 5), (5, 2)):
+        adjacency = build_edge_field(w, h).adjacency
+        for s, near in enumerate(adjacency):
+            assert s not in near
+            assert len(set(near)) == len(near)
+            for t in near:
+                assert s in adjacency[t]
 
 
 def test_built_field_validates_clean():
@@ -104,8 +107,34 @@ def test_built_field_validates_clean():
     lat = EdgeLattice(6, 5)
     assert field.num_sites == lat.num_sites
     assert field.num_labels == 2
+    infos = [lat.site_info(s) for s in range(lat.num_sites)]
     for s in range(field.num_sites):
-        assert tuple(sorted(field.adjacency[s])) == lat.neighbors(s)
+        assert field.adjacency[s] == tuple(
+            t for t in range(field.num_sites)
+            if t != s and geometric_neighbors(infos[s], infos[t]))
+    # every neighbor pair shares exactly one pair clique
+    pairs = [tuple(sorted(c.members)) for c in field.cliques if len(c.members) == 2]
+    assert len(pairs) == len(set(pairs))
+    assert sorted(pairs) == sorted((s, t) for s in range(field.num_sites)
+                                   for t in field.adjacency[s] if s < t)
+
+
+# clique members of build_edge_field(3, 4) in clique id order, which fixes
+# the summation order of every energy
+GOLDEN_3X4_MEMBERS = (
+    [(s,) for s in range(17)]
+    + [(0, 2), (1, 3), (2, 4), (3, 5), (4, 6), (5, 7)]
+    + [(8, 9), (9, 10), (11, 12), (12, 13), (14, 15), (15, 16)]
+    + [(0, 8), (0, 9), (1, 9), (1, 10), (2, 8), (2, 9), (2, 11), (2, 12),
+       (3, 9), (3, 10), (3, 12), (3, 13), (4, 11), (4, 12), (4, 14), (4, 15),
+       (5, 12), (5, 13), (5, 15), (5, 16), (6, 14), (6, 15), (7, 15), (7, 16)]
+    + [(0, 1), (2, 3), (4, 5), (6, 7)]
+    + [(8, 11), (9, 12), (10, 13), (11, 14), (12, 15), (13, 16)])
+
+
+def test_clique_order_golden():
+    field = build_edge_field(3, 4)
+    assert [c.members for c in field.cliques] == GOLDEN_3X4_MEMBERS
 
 
 def test_clique_census():
@@ -249,6 +278,21 @@ def test_render_overlay_geometry():
     assert (canvas[mask] == 255).all()
     with pytest.raises(ValueError):
         render_overlay(image, np.array([1, 0, 0]))
+
+
+@pytest.mark.parametrize("w, h", [(3, 2), (2, 4), (5, 3)])
+def test_render_overlay_matches_the_pixel_pairs(w, h):
+    rng = np.random.default_rng(w * 10 + h)
+    image = Image(rng.integers(1, 256, (h, w)))
+    lat = EdgeLattice(w, h)
+    config = rng.integers(-1, 2, lat.num_sites)
+    want = np.full((2 * h + 1, 2 * w + 1), 255, dtype=np.uint8)
+    want[1::2, 1::2] = image.pixels
+    for s in range(lat.num_sites):
+        if config[s] == EDGE:
+            (x0, y0), (x1, y1) = lat.pixel_pair(s)
+            want[y0 + y1 + 1, x0 + x1 + 1] = 0
+    assert np.array_equal(render_overlay(image, config).pixels, want)
 
 
 def test_edge_potentials_warn_on_unusual_signs():
