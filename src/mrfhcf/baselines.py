@@ -1,8 +1,26 @@
 """Reference estimators: likelihood thresholding, ICM, annealing, MPM.
 
 All stochastic estimators draw from numpy's PCG64 generator seeded
-explicitly, so runs are reproducible across platforms. Sweep traces carry
-the total energy maintained incrementally from exact per-flip deltas.
+explicitly, so runs are reproducible across platforms.
+
+ICM, annealing and MPM sweep the sites one at a time, in scan order or
+(random-order ICM) a seeded permutation per sweep, and each site sees the
+labels its earlier neighbours took in the same sweep. A sweep runs as a
+wavefront (Lamport, "The Parallel Execution of DO Loops", CACM 1974): a
+site's level is one more than the highest level of its neighbours visited
+before it, so no two sites of a level are neighbours and every earlier
+neighbour sits in a lower level. Reading one level's local energies as
+one array therefore sees exactly what the one-site-at-a-time visit sees,
+and the results equal that visit's bit for bit:
+
+- ICM takes each row's argmin, ties to the lowest label;
+- a Gibbs sweep draws one ``rng.random(n)`` and site ``s`` takes element
+  ``s``. At temperature ``t = max(T, 1e-300)`` a row ``v`` weighs label
+  ``l`` by ``math.exp(-(v[l] - min(v)) / t)``; the site takes the first
+  label whose running weight sum (``np.add.accumulate`` along the row)
+  exceeds ``u * math.fsum(weights)``, else the last label;
+- the sweep traces carry the total energy, updated by each flip's exact
+  local-energy difference, added in visit order onto the running total.
 """
 
 from __future__ import annotations
@@ -12,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _check_problem, _checked_labels, _local_row, energy
-from .hcf import _argmin_row, _check_runnable
+from .core import _check_problem, _checked_labels, _extended, _local_rows, energy
+from .hcf import _check_runnable
 from .trace import RunTrace, TraceRow
 
 
@@ -57,10 +75,66 @@ def tlr(field, data) -> np.ndarray:
 
 
 def _check_init(field, data, init):
+    # the start as an extended configuration (label 0 for the padding site)
     cfg = _checked_labels(field, data, init)
     if (cfg < 0).any():
         raise ValueError("initial configuration must be fully committed")
-    return cfg.tolist()
+    return _extended(cfg)
+
+
+class _Wave:
+    """A visit order cut into dependency levels, the read arrays in level order.
+
+    ``sites[bounds[i]:bounds[i + 1]]`` is level ``i``, in ascending site
+    order; ``visit`` lists the positions in ``sites`` in visit order.
+    ``others``, ``offsets`` and ``values`` are the per-site arrays of the
+    compiled field ``comp`` and the data rows, taken in the order of
+    ``sites``, so that each level reads contiguous columns.
+    """
+
+    def __init__(self, field, data, order):
+        n = field.num_sites
+        adjacency = field.adjacency
+        level = [-1] * n
+        for s in order:
+            level[s] = 1 + max([level[r] for r in adjacency[s]], default=-1)
+        level = np.array(level)
+        self.sites = np.argsort(level, kind="stable")
+        self.bounds = [0] + np.cumsum(np.bincount(level)).tolist()
+        position = np.empty(n, dtype=np.int64)
+        position[self.sites] = np.arange(n)
+        self.visit = position[order]
+        self.comp = comp = field.compiled
+        self.others = comp.others[:, :, self.sites]
+        self.offsets = comp.offsets[:, self.sites]
+        self.values = data.values[self.sites]
+
+
+def _wave_sweep(wave, cfg, pick, current):
+    """Visit every site once, in the wave's order, in place on the extended ``cfg``.
+
+    ``pick(rows, level)`` returns the new labels of the sites at positions
+    ``level`` (a slice) from their local energy rows. Returns ``current``
+    plus each flip's energy change, added in visit order, and the number of
+    sites whose label changed.
+    """
+    before = cfg[wave.sites]
+    seen = np.empty(wave.values.shape)
+    for a, b in zip(wave.bounds, wave.bounds[1:]):
+        level = slice(a, b)
+        rows = _local_rows(wave.comp, wave.others[:, :, level], wave.offsets[:, level],
+                           wave.values[level], cfg)
+        seen[level] = rows
+        cfg[wave.sites[level]] = pick(rows, level)
+    after = cfg[wave.sites]
+    flips = wave.visit[(before != after)[wave.visit]]
+    steps = seen[flips, after[flips]] - seen[flips, before[flips]]
+    return float(np.add.accumulate(np.concatenate(([current], steps)))[-1]), len(flips)
+
+
+def _icm_labels(rows, level):
+    # argmin ties go to the lowest label
+    return rows.argmin(axis=1)
 
 
 def icm_run(field, data, init, order: str = "scan", seed: int | None = None,
@@ -77,6 +151,7 @@ def icm_run(field, data, init, order: str = "scan", seed: int | None = None,
     n = field.num_sites
     if order == "scan":
         rng = None
+        wave = _Wave(field, data, range(n))
     elif order == "random":
         if seed is None:
             raise ValueError("random visit order needs a seed")
@@ -85,58 +160,54 @@ def icm_run(field, data, init, order: str = "scan", seed: int | None = None,
         raise ValueError(f"unknown ICM order: {order!r}")
     cap = max_sweeps if max_sweeps is not None else 100 * n * field.num_labels
 
-    current = energy(field, data, cfg)
+    current = energy(field, data, cfg[:n])
     rows = [TraceRow(0, current, n, 0)]
     sweep = 0
     while True:
         sweep += 1
         if sweep > cap:
             raise RuntimeError(f"ICM exceeded its sweep cap ({cap})")
-        visit = range(n) if rng is None else rng.permutation(n).tolist()
-        changes = 0
-        for s in visit:
-            row = _local_row(field, data, cfg, s)
-            b, bv = _argmin_row(row)
-            if b != cfg[s]:
-                current += bv - row[cfg[s]]
-                cfg[s] = b
-                changes += 1
+        if rng is not None:
+            wave = _Wave(field, data, rng.permutation(n).tolist())
+        current, changes = _wave_sweep(wave, cfg, _icm_labels, current)
         rows.append(TraceRow(sweep, current, n, changes))
         if changes == 0:
             break
-    return np.array(cfg, dtype=np.int64), RunTrace(tuple(rows))
+    return cfg[:n].copy(), RunTrace(tuple(rows))
 
 
-def _gibbs_draw(row, temperature, rng):
-    # conditional draw proportional to exp(-energy / T); the shift by the
-    # row minimum keeps the exponentials in range
+def _gibbs_labels(rows, uniforms, temperature):
+    """One label per row, drawn with probability proportional to exp(-energy / T).
+
+    Row ``i`` uses the uniform ``uniforms[i]``; the arithmetic is that of
+    the module docstring, element by element as Python floats compute it.
+    """
     t = temperature if temperature > 1e-300 else 1e-300
-    m = min(row)
-    weights = [math.exp(-(v - m) / t) for v in row]
-    u = rng.random() * math.fsum(weights)
-    acc = 0.0
-    for l, w in enumerate(weights):
-        acc += w
-        if u < acc:
-            return l
-    return len(row) - 1
+    # the shift by the row minimum keeps the exponentials in range; a
+    # quotient past the float range is -inf and weighs 0, as in Python
+    with np.errstate(over="ignore"):
+        x = -(rows - rows.min(axis=1, keepdims=True)) / t
+    weights = np.fromiter(map(math.exp, x.ravel().tolist()), float, x.size).reshape(x.shape)
+    total = np.fromiter(map(math.fsum, weights.tolist()), float, len(weights))
+    acc = np.add.accumulate(weights, axis=1)
+    # running sums never decrease, so the labels before the last whose sum
+    # exceeds u * total form a suffix, and the first of them is found by
+    # counting; when there are none, the last label is taken
+    taken = (uniforms * total)[:, None] < acc[:, :-1]
+    return acc.shape[1] - 1 - taken.sum(axis=1)
 
 
-def _gibbs_sweep(field, data, cfg, temperature, rng, current):
-    """Resample every site of ``cfg`` in scan order, in place.
+def _gibbs_sweep(wave, cfg, temperature, rng, current):
+    """Resample every site of ``cfg`` once in the scan-order ``wave``, in place.
 
     Returns the total energy ``current`` updated by the exact per-flip
     deltas, and the number of sites whose label changed.
     """
-    changes = 0
-    for s in range(field.num_sites):
-        row = _local_row(field, data, cfg, s)
-        drawn = _gibbs_draw(row, temperature, rng)
-        if drawn != cfg[s]:
-            current += row[drawn] - row[cfg[s]]
-            cfg[s] = drawn
-            changes += 1
-    return current, changes
+    # site s takes uniform s: the scan visit draws them in site order
+    uniforms = rng.random(len(wave.sites))[wave.sites]
+    return _wave_sweep(wave, cfg,
+                       lambda rows, level: _gibbs_labels(rows, uniforms[level], temperature),
+                       current)
 
 
 def anneal_run(field, data, init, schedule: AnnealSchedule, seed: int):
@@ -152,19 +223,20 @@ def anneal_run(field, data, init, schedule: AnnealSchedule, seed: int):
     cfg = _check_init(field, data, init)
     n = field.num_sites
     rng = np.random.default_rng(seed)
+    wave = _Wave(field, data, range(n))
 
-    current = energy(field, data, cfg)
-    best_cfg = list(cfg)
+    current = energy(field, data, cfg[:n])
+    best_cfg = cfg[:n].copy()
     best_energy = current
     rows = [TraceRow(0, current, n, 0)]
     for k in range(schedule.sweeps):
         temperature = schedule.t0 * schedule.alpha ** k
-        current, changes = _gibbs_sweep(field, data, cfg, temperature, rng, current)
+        current, changes = _gibbs_sweep(wave, cfg, temperature, rng, current)
         rows.append(TraceRow(k + 1, current, n, changes))
         if current < best_energy:
             best_energy = current
-            best_cfg = list(cfg)
-    return np.array(best_cfg, dtype=np.int64), RunTrace(tuple(rows))
+            best_cfg = cfg[:n].copy()
+    return best_cfg, RunTrace(tuple(rows))
 
 
 def _mpm_core(field, data, init, params):
@@ -172,16 +244,17 @@ def _mpm_core(field, data, init, params):
     cfg = _check_init(field, data, init)
     n = field.num_sites
     rng = np.random.default_rng(params.seed)
+    wave = _Wave(field, data, range(n))
 
-    current = energy(field, data, cfg)
+    current = energy(field, data, cfg[:n])
     rows = [TraceRow(0, current, n, 0)]
     counts = np.zeros((n, field.num_labels), dtype=np.int64)
     sites = np.arange(n)
     for k in range(params.burn_in + params.samples):
-        current, changes = _gibbs_sweep(field, data, cfg, 1.0, rng, current)
+        current, changes = _gibbs_sweep(wave, cfg, 1.0, rng, current)
         rows.append(TraceRow(k + 1, current, n, changes))
         if k >= params.burn_in:
-            counts[sites, cfg] += 1
+            counts[sites, cfg[:n]] += 1
     return counts / params.samples, RunTrace(tuple(rows))
 
 

@@ -107,10 +107,11 @@ class CompiledField:
       all zero and stands for an uncommitted other: a row index of -1
       (UNCOMMITTED) lands on it. A unary table repeats on every other row.
       Table 0 is all zero and serves the padding slots.
-    - ``tids[j, s]`` and ``others[:, j, s]`` (``m`` sites, padded in front
-      with ``n``) describe site ``s``'s ``j``-th incident clique in
-      ascending clique id order, for ``D`` slots ``j``; the slots past the
-      site's degree hold table 0.
+    - ``offsets[j, s]`` and ``others[:, j, s]`` (``m`` sites, padded in
+      front with ``n``) describe site ``s``'s ``j``-th incident clique in
+      ascending clique id order, for ``D`` slots ``j``: the first row of
+      its table in ``tables`` flattened to ``(rows, num_labels)``, and its
+      other members. The slots past the site's degree hold table 0.
       Slot-major, so that each slot is one contiguous column of the
       gather. ``strides`` turns ``m`` labels into a row index.
     - ``neighbors[s]`` lists the neighbors of ``s``, padded with ``n``.
@@ -136,9 +137,9 @@ class CompiledField:
         degree = np.bincount(site, minlength=n)
         start = np.cumsum(degree) - degree
         slot = np.arange(site.size) - start[site]
-        self.tids = np.zeros((int(degree.max(initial=0)), n), dtype=np.int64)
-        self.tids[slot, site] = tid
-        self.others = np.full((m,) + self.tids.shape, n, dtype=np.int64)
+        self.offsets = np.zeros((int(degree.max(initial=0)), n), dtype=np.int64)
+        self.offsets[slot, site] = tid * self.height
+        self.others = np.full((m,) + self.offsets.shape, n, dtype=np.int64)
         self.others[:, slot, site] = oth
 
         counts = np.fromiter(map(len, field.adjacency), np.int64, n)
@@ -150,7 +151,7 @@ class CompiledField:
         self.strides = num_labels ** np.arange(m - 1, -1, -1, dtype=np.int64)
         self.clique_tids = base + arity - 1
         self.sites = np.arange(n)
-        for a in (self.tables, self.tids, self.others, self.strides, self.neighbors,
+        for a in (self.tables, self.offsets, self.others, self.strides, self.neighbors,
                   self.members, self.clique_tids, self.sites):
             a.setflags(write=False)
 
@@ -333,10 +334,10 @@ def _table_rows(comp, labs):
 
     The zero row (the last) where any of them is uncommitted.
     """
-    rows = labs[0] * comp.strides[0]
-    dead = labs[0] < 0
-    for j in range(1, len(comp.strides)):
-        rows += labs[j] * comp.strides[j]
+    rows = labs[-1]  # the last stride is 1
+    dead = rows < 0
+    for j in range(len(comp.strides) - 1):
+        rows = rows + labs[j] * comp.strides[j]
         dead |= labs[j] < 0
     return np.where(dead, comp.height - 1, rows)
 
@@ -359,16 +360,17 @@ def _augmented_sum(comp, values, cfg):
     return float(np.add.accumulate(terms)[-1])
 
 
-def _local_rows(comp, values, cfg):
-    """Local energies of every site and label of an extended configuration.
+def _local_rows(comp, others, offsets, values, cfg):
+    """Local energies of a block of sites, every label, under an extended configuration.
 
-    The same sums as :func:`_local_row`, for all sites at once: one gather
-    of each incident clique's row, added slot by slot in clique id order
-    onto +0.0, then the data rows.
+    ``others``, ``offsets`` and ``values`` are the block's columns of
+    ``comp.others`` and ``comp.offsets`` and its data rows, in any site
+    order; the whole arrays read every site. The same sums as
+    :func:`_local_row`: one gather of each incident clique's row, added
+    slot by slot in clique id order onto +0.0, then the data rows.
     """
-    rows = _table_rows(comp, cfg[comp.others])
-    terms = np.take(comp.tables.reshape(-1, values.shape[1]),
-                    comp.tids * comp.height + rows, axis=0)
+    rows = _table_rows(comp, cfg[others])
+    terms = comp.tables.reshape(-1, values.shape[1]).take(offsets + rows, axis=0)
     e = np.zeros(values.shape)
     for column in terms:
         e += column
@@ -421,7 +423,8 @@ def local_energy(field: Field, data: DataTerm, config, site: int, label: int) ->
 def local_energies(field: Field, data: DataTerm, config) -> np.ndarray:
     """Local energies for every site and label as a (num_sites, num_labels) array."""
     cfg = _checked_labels(field, data, config)
-    return _local_rows(field.compiled, data.values, _extended(cfg))
+    comp = field.compiled
+    return _local_rows(comp, comp.others, comp.offsets, data.values, _extended(cfg))
 
 
 def validate_field(field: Field) -> list[str]:

@@ -55,7 +55,7 @@ def _sweep(comp, values, cfg, rank):
     sites in ascending order. ``cfg`` is not modified.
     """
     n, num_labels = values.shape
-    e = _local_rows(comp, values, cfg)
+    e = _local_rows(comp, comp.others, comp.offsets, values, cfg)
     own = cfg[:n]
     sites = comp.sites
     # stability against the best label (uncommitted) or the own label

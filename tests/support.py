@@ -1,8 +1,12 @@
-"""Shared builders for randomized test instances."""
+"""Shared builders for randomized test instances, and scalar reference estimators."""
+
+import math
 
 import numpy as np
 
-from mrfhcf import Clique, DataTerm, Field
+from mrfhcf import Clique, DataTerm, Field, RunTrace, TraceRow, energy
+from mrfhcf.core import _local_row
+from mrfhcf.hcf import _argmin_row
 
 
 def random_field(seed, max_sites=12, labels=None):
@@ -154,3 +158,105 @@ def triple_clique_field(seed, num_labels):
     ]
     data = DataTerm(rng.uniform(-2.0, 2.0, (5, num_labels)))
     return Field(5, num_labels, adjacency, cliques), data
+
+
+def chain8_field():
+    """The 8-site, 2-label path with seeded pair and data terms (seed 97)."""
+    rng = np.random.default_rng(97)
+    n = 8
+    adjacency = [tuple(r for r in (s - 1, s + 1) if 0 <= r < n) for s in range(n)]
+    cliques = [Clique((s, s + 1), rng.uniform(-1.0, 1.0, size=(2, 2)))
+               for s in range(n - 1)]
+    return Field(n, 2, adjacency, cliques), DataTerm(rng.uniform(-2.0, 2.0, size=(n, 2)))
+
+
+# Scalar reference estimators: one site at a time through the per-site
+# reader, the order and arithmetic the array sweeps of mrfhcf.baselines
+# must reproduce bit for bit.
+
+def reference_gibbs_draw(row, temperature, rng):
+    """One label drawn with probability proportional to exp(-energy / T)."""
+    # the shift by the row minimum keeps the exponentials in range
+    t = temperature if temperature > 1e-300 else 1e-300
+    m = min(row)
+    weights = [math.exp(-(v - m) / t) for v in row]
+    u = rng.random() * math.fsum(weights)
+    acc = 0.0
+    for l, w in enumerate(weights):
+        acc += w
+        if u < acc:
+            return l
+    return len(row) - 1
+
+
+def reference_gibbs_sweep(field, data, cfg, temperature, rng, current):
+    """Resample every site of the list ``cfg`` in scan order, in place.
+
+    Returns ``current`` updated by the per-flip deltas, and the change count.
+    """
+    changes = 0
+    for s in range(field.num_sites):
+        row = _local_row(field, data, cfg, s)
+        drawn = reference_gibbs_draw(row, temperature, rng)
+        if drawn != cfg[s]:
+            current += row[drawn] - row[cfg[s]]
+            cfg[s] = drawn
+            changes += 1
+    return current, changes
+
+
+def reference_icm_run(field, data, init, order="scan", seed=None):
+    """ICM sweeps to a fixpoint, one site at a time: (configuration, RunTrace)."""
+    cfg = [int(l) for l in init]
+    n = field.num_sites
+    rng = np.random.default_rng(seed) if order == "random" else None
+    current = energy(field, data, cfg)
+    rows = [TraceRow(0, current, n, 0)]
+    sweep = 0
+    while True:
+        sweep += 1
+        visit = range(n) if rng is None else rng.permutation(n).tolist()
+        changes = 0
+        for s in visit:
+            row = _local_row(field, data, cfg, s)
+            b, bv = _argmin_row(row)
+            if b != cfg[s]:
+                current += bv - row[cfg[s]]
+                cfg[s] = b
+                changes += 1
+        rows.append(TraceRow(sweep, current, n, changes))
+        if changes == 0:
+            return np.array(cfg, dtype=np.int64), RunTrace(tuple(rows))
+
+
+def reference_anneal_run(field, data, init, schedule, seed):
+    """Annealing by scalar Gibbs sweeps: (best configuration, RunTrace)."""
+    cfg = [int(l) for l in init]
+    n = field.num_sites
+    rng = np.random.default_rng(seed)
+    current = energy(field, data, cfg)
+    best_cfg, best_energy = list(cfg), current
+    rows = [TraceRow(0, current, n, 0)]
+    for k in range(schedule.sweeps):
+        temperature = schedule.t0 * schedule.alpha ** k
+        current, changes = reference_gibbs_sweep(field, data, cfg, temperature, rng, current)
+        rows.append(TraceRow(k + 1, current, n, changes))
+        if current < best_energy:
+            best_energy, best_cfg = current, list(cfg)
+    return np.array(best_cfg, dtype=np.int64), RunTrace(tuple(rows))
+
+
+def reference_mpm_marginals(field, data, init, params):
+    """MPM marginals by scalar Gibbs sweeps at T = 1: (marginals, RunTrace)."""
+    cfg = [int(l) for l in init]
+    n = field.num_sites
+    rng = np.random.default_rng(params.seed)
+    current = energy(field, data, cfg)
+    rows = [TraceRow(0, current, n, 0)]
+    counts = np.zeros((n, field.num_labels), dtype=np.int64)
+    for k in range(params.burn_in + params.samples):
+        current, changes = reference_gibbs_sweep(field, data, cfg, 1.0, rng, current)
+        rows.append(TraceRow(k + 1, current, n, changes))
+        if k >= params.burn_in:
+            counts[np.arange(n), cfg] += 1
+    return counts / params.samples, RunTrace(tuple(rows))
