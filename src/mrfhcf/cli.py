@@ -143,7 +143,8 @@ def run_estimator(name: str, field, data, cfg: RunConfig, seed: int | None = Non
         rows = (TraceRow(0, energy(field, data, out), field.num_sites, 0),)
         return out, rows, 0
     if name == "hcf":
-        out, trace = hcf_run(field, data)
+        out, trace = hcf_run(field, data,
+                             ranks=assign_ranks(field, cfg.rank_mode, cfg.rank_seed))
         rows = [TraceRow(0, 0.0, 0, 0)]
         rows.extend(TraceRow(st.step + 1, st.energy_after, st.committed_after, 1)
                     for st in trace.steps)

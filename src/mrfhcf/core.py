@@ -118,11 +118,8 @@ class CompiledField:
     - ``members[:, c]`` lists clique ``c``'s members (``m + 1`` sites,
       padded in front with ``n``) and ``clique_tids[c]`` its table
       arranged for its last member, which is the table as given.
-    - ``site_terms[s]`` holds the same entries for the scalar per-site
-      reader, as lists taken once from the arrays: ``(table rows, other
-      members)`` per incident clique, padding dropped.
 
-    The arrays are read-only and the lists must not be mutated.
+    The arrays are read-only.
     """
 
     def __init__(self, field):
@@ -154,17 +151,6 @@ class CompiledField:
         for a in (self.tables, self.offsets, self.others, self.strides, self.neighbors,
                   self.members, self.clique_tids, self.sites):
             a.setflags(write=False)
-
-        # the scalar reader's lists, per site in clique id order: each
-        # clique's table rows and its other members without the padding;
-        # equal member tuples are one shared object
-        table_rows = self.tables.tolist()
-        distinct, inverse = _distinct_columns(oth)
-        member_tuples = [tuple(o for o in col if o != n) for col in distinct.T.tolist()]
-        terms = list(zip(map(table_rows.__getitem__, tid.tolist()),
-                         map(member_tuples.__getitem__, inverse.tolist())))
-        self.site_terms = [terms[i:j] for i, j in
-                           zip(start.tolist(), (start + degree).tolist())]
 
 
 def _stacked_tables(cliques, height, num_labels):
@@ -219,21 +205,6 @@ def _incidences(member_lists, arity, base, n, m):
     return members, site[order], tid[order], oth[:, order]
 
 
-def _distinct_columns(a):
-    """(the distinct columns of a 2-D int array, each column's index among them).
-
-    A sort-based ``np.unique(a, axis=1, return_inverse=True)``, which takes
-    several times longer on these arrays.
-    """
-    order = np.lexsort(a)
-    ordered = a[:, order]
-    first = np.ones(a.shape[1], dtype=bool)
-    first[1:] = (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)
-    inverse = np.empty(a.shape[1], dtype=np.int64)
-    inverse[order] = np.cumsum(first) - 1
-    return ordered[:, first], inverse
-
-
 class DataTerm:
     """Per-site, per-label observation energies.
 
@@ -249,7 +220,6 @@ class DataTerm:
             raise ValueError("data term contains non-finite values")
         v.setflags(write=False)
         self.values = v
-        self._rows = v.tolist()
 
     @property
     def num_sites(self):
@@ -258,11 +228,6 @@ class DataTerm:
     @property
     def num_labels(self):
         return self.values.shape[1]
-
-    @property
-    def rows(self):
-        """The values as a list of per-site lists (cached, do not mutate)."""
-        return self._rows
 
     def __repr__(self):
         return f"DataTerm(num_sites={self.num_sites}, num_labels={self.num_labels})"
@@ -365,9 +330,9 @@ def _local_rows(comp, others, offsets, values, cfg):
 
     ``others``, ``offsets`` and ``values`` are the block's columns of
     ``comp.others`` and ``comp.offsets`` and its data rows, in any site
-    order; the whole arrays read every site. The same sums as
-    :func:`_local_row`: one gather of each incident clique's row, added
-    slot by slot in clique id order onto +0.0, then the data rows.
+    order; the whole arrays read every site. One gather of each incident
+    clique's row, added slot by slot in clique id order onto +0.0, then
+    the data rows. A site's own label in ``cfg`` does not enter its row.
     """
     rows = _table_rows(comp, cfg[others])
     terms = comp.tables.reshape(-1, values.shape[1]).take(offsets + rows, axis=0)
@@ -378,30 +343,38 @@ def _local_rows(comp, others, offsets, values, cfg):
     return e
 
 
-def _local_row(field, data, cfg, site):
-    """Local energies of every label at one site, as a list of floats.
+def _rows_at(comp, values, cfg, sites):
+    """:func:`_local_rows` of the sites ``sites`` (an index array or list), in that order."""
+    return _local_rows(comp, comp.others.take(sites, axis=2), comp.offsets.take(sites, axis=1),
+                       values.take(sites, axis=0), cfg)
 
-    cfg must be a plain list of ints. Cliques whose other members include
-    an uncommitted site are suppressed; the site's own entry in cfg is
-    ignored (it is overridden by the candidate label).
+
+def _stabilities(e, own):
+    """(g, best): each row's stability and best label, from local energies ``e``.
+
+    ``own`` holds each row's site label or UNCOMMITTED. The best label has
+    the least energy, ties going to the lowest label. An uncommitted
+    site's stability is the negated gap from its best to its second-best
+    energy (at most 0); a committed site's is its best alternative's
+    energy minus its own label's (negative iff a strictly better label
+    exists). Needs at least two labels.
     """
-    num_labels = field.num_labels
-    e = [0.0] * num_labels
-    for rows, others in field.compiled.site_terms[site]:
-        r = 0
-        for o in others:
-            lab = cfg[o]
-            if lab < 0:
-                break
-            r = r * num_labels + lab
-        else:
-            sel = rows[r]
-            for l in range(num_labels):
-                e[l] += sel[l]
-    drow = data.rows[site]
-    for l in range(num_labels):
-        e[l] += drow[l]
-    return e
+    uncommitted = own == UNCOMMITTED
+    # gap: the least other label's energy minus the reference label's,
+    # the reference being the best label (uncommitted) or the own label
+    if e.shape[1] == 2:
+        e0, e1 = e[:, 0], e[:, 1]
+        best = (e1 < e0).astype(np.int64)
+        on1 = np.where(uncommitted, best, own) == 1
+        gap = np.where(on1, e0, e1) - np.where(on1, e1, e0)
+    else:
+        rows = np.arange(len(e))
+        best = e.argmin(axis=1)
+        ref = np.where(uncommitted, best, own)
+        masked = e.copy()
+        masked[rows, ref] = np.inf
+        gap = masked.min(axis=1) - e[rows, ref]
+    return np.where(uncommitted, -gap, gap), best
 
 
 def local_energy(field: Field, data: DataTerm, config, site: int, label: int) -> float:
@@ -417,7 +390,7 @@ def local_energy(field: Field, data: DataTerm, config, site: int, label: int) ->
         raise ValueError(f"site {site} out of range")
     if not 0 <= label < field.num_labels:
         raise ValueError(f"label {label} is not a committed label")
-    return _local_row(field, data, cfg.tolist(), site)[label]
+    return _rows_at(field.compiled, data.values, _extended(cfg), [site])[0, label].item()
 
 
 def local_energies(field: Field, data: DataTerm, config) -> np.ndarray:

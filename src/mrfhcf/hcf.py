@@ -8,6 +8,11 @@ better label exists). Stabilities are ordered lexicographically with a
 per-site rank as tie-break, and the site with the minimum ordered
 stability acts first. Only sites that can act wait in the queue: the
 uncommitted ones and the committed ones with negative stability.
+
+Local energies come from the array reader ``core._local_rows`` and
+stabilities from ``core._stabilities``, the kernels Local HCF's sweep
+uses: the run reads every site once, then only each move's closed
+neighbourhood.
 """
 
 from __future__ import annotations
@@ -17,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import UNCOMMITTED, _check_problem, _checked_labels, _local_row
+from .core import (UNCOMMITTED, _check_problem, _checked_labels, _extended, _local_rows,
+                   _rows_at, _stabilities, new_configuration)
 
 
 @dataclass(frozen=True)
@@ -35,29 +41,14 @@ class HCFTrace:
     steps: tuple[HCFStep, ...]
 
 
-def _argmin_row(row):
-    # smallest index wins ties
-    best = 0
-    best_val = row[0]
-    for l in range(1, len(row)):
-        if row[l] < best_val:
-            best = l
-            best_val = row[l]
-    return best, best_val
-
-
-def _row_stats(row, current):
-    """(best label, best value, stability) for one site's local energy row.
-
-    ``current`` is the site's committed label or UNCOMMITTED. Needs at
-    least two labels.
-    """
-    best, best_val = _argmin_row(row)
-    if current == UNCOMMITTED:
-        second = min(row[l] for l in range(len(row)) if l != best)
-        return best, best_val, -(second - best_val)
-    alt = min(row[l] for l in range(len(row)) if l != current)
-    return best, best_val, alt - row[current]
+def _site_stats(field, data, config, site):
+    """(local energies, stability, best label) of one site; the last two as Python values."""
+    cfg = _extended(_checked_labels(field, data, config))
+    if not 0 <= site < field.num_sites:
+        raise ValueError(f"site {site} out of range")
+    e = _rows_at(field.compiled, data.values, cfg, [site])
+    g, best = _stabilities(e, cfg[site:site + 1])
+    return e[0], g.item(), best.item()
 
 
 def best_label(field, data, config, site: int) -> tuple[int, float]:
@@ -66,10 +57,8 @@ def best_label(field, data, config, site: int) -> tuple[int, float]:
     Ties go to the smallest label index; the site's own current label does
     not influence the result.
     """
-    cfg = _checked_labels(field, data, config).tolist()
-    if not 0 <= site < field.num_sites:
-        raise ValueError(f"site {site} out of range")
-    return _argmin_row(_local_row(field, data, cfg, site))
+    row, _g, best = _site_stats(field, data, config, site)
+    return best, row[best].item()
 
 
 def stability(field, data, config, site: int) -> float:
@@ -81,11 +70,7 @@ def stability(field, data, config, site: int) -> float:
     """
     if field.num_labels < 2:
         raise ValueError("stability needs at least two labels")
-    cfg = _checked_labels(field, data, config).tolist()
-    if not 0 <= site < field.num_sites:
-        raise ValueError(f"site {site} out of range")
-    row = _local_row(field, data, cfg, site)
-    return _row_stats(row, cfg[site])[2]
+    return _site_stats(field, data, config, site)[1]
 
 
 def _check_runnable(field, data):
@@ -128,20 +113,19 @@ def hcf_run(field, data, ranks=None, max_steps: int | None = None):
     rank = _check_ranks(field, ranks)
     cap = max_steps if max_steps is not None else 100 * n * field.num_labels
 
-    cfg = [UNCOMMITTED] * n
-    key = [None] * n  # each site's queued (stability, rank); None when it cannot act
-    queue = []
+    comp = field.compiled
+    values = data.values
 
-    def refresh(t, row):
-        g = _row_stats(row, cfg[t])[2]
-        k = (g, rank[t]) if cfg[t] == UNCOMMITTED or g < 0 else None
-        if k != key[t]:
-            key[t] = k
-            if k is not None:
-                heapq.heappush(queue, (k, t))
-
-    for s in range(n):
-        refresh(s, _local_row(field, data, cfg, s))
+    cfg = _extended(new_configuration(n))
+    # every site's local energies and best label, kept current: a move
+    # changes only the rows of its neighbours, and a site's own label
+    # never enters its own row
+    e = _local_rows(comp, comp.others, comp.offsets, values, cfg)
+    g, best = _stabilities(e, cfg[:n])
+    # each site's queued (stability, rank); None when it cannot act
+    key = list(zip(g.tolist(), rank))
+    queue = [(k, s) for s, k in enumerate(key)]
+    heapq.heapify(queue)
 
     steps = []
     aug = 0.0
@@ -153,20 +137,26 @@ def hcf_run(field, data, ranks=None, max_steps: int | None = None):
         if len(steps) >= cap:
             raise RuntimeError(f"HCF exceeded its step cap ({cap}); "
                                "check the inputs for pathological values")
-        # the site's own label does not enter its row, so one read serves
-        # both the move and the site's new stability
-        row = _local_row(field, data, cfg, s)
-        best, best_val = _argmin_row(row)
-        prev = cfg[s]
-        cfg[s] = best
+        row = e[s].tolist()
+        b = int(best[s])
+        prev = int(cfg[s])
+        cfg[s] = b
         if prev == UNCOMMITTED:
             committed += 1
-            aug += best_val
+            aug += row[b]
         else:
-            aug += best_val - row[prev]
-        refresh(s, row)
-        for r in field.adjacency[s]:
-            refresh(r, _local_row(field, data, cfg, r))
-        steps.append(HCFStep(len(steps), s, best, k[0], aug, committed))
+            aug += row[b] - row[prev]
+        # re-read the site and its neighbours, then re-key them
+        block = np.array((s,) + field.adjacency[s])
+        own = cfg[block]
+        e[block] = block_e = _rows_at(comp, values, cfg, block)
+        g, best[block] = _stabilities(block_e, own)
+        for t, gt, lab in zip(block.tolist(), g.tolist(), own.tolist()):
+            kt = (gt, rank[t]) if lab == UNCOMMITTED or gt < 0 else None
+            if kt != key[t]:
+                key[t] = kt
+                if kt is not None:
+                    heapq.heappush(queue, (kt, t))
+        steps.append(HCFStep(len(steps), s, b, k[0], aug, committed))
 
-    return np.array(cfg, dtype=np.int64), HCFTrace(tuple(steps))
+    return cfg[:n].copy(), HCFTrace(tuple(steps))

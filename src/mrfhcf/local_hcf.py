@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (UNCOMMITTED, _augmented_sum, _checked_labels, _extended,
-                   _local_rows, new_configuration)
+                   _local_rows, _stabilities, new_configuration)
 from .hcf import _check_ranks, _check_runnable
 from .trace import RunTrace, TraceRow
 
@@ -54,24 +54,8 @@ def _sweep(comp, values, cfg, rank):
     changed): every site's stability and best label, and the eligible
     sites in ascending order. ``cfg`` is not modified.
     """
-    n, num_labels = values.shape
-    e = _local_rows(comp, comp.others, comp.offsets, values, cfg)
-    own = cfg[:n]
-    sites = comp.sites
-    # stability against the best label (uncommitted) or the own label
-    # (committed), as _row_stats computes it; ties go to the lowest label
-    if num_labels == 2:
-        best = (e[:, 1] < e[:, 0]).astype(np.int64)
-        ref = np.where(own == UNCOMMITTED, best, own)
-        other = e[sites, 1 - ref]
-    else:
-        best = e.argmin(axis=1)
-        ref = np.where(own == UNCOMMITTED, best, own)
-        masked = e.copy()
-        masked[sites, ref] = np.inf
-        other = masked.min(axis=1)
-    gap = other - e[sites, ref]
-    g = np.where(own == UNCOMMITTED, -gap, gap)
+    own = cfg[:len(values)]
+    g, best = _stabilities(_local_rows(comp, comp.others, comp.offsets, values, cfg), own)
 
     # eligible: can act, and (g, rank) below every neighbor's; the
     # padding neighbor n stands at (+inf, n)

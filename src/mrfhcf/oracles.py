@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _check_problem, _checked_labels, _local_row, energy
+from .core import _check_problem, _checked_labels, energy, local_energies
 
 SEARCH_GUARD = 1 << 24
 
@@ -129,7 +129,7 @@ def _chain_potentials(field, data, order):
                         pair_cost[ib][lb][la] += table[la][lb]
         else:
             raise ValueError("chain oracle supports cliques of size 1 and 2 only")
-    rows = data.rows
+    rows = data.values.tolist()
     for i, site in enumerate(order):
         for l in range(num_labels):
             site_cost[i][l] += rows[site][l]
@@ -204,14 +204,9 @@ def is_local_minimum(field, data, config, tolerance: float = 1e-12) -> bool:
     per-site local energies. A flip must be more than ``tolerance`` below
     the current label to disqualify.
     """
-    cfg = _checked_labels(field, data, config).tolist()
-    if any(l < 0 for l in cfg):
+    cfg = _checked_labels(field, data, config)
+    if (cfg < 0).any():
         raise ValueError("local minimum check needs a fully committed configuration")
-    num_labels = field.num_labels
-    for s in range(field.num_sites):
-        row = _local_row(field, data, cfg, s)
-        base = row[cfg[s]] - tolerance
-        for l in range(num_labels):
-            if row[l] < base:
-                return False
-    return True
+    e = local_energies(field, data, cfg)
+    own = e[np.arange(len(cfg)), cfg]
+    return not (e < (own - tolerance)[:, None]).any()

@@ -1,12 +1,13 @@
 """Shared builders for randomized test instances, and scalar reference estimators."""
 
+import heapq
 import math
 
 import numpy as np
 
-from mrfhcf import Clique, DataTerm, Field, RunTrace, TraceRow, energy
-from mrfhcf.core import _local_row
-from mrfhcf.hcf import _argmin_row
+from mrfhcf import (UNCOMMITTED, Clique, DataTerm, EdgeModel, EdgePotentials, Field,
+                    HCFStep, HCFTrace, RunTrace, TraceRow, build_edge_field, compute_llr,
+                    energy, make_checkerboard)
 
 
 def random_field(seed, max_sites=12, labels=None):
@@ -141,6 +142,13 @@ def reference_augmented_energy(field, data, config):
     return total
 
 
+def noisy_board(size, seed=7):
+    """A ``size`` x ``size`` checkerboard edge problem with noise 40."""
+    image = make_checkerboard(size, size, 10, 64, 192, 40.0, seed)
+    return (build_edge_field(size, size, EdgePotentials()),
+            compute_llr(image, EdgeModel(128.0, 40.0)))
+
+
 def triple_clique_field(seed, num_labels):
     """Five sites with one 3-member clique on (0, 1, 2), plus pairs and a unary.
 
@@ -170,9 +178,125 @@ def chain8_field():
     return Field(n, 2, adjacency, cliques), DataTerm(rng.uniform(-2.0, 2.0, size=(n, 2)))
 
 
-# Scalar reference estimators: one site at a time through the per-site
-# reader, the order and arithmetic the array sweeps of mrfhcf.baselines
-# must reproduce bit for bit.
+# Scalar reference estimators: one site at a time through a per-site
+# reader built from ``field.cliques``, the order and arithmetic the array
+# code of mrfhcf must reproduce bit for bit.
+
+def scalar_reader(field, data):
+    """A per-site reader ``read(cfg, site) -> list of floats`` of local energies.
+
+    Each site's incident cliques are taken from ``field.cliques`` in
+    ascending clique id order, each with its table arranged as rows of the
+    site's own label indexed by the other members' labels (first other
+    most significant). ``read`` sums them in the library's order: a +0.0
+    row, each clique whose other members are all committed, then the data
+    row. ``cfg`` must be a plain list of ints; the site's own entry is
+    ignored. Build it once per run, not per sweep.
+    """
+    num_labels = field.num_labels
+    arranged = {}
+    incident = [[] for _ in range(field.num_sites)]
+    for c in field.cliques:
+        for pos, site in enumerate(c.members):
+            key = (id(c.table), pos)
+            if key not in arranged:
+                arranged[key] = np.moveaxis(c.table, pos, -1).reshape(-1, num_labels).tolist()
+            incident[site].append((arranged[key], c.members[:pos] + c.members[pos + 1:]))
+    data_rows = data.values.tolist()
+
+    def read(cfg, site):
+        e = [0.0] * num_labels
+        for rows, others in incident[site]:
+            r = 0
+            for o in others:
+                lab = cfg[o]
+                if lab < 0:
+                    break
+                r = r * num_labels + lab
+            else:
+                sel = rows[r]
+                for l in range(num_labels):
+                    e[l] += sel[l]
+        drow = data_rows[site]
+        for l in range(num_labels):
+            e[l] += drow[l]
+        return e
+
+    return read
+
+
+def reference_argmin(row):
+    """(label, value) of the least entry of a row; ties go to the smallest label."""
+    best = 0
+    best_val = row[0]
+    for l in range(1, len(row)):
+        if row[l] < best_val:
+            best = l
+            best_val = row[l]
+    return best, best_val
+
+
+def reference_row_stats(row, current):
+    """(best label, best value, stability) for one site's local energy row.
+
+    ``current`` is the site's committed label or UNCOMMITTED. An
+    uncommitted site gets the negated best-versus-second-best gap, a
+    committed one the best alternative minus its own label's energy.
+    """
+    best, best_val = reference_argmin(row)
+    if current == UNCOMMITTED:
+        second = min(row[l] for l in range(len(row)) if l != best)
+        return best, best_val, -(second - best_val)
+    alt = min(row[l] for l in range(len(row)) if l != current)
+    return best, best_val, alt - row[current]
+
+
+def reference_hcf_run(field, data, ranks=None):
+    """Serial HCF one scalar row at a time: (configuration, HCFTrace).
+
+    A heap of (stability, rank) keys over the sites that can act; each pop
+    re-reads the site, moves it to its best label and re-keys it and its
+    neighbours.
+    """
+    read = scalar_reader(field, data)
+    n = field.num_sites
+    rank = list(range(n)) if ranks is None else [int(r) for r in ranks]
+    cfg = [UNCOMMITTED] * n
+    key = [None] * n
+    queue = []
+
+    def refresh(t, row):
+        g = reference_row_stats(row, cfg[t])[2]
+        k = (g, rank[t]) if cfg[t] == UNCOMMITTED or g < 0 else None
+        if k != key[t]:
+            key[t] = k
+            if k is not None:
+                heapq.heappush(queue, (k, t))
+
+    for s in range(n):
+        refresh(s, read(cfg, s))
+    steps = []
+    aug = 0.0
+    committed = 0
+    while queue:
+        k, s = heapq.heappop(queue)
+        if k != key[s]:
+            continue
+        row = read(cfg, s)
+        best, best_val = reference_argmin(row)
+        prev = cfg[s]
+        cfg[s] = best
+        if prev == UNCOMMITTED:
+            committed += 1
+            aug += best_val
+        else:
+            aug += best_val - row[prev]
+        refresh(s, row)
+        for r in field.adjacency[s]:
+            refresh(r, read(cfg, r))
+        steps.append(HCFStep(len(steps), s, best, k[0], aug, committed))
+    return np.array(cfg, dtype=np.int64), HCFTrace(tuple(steps))
+
 
 def reference_gibbs_draw(row, temperature, rng):
     """One label drawn with probability proportional to exp(-energy / T)."""
@@ -189,14 +313,15 @@ def reference_gibbs_draw(row, temperature, rng):
     return len(row) - 1
 
 
-def reference_gibbs_sweep(field, data, cfg, temperature, rng, current):
+def reference_gibbs_sweep(read, cfg, temperature, rng, current):
     """Resample every site of the list ``cfg`` in scan order, in place.
 
-    Returns ``current`` updated by the per-flip deltas, and the change count.
+    ``read`` is the run's :func:`scalar_reader`. Returns ``current``
+    updated by the per-flip deltas, and the change count.
     """
     changes = 0
-    for s in range(field.num_sites):
-        row = _local_row(field, data, cfg, s)
+    for s in range(len(cfg)):
+        row = read(cfg, s)
         drawn = reference_gibbs_draw(row, temperature, rng)
         if drawn != cfg[s]:
             current += row[drawn] - row[cfg[s]]
@@ -207,6 +332,7 @@ def reference_gibbs_sweep(field, data, cfg, temperature, rng, current):
 
 def reference_icm_run(field, data, init, order="scan", seed=None):
     """ICM sweeps to a fixpoint, one site at a time: (configuration, RunTrace)."""
+    read = scalar_reader(field, data)
     cfg = [int(l) for l in init]
     n = field.num_sites
     rng = np.random.default_rng(seed) if order == "random" else None
@@ -218,8 +344,8 @@ def reference_icm_run(field, data, init, order="scan", seed=None):
         visit = range(n) if rng is None else rng.permutation(n).tolist()
         changes = 0
         for s in visit:
-            row = _local_row(field, data, cfg, s)
-            b, bv = _argmin_row(row)
+            row = read(cfg, s)
+            b, bv = reference_argmin(row)
             if b != cfg[s]:
                 current += bv - row[cfg[s]]
                 cfg[s] = b
@@ -231,6 +357,7 @@ def reference_icm_run(field, data, init, order="scan", seed=None):
 
 def reference_anneal_run(field, data, init, schedule, seed):
     """Annealing by scalar Gibbs sweeps: (best configuration, RunTrace)."""
+    read = scalar_reader(field, data)
     cfg = [int(l) for l in init]
     n = field.num_sites
     rng = np.random.default_rng(seed)
@@ -239,7 +366,7 @@ def reference_anneal_run(field, data, init, schedule, seed):
     rows = [TraceRow(0, current, n, 0)]
     for k in range(schedule.sweeps):
         temperature = schedule.t0 * schedule.alpha ** k
-        current, changes = reference_gibbs_sweep(field, data, cfg, temperature, rng, current)
+        current, changes = reference_gibbs_sweep(read, cfg, temperature, rng, current)
         rows.append(TraceRow(k + 1, current, n, changes))
         if current < best_energy:
             best_energy, best_cfg = current, list(cfg)
@@ -248,6 +375,7 @@ def reference_anneal_run(field, data, init, schedule, seed):
 
 def reference_mpm_marginals(field, data, init, params):
     """MPM marginals by scalar Gibbs sweeps at T = 1: (marginals, RunTrace)."""
+    read = scalar_reader(field, data)
     cfg = [int(l) for l in init]
     n = field.num_sites
     rng = np.random.default_rng(params.seed)
@@ -255,7 +383,7 @@ def reference_mpm_marginals(field, data, init, params):
     rows = [TraceRow(0, current, n, 0)]
     counts = np.zeros((n, field.num_labels), dtype=np.int64)
     for k in range(params.burn_in + params.samples):
-        current, changes = reference_gibbs_sweep(field, data, cfg, 1.0, rng, current)
+        current, changes = reference_gibbs_sweep(read, cfg, 1.0, rng, current)
         rows.append(TraceRow(k + 1, current, n, changes))
         if k >= params.burn_in:
             counts[np.arange(n), cfg] += 1

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from mrfhcf import (EdgeModel, edge_llr, read_mrfl, read_pgm, write_mrfl,
-                    write_mrfllr)
+from mrfhcf import (EdgeModel, EdgePotentials, assign_ranks, build_edge_field, edge_llr,
+                    hcf_run, llr_data_term, read_mrfl, read_pgm, write_mrfl, write_mrfllr)
 from mrfhcf.cli import main
 
 
@@ -211,6 +211,32 @@ def test_rank_flags_reach_the_run(capsys):
                           "--ranks", "seeded-permutation", "--rank-seed", "11")
     assert code == 0
     assert "energy:" in stdout
+
+
+@pytest.mark.filterwarnings("ignore:.* is usually positive")
+def test_rank_flags_reach_serial_hcf(tmp_path, capsys):
+    # on a zero-LLR lattice every uncommitted stability ties, so the rank
+    # order decides which sites commit first and the labeling they reach
+    llr_path = tmp_path / "zero.mrfllr"
+    write_mrfllr(llr_path, 4, 4, np.zeros(24))
+    model = ("--continuity", "-0.5", "--turn", "0", "--parallel", "0.3",
+             "--edge-prior", "-0.4")
+    field = build_edge_field(4, 4, EdgePotentials(-0.5, 0.0, 0.3, -0.4))
+    data = llr_data_term(np.zeros(24))
+    labelings = set()
+    for seed in (None, 0, 1, 2, 3, 4):
+        ranks = ("--ranks", "seeded-permutation", "--rank-seed", str(seed)) if seed is not None \
+            else ()
+        outdir = tmp_path / f"run{seed}"
+        code, _, _ = run(capsys, "label", "--llr", str(llr_path), "--estimator", "hcf",
+                         *model, *ranks, "-o", str(outdir))
+        assert code == 0
+        _w, _h, got = read_mrfl(outdir / "labels.mrfl")
+        want, _trace = hcf_run(field, data, ranks=None if seed is None else
+                               assign_ranks(field, "seeded-permutation", seed))
+        assert got.tolist() == want.tolist()
+        labelings.add(tuple(got.tolist()))
+    assert len(labelings) > 1
 
 
 def test_label_rejects_pgm_pixels_above_maxval(tmp_path, capsys):

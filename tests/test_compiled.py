@@ -9,10 +9,10 @@ from mrfhcf import (EDGE, Clique, DataTerm, Field, augmented_energy, best_label,
                     energy, hcf_run, is_local_minimum, llr_data_term, local_energies,
                     local_energy, local_hcf_run, local_hcf_step, new_configuration,
                     stability, tlr)
-from mrfhcf.core import _extended, _local_row
+from mrfhcf.core import _extended
 from mrfhcf.local_hcf import _ranks, _sweep
 from support import (random_field, reference_augmented_energy, reference_local_rows,
-                     triple_clique_field)
+                     reference_row_stats, scalar_reader, triple_clique_field)
 
 
 def bits(x):
@@ -44,10 +44,11 @@ def test_cases_cover_unary_and_triple_cliques():
 def test_compiled_rows_match_the_clique_walk():
     rng = np.random.default_rng(0)
     for field, data in cases():
+        read = scalar_reader(field, data)
         for cfg in configurations(field, rng):
             want = np.array(reference_local_rows(field, data, cfg))
             assert local_energies(field, data, cfg).tobytes() == want.tobytes()
-            scalar = [_local_row(field, data, cfg.tolist(), s) for s in range(field.num_sites)]
+            scalar = [read(cfg.tolist(), s) for s in range(field.num_sites)]
             assert np.array(scalar).tobytes() == want.tobytes()
             s = int(rng.integers(field.num_sites))
             assert bits(local_energy(field, data, cfg, s, 1)) == bits(want[s, 1])
@@ -67,11 +68,81 @@ def test_sweep_stabilities_match_the_scalar_readers():
     rng = np.random.default_rng(2)
     for field, data in cases():
         rank = _ranks(field, None)
+        read = scalar_reader(field, data)
         for cfg in configurations(field, rng):
             g, best, _changed = _sweep(field.compiled, data.values, _extended(cfg), rank)
+            labels = cfg.tolist()
             for s in range(field.num_sites):
                 assert bits(g[s]) == bits(stability(field, data, cfg, s))
                 assert best[s] == best_label(field, data, cfg, s)[0]
+                want_best, want_val, want_g = reference_row_stats(read(labels, s), labels[s])
+                assert bits(g[s]) == bits(want_g)
+                assert best_label(field, data, cfg, s) == (want_best, want_val)
+
+
+# (local energies, own label, stability repr, best label): exact ties at
+# 2, 3 and 4 labels, uncommitted ties whose negated zero gap is -0.0, and
+# committed sites whose own label is best
+HAND_ROWS = [
+    ([1.5, 1.5], -1, "-0.0", 0),
+    ([1.5, 1.5], 0, "0.0", 0),
+    ([1.5, 1.5], 1, "0.0", 0),
+    ([2.0, 2.0, 2.0], -1, "-0.0", 0),
+    ([3.0, 1.0, 1.0], -1, "-0.0", 1),
+    ([3.0, 1.0, 1.0], 2, "0.0", 1),
+    ([0.5, 0.25, 0.5, 0.25], -1, "-0.0", 1),
+    ([0.5, 0.25, 0.5, 0.25], 3, "0.0", 1),
+    ([0.5, 0.25, 0.5, 0.25], 0, "-0.25", 1),
+    ([-1.0, 2.0], 0, "3.0", 0),
+    ([4.0, -1.0, 0.5], 1, "1.5", 1),
+    ([4.0, 0.5, -1.0, 0.5], 2, "1.5", 2),
+]
+
+
+def test_hand_rows_match_the_reference_stabilities():
+    for row, own, g_repr, best in HAND_ROWS:
+        want_best, _value, want_g = reference_row_stats(row, own)
+        assert (repr(want_g), want_best) == (g_repr, best)
+        # the same rows as a one-site field's data term, through the readers
+        field = Field(1, len(row), [()], [])
+        data = DataTerm([row])
+        assert repr(stability(field, data, [own], 0)) == g_repr
+        assert best_label(field, data, [own], 0) == (best, row[best])
+        g, sweep_best, _changed = _sweep(field.compiled, data.values,
+                                         _extended(np.array([own])), _ranks(field, None))
+        assert (repr(g[0].item()), sweep_best[0]) == (g_repr, best)
+
+
+def scalar_local_minimum(read, labels, tolerance):
+    for s, own in enumerate(labels):
+        row = read(labels, s)
+        if any(v < row[own] - tolerance for v in row):
+            return False
+    return True
+
+
+def test_is_local_minimum_matches_a_scalar_check():
+    rng = np.random.default_rng(6)
+    outcomes = set()
+    for field, data in cases():
+        read = scalar_reader(field, data)
+        committed = [hcf_run(field, data)[0], local_hcf_run(field, data)[0]]
+        committed += [rng.integers(0, field.num_labels, field.num_sites) for _ in range(4)]
+        for cfg in committed:
+            for tolerance in (0.0, 1e-12, 0.5):
+                want = scalar_local_minimum(read, cfg.tolist(), tolerance)
+                assert is_local_minimum(field, data, cfg, tolerance) is want
+                outcomes.add(want)
+    assert outcomes == {True, False}
+
+
+def test_a_flip_exactly_tolerance_below_does_not_disqualify():
+    field = Field(3, 2, [()] * 3, [])
+    for tolerance in (0.0, 1e-12, 0.5):
+        level = 1.0 - tolerance
+        for flip, want in ((level, True), (np.nextafter(level, -np.inf), False)):
+            data = DataTerm([[0.0, 1.0], [0.0, 1.0], [1.0, flip]])
+            assert is_local_minimum(field, data, [0, 0, 0], tolerance) is want
 
 
 def test_every_sweep_energy_matches_the_clique_walk():

@@ -7,9 +7,8 @@ from mrfhcf import (Clique, DataTerm, EdgePotentials, Field, UNCOMMITTED,
                     assign_ranks, augmented_energy, best_label, build_edge_field,
                     energy, hcf_run, is_local_minimum, llr_data_term,
                     new_configuration, stability)
-from mrfhcf.core import _local_row
-from mrfhcf.hcf import _row_stats
-from support import random_field
+from support import (chain8_field, noisy_board, random_field, reference_hcf_run,
+                     reference_row_stats, scalar_reader, triple_clique_field)
 
 CHAIN_START_STABILITIES = (-4.0, -0.2, -0.4, -0.5, -0.3, -0.1, -0.3, -0.4)
 
@@ -129,9 +128,9 @@ def test_every_pop_is_the_linear_scan_minimum():
         field, data = random_field(seed, max_sites=12)
         n = field.num_sites
         _config, trace = hcf_run(field, data)
+        read = scalar_reader(field, data)
         cfg = [UNCOMMITTED] * n
-        stab = [_row_stats(_local_row(field, data, cfg, s), UNCOMMITTED)[2]
-                for s in range(n)]
+        stab = [reference_row_stats(read(cfg, s), UNCOMMITTED)[2] for s in range(n)]
         for step in trace.steps:
             if stab[step.site] < 0:
                 low = min(range(n), key=lambda t: (stab[t], t))
@@ -139,7 +138,41 @@ def test_every_pop_is_the_linear_scan_minimum():
             assert step.stability == pytest.approx(stab[step.site], abs=1e-12)
             cfg[step.site] = step.label
             for t in (step.site, *field.adjacency[step.site]):
-                stab[t] = _row_stats(_local_row(field, data, cfg, t), cfg[t])[2]
+                stab[t] = reference_row_stats(read(cfg, t), cfg[t])[2]
+
+
+def zero_lattice():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        field = build_edge_field(9, 9, EdgePotentials(0.0, 0.0, 0.0, 0.0))
+    return field, llr_data_term(np.zeros(field.num_sites))
+
+
+REFERENCE_CASES = {
+    **{f"random{seed}-{labels}": (lambda seed=seed, labels=labels:
+                                  random_field(seed, labels=labels))
+       for seed in range(60) for labels in (2, 3)},
+    **{f"triple{seed}-{labels}": (lambda seed=seed, labels=labels:
+                                  triple_clique_field(seed, labels))
+       for seed in range(3) for labels in (2, 3)},
+    "chain8": chain8_field,
+    "board12": lambda: noisy_board(12),
+    "board16": lambda: noisy_board(16),
+    "zero9": zero_lattice,
+}
+
+
+@pytest.mark.parametrize("name", list(REFERENCE_CASES))
+def test_hcf_matches_the_scalar_reference(name):
+    # configurations and the repr of every step, bit for bit, with
+    # site-index and seeded ranks
+    field, data = REFERENCE_CASES[name]()
+    for ranks in (None, *(assign_ranks(field, "seeded-permutation", seed) for seed in (1, 2))):
+        got_cfg, got = hcf_run(field, data, ranks=ranks)
+        want_cfg, want = reference_hcf_run(field, data, ranks=ranks)
+        assert got_cfg.dtype == np.int64
+        assert got_cfg.tolist() == want_cfg.tolist()
+        assert list(map(repr, got.steps)) == list(map(repr, want.steps))
 
 
 def test_final_configuration_is_a_local_minimum():

@@ -10,19 +10,13 @@ import warnings
 import numpy as np
 import pytest
 
-from mrfhcf import (AnnealSchedule, Clique, DataTerm, EdgeModel, EdgePotentials, Field,
-                    MpmParams, anneal_run, build_edge_field, compute_llr, icm_run,
-                    make_chain_fixture, make_checkerboard, mpm_marginals, mpm_run, tlr)
+from mrfhcf import (AnnealSchedule, Clique, DataTerm, Field, MpmParams, anneal_run, icm_run,
+                    make_chain_fixture, mpm_marginals, mpm_run, tlr)
 from mrfhcf.baselines import _gibbs_labels, _Wave
 from mrfhcf.cli import main
-from support import (chain8_field, random_field, reference_anneal_run, reference_gibbs_draw,
-                     reference_icm_run, reference_mpm_marginals, triple_clique_field)
-
-
-def noisy_board(size, seed=7):
-    image = make_checkerboard(size, size, 10, 64, 192, 40.0, seed)
-    return (build_edge_field(size, size, EdgePotentials()),
-            compute_llr(image, EdgeModel(128.0, 40.0)))
+from support import (chain8_field, noisy_board, random_field, reference_anneal_run,
+                     reference_gibbs_draw, reference_icm_run, reference_mpm_marginals,
+                     triple_clique_field)
 
 
 CASES = {
