@@ -94,17 +94,25 @@ class _Wave:
 
     def __init__(self, field, data, order):
         n = field.num_sites
-        adjacency = field.adjacency
+        self.comp = comp = field.compiled
+        # a level depends only on the neighbours visited before the site;
+        # the padding neighbour n counts as never visited
+        when = np.full(n + 1, n)
+        when[order] = np.arange(n)
+        before = when[comp.neighbors] < when[:n, None]
+        earlier = comp.neighbors[before].tolist()
+        ends = np.cumsum(before.sum(axis=1)).tolist()
+        starts = [0] + ends[:-1]
         level = [-1] * n
+        get = level.__getitem__
         for s in order:
-            level[s] = 1 + max([level[r] for r in adjacency[s]], default=-1)
+            level[s] = 1 + max(map(get, earlier[starts[s]:ends[s]]), default=-1)
         level = np.array(level)
         self.sites = np.argsort(level, kind="stable")
         self.bounds = [0] + np.cumsum(np.bincount(level)).tolist()
         position = np.empty(n, dtype=np.int64)
         position[self.sites] = np.arange(n)
         self.visit = position[order]
-        self.comp = comp = field.compiled
         self.others = comp.others[:, :, self.sites]
         self.offsets = comp.offsets[:, self.sites]
         self.values = data.values[self.sites]

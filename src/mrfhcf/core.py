@@ -11,9 +11,17 @@ scored by the augmented energy: any clique touching an uncommitted site
 contributes nothing, and uncommitted sites contribute no data term. The
 all-uncommitted configuration therefore has augmented energy exactly 0.
 
-Every reader works on one array form of the field, built on first use
-(:class:`CompiledField`). Summation order is fixed everywhere so repeated
-evaluations are reproducible bit for bit:
+A :class:`Field` holds arrays, whichever of its two constructors built it:
+CSR adjacency, one padded member array in clique id order, and per-clique
+ids into a tuple of the distinct tables. ``Field(n, labels, adjacency,
+cliques)`` converts hand-built lists once; :meth:`Field.from_arrays` takes
+the arrays of a builder such as ``build_edge_field`` as they are. The
+structural check runs once, over those arrays, and the list views
+``Field.adjacency`` and ``Field.cliques`` are only built when read.
+
+Every reader works on one further array form of the field, compiled from
+those arrays on first use (:class:`CompiledField`). Summation order is
+fixed everywhere so repeated evaluations are reproducible bit for bit:
 
 - a site's local energies start from a +0.0 row, add the incident cliques'
   rows one column of the padded per-site arrays at a time in ascending
@@ -56,23 +64,107 @@ class Clique:
 
 
 class Field:
-    """Immutable site graph plus clique potentials.
+    """Immutable site graph plus clique potentials, held as arrays.
 
-    ``adjacency[s]`` lists the neighbors of site ``s``. Every clique's
-    members must be pairwise adjacent. The structural invariants are
-    checked once, on construction, and :func:`validate_field` reports what
-    that check found. Neither the field nor its clique tables may change
-    after construction: that check and the array form in :attr:`compiled`
-    are computed once and never refreshed.
+    Whichever constructor builds it, a field keeps one array form:
+
+    - CSR adjacency: the neighbors of site ``s`` are
+      ``indices[indptr[s]:indptr[s + 1]]``;
+    - ``members[:, c]`` lists clique ``c``'s members, padded in front with
+      ``num_sites`` to ``max(largest arity, 2)`` rows, and ``arity[c]``
+      counts them;
+    - ``table_ids[c]`` indexes clique ``c``'s potential table in
+      ``tables``, the distinct tables in order of first use.
+
+    ``Field(num_sites, num_labels, adjacency, cliques)`` converts
+    hand-built neighbor lists and :class:`Clique` objects to that form
+    once; :meth:`from_arrays` takes CSR adjacency and blocks of member
+    arrays as they are. Every clique's members must be pairwise adjacent.
+    The structural invariants are checked once, on construction, over the
+    arrays, and :func:`validate_field` reports what that check found.
+
+    :attr:`adjacency` and :attr:`cliques` are read-only list views of the
+    arrays, built on first access (a hand-built field keeps the cliques it
+    was given); no estimator reads them. Neither the field nor its clique
+    tables may change after construction: the check and the array form in
+    :attr:`compiled` are computed once and never refreshed.
     """
 
     def __init__(self, num_sites, num_labels, adjacency, cliques):
+        cliques = tuple(cliques)
+        adjacency = [[int(r) for r in nbrs] for nbrs in adjacency]
+        member_lists = [c.members for c in cliques]
+        arity = np.fromiter(map(len, member_lists), np.int64, len(member_lists))
+        k = max(int(arity.max(initial=0)), 2)
+        # flat member i of clique c goes to row k - end(c) + i, so that
+        # each clique's last member lands in row k - 1
+        cid = np.repeat(np.arange(len(cliques)), arity)
+        members = np.full((k, len(cliques)), int(num_sites), dtype=np.int64)
+        members[k - np.cumsum(arity)[cid] + np.arange(cid.size), cid] = \
+            _site_ids(chain.from_iterable(member_lists), cid.size)
+        table_ids, tables = _distinct([c.table for c in cliques])
+        self._setup(num_sites, num_labels, np.cumsum([0] + [len(nbrs) for nbrs in adjacency]),
+                    _site_ids(chain.from_iterable(adjacency), sum(map(len, adjacency))),
+                    members, arity, np.array(table_ids, dtype=np.int64), tables)
+        self._cliques = cliques
+
+    @classmethod
+    def from_arrays(cls, num_sites, num_labels, indptr, indices, blocks):
+        """Field from CSR adjacency and blocks of cliques sharing a table.
+
+        ``blocks`` holds ``(members, table)`` pairs in clique id order: the
+        rows of the integer array ``members``, of shape ``(count,
+        arity)``, become the next ``count`` cliques, each with the potential
+        table ``table``. Tables are told apart by identity, as in the list
+        constructor.
+        """
+        blocks = [(np.asarray(m, dtype=np.int64), t) for m, t in blocks]
+        blocks = [(m, t) for m, t in blocks if len(m)]
+        counts = [len(m) for m, _t in blocks]
+        k = max([m.shape[1] for m, _t in blocks] + [2])
+        members = np.full((k, sum(counts)), int(num_sites), dtype=np.int64)
+        for (m, _t), start in zip(blocks, np.cumsum([0] + counts).tolist()):
+            members[k - m.shape[1]:, start:start + len(m)] = m.T
+        table_ids, tables = _distinct([t for _m, t in blocks])
+        field = cls.__new__(cls)
+        field._setup(num_sites, num_labels, np.asarray(indptr), np.asarray(indices), members,
+                     np.repeat(np.array([m.shape[1] for m, _t in blocks], dtype=np.int64),
+                               counts),
+                     np.repeat(np.array(table_ids, dtype=np.int64), counts), tables)
+        field._cliques = None
+        return field
+
+    def _setup(self, num_sites, num_labels, indptr, indices, members, arity, table_ids,
+               tables):
         self.num_sites = int(num_sites)
         self.num_labels = int(num_labels)
-        self.adjacency = tuple(tuple(int(r) for r in nbrs) for nbrs in adjacency)
-        self.cliques = tuple(cliques)
+        self.indptr = indptr.astype(np.int64)
+        self.indices = indices.astype(np.int64)
+        self.members, self.arity, self.table_ids = members, arity, table_ids
+        for a in (self.indptr, self.indices, members, arity, table_ids):
+            a.setflags(write=False)
+        self.tables = tuple(np.asarray(t, dtype=np.float64) for t in tables)
+        self._adjacency = None
         self._compiled = None
         self._problems = _structure_problems(self)
+
+    @property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """``adjacency[s]`` lists the neighbors of site ``s``, from the CSR arrays."""
+        if self._adjacency is None:
+            flat, ptr = self.indices.tolist(), self.indptr.tolist()
+            self._adjacency = tuple(tuple(flat[a:b]) for a, b in zip(ptr, ptr[1:]))
+        return self._adjacency
+
+    @property
+    def cliques(self) -> tuple[Clique, ...]:
+        """The cliques in clique id order, from the member and table arrays."""
+        if self._cliques is None:
+            k = len(self.members)
+            self._cliques = tuple(
+                Clique(col[k - a:], self.tables[t]) for col, a, t in
+                zip(self.members.T.tolist(), self.arity.tolist(), self.table_ids.tolist()))
+        return self._cliques
 
     @property
     def compiled(self) -> CompiledField:
@@ -88,7 +180,22 @@ class Field:
 
     def __repr__(self):
         return (f"Field(num_sites={self.num_sites}, num_labels={self.num_labels}, "
-                f"cliques={len(self.cliques)})")
+                f"cliques={len(self.arity)})")
+
+
+def _distinct(tables):
+    """Each table's index among the distinct ones, told apart by identity, and those."""
+    index = {}
+    ids = [index.setdefault(id(t), len(index)) for t in tables]
+    return ids, list({id(t): t for t in tables}.values())
+
+
+def _site_ids(values, count):
+    """``count`` site ids from an iterable of Python ints, as an int64 array."""
+    try:
+        return np.fromiter(values, np.int64, count)
+    except OverflowError:
+        raise ValueError("site ids must fit in 64-bit integers") from None
 
 
 class CompiledField:
@@ -116,20 +223,22 @@ class CompiledField:
       gather. ``strides`` turns ``m`` labels into a row index.
     - ``neighbors[s]`` lists the neighbors of ``s``, padded with ``n``.
     - ``members[:, c]`` lists clique ``c``'s members (``m + 1`` sites,
-      padded in front with ``n``) and ``clique_tids[c]`` its table
-      arranged for its last member, which is the table as given.
+      padded in front with ``n``; the field's own array) and
+      ``clique_tids[c]`` its table arranged for its last member, which is
+      the table as given.
 
+    Built from the field's arrays alone, without a walk over its cliques.
     The arrays are read-only.
     """
 
     def __init__(self, field):
         n, num_labels = field.num_sites, field.num_labels
-        member_lists = [c.members for c in field.cliques]
-        arity = np.fromiter(map(len, member_lists), np.int64, len(member_lists))
-        m = max(int(arity.max(initial=2)) - 1, 1)
+        self.members, arity = field.members, field.arity
+        m = len(self.members) - 1
         self.height = num_labels ** m + 1
-        self.tables, base = _stacked_tables(field.cliques, self.height, num_labels)
-        self.members, site, tid, oth = _incidences(member_lists, arity, base, n, m)
+        self.tables, base = _stacked_tables(field.tables, field.table_ids, self.height,
+                                            num_labels)
+        site, tid, oth = _incidences(self.members, arity, base)
 
         degree = np.bincount(site, minlength=n)
         start = np.cumsum(degree) - degree
@@ -139,35 +248,32 @@ class CompiledField:
         self.others = np.full((m,) + self.offsets.shape, n, dtype=np.int64)
         self.others[:, slot, site] = oth
 
-        counts = np.fromiter(map(len, field.adjacency), np.int64, n)
+        counts = np.diff(field.indptr)
         owner = np.repeat(np.arange(n), counts)
         self.neighbors = np.full((n, int(counts.max(initial=0))), n, dtype=np.int64)
-        self.neighbors[owner, np.arange(owner.size) - (np.cumsum(counts) - counts)[owner]] = \
-            np.fromiter(chain.from_iterable(field.adjacency), np.int64, owner.size)
+        self.neighbors[owner, np.arange(owner.size) - field.indptr[owner]] = field.indices
 
         self.strides = num_labels ** np.arange(m - 1, -1, -1, dtype=np.int64)
         self.clique_tids = base + arity - 1
         self.sites = np.arange(n)
         for a in (self.tables, self.offsets, self.others, self.strides, self.neighbors,
-                  self.members, self.clique_tids, self.sites):
+                  self.clique_tids, self.sites):
             a.setflags(write=False)
 
 
-def _stacked_tables(cliques, height, num_labels):
+def _stacked_tables(tables, table_ids, height, num_labels):
     """The stacked tables, and each clique's table id for its member at position 0.
 
-    One stacked table per distinct (clique table, own position); position p
-    of a clique uses its position-0 id plus p. Table 0 is all zero.
+    One stacked table per (distinct table, own position), in the order of
+    ``tables``; position p of a clique uses its position-0 id plus p. Table
+    0 is all zero.
     """
-    tables = [c.table for c in cliques]
-    table_ids = list(map(id, tables))
     blocks = [np.zeros((height, num_labels))]
-    block_of = {}
-    for key, table in dict(zip(table_ids, tables)).items():
-        block_of[key] = len(blocks)
+    first = []
+    for table in tables:
+        first.append(len(blocks))
         blocks.extend(_arranged(table, height))
-    return (np.stack(blocks),
-            np.fromiter(map(block_of.__getitem__, table_ids), np.int64, len(table_ids)))
+    return np.stack(blocks), np.array(first, dtype=np.int64)[table_ids]
 
 
 def _arranged(table, height):
@@ -185,24 +291,20 @@ def _arranged(table, height):
     return out
 
 
-def _incidences(member_lists, arity, base, n, m):
-    """Clique members, and one incidence per (clique, member).
+def _incidences(members, arity, base):
+    """One incidence per (clique, member): its site, table id and other members.
 
-    Returns the ``(m + 1, cliques)`` member array padded in front with
-    ``n``, then each incidence's site, table id and other members (``(m,
-    incidences)``, padded in front with ``n``), ordered by site and, within
-    a site, by clique id.
+    The other members form an ``(m, incidences)`` array, padded in front
+    like ``members``. Incidences are ordered by site and, within a site,
+    by clique id.
     """
-    cid = np.repeat(np.arange(len(member_lists)), arity)
-    site = np.fromiter(chain.from_iterable(member_lists), np.int64, cid.size)
-    pos = np.arange(cid.size) - (np.cumsum(arity) - arity)[cid]
-    col = m + 1 - arity[cid] + pos
-    members = np.full((m + 1, len(member_lists)), n, dtype=np.int64)
-    members[col, cid] = site
-    tid = base[cid] + pos
-    oth = np.stack([members[q + (q >= col), cid] for q in range(m)])
-    order = np.argsort(site, kind="stable")
-    return members, site[order], tid[order], oth[:, order]
+    k = len(members)
+    first = k - arity
+    cid, col = np.nonzero(np.arange(k) >= first[:, None])
+    order = np.argsort(members[col, cid], kind="stable")
+    cid, col = cid[order], col[order]
+    oth = np.stack([members[q + (q >= col), cid] for q in range(k - 1)])
+    return members[col, cid], base[cid] + col - first[cid], oth
 
 
 class DataTerm:
@@ -410,59 +512,107 @@ def validate_field(field: Field) -> list[str]:
 
 
 def _structure_problems(field):
+    """Every violation of the structural invariants, over the field's arrays.
+
+    Adjacency problems come first, in CSR order, then asymmetric pairs by
+    site and neighbor, then clique problems by clique id and member
+    position. Only offending items are formatted.
+    """
     out = []
     n = field.num_sites
-    num_labels = field.num_labels
     if n < 1:
         out.append("num_sites must be at least 1")
-    if num_labels < 1:
+    if field.num_labels < 1:
         out.append("num_labels must be at least 1")
-    if len(field.adjacency) != n:
-        out.append(f"adjacency has {len(field.adjacency)} entries for {n} sites")
+    if len(field.indptr) - 1 != n:
+        out.append(f"adjacency has {len(field.indptr) - 1} entries for {n} sites")
         return out
-    neighbor_sets = []
-    for s, nbrs in enumerate(field.adjacency):
-        seen = set()
-        for r in nbrs:
-            if r == s:
-                out.append(f"site {s}: self-loop in adjacency")
-            elif not 0 <= r < n:
-                out.append(f"site {s}: neighbor {r} out of range")
-            elif r in seen:
-                out.append(f"site {s}: duplicate neighbor {r}")
-            else:
-                seen.add(r)
-        neighbor_sets.append(seen)
-    for s, seen in enumerate(neighbor_sets):
-        for r in seen:
-            if s not in neighbor_sets[r]:
-                out.append(f"adjacency asymmetric: {r} neighbors {s} but not conversely")
-    # shared tables are checked once per arity; the field keeps every
-    # table alive, so their ids stay distinct
-    table_problem = {}
-    for cid, c in enumerate(field.cliques):
-        k = len(c.members)
-        if len(set(c.members)) != k:
-            out.append(f"clique {cid}: repeated member")
-            continue
-        bad = False
-        for m in c.members:
-            if not 0 <= m < n:
-                out.append(f"clique {cid}: member {m} out of range")
-                bad = True
-        if bad:
-            continue
-        for i in range(k):
-            for j in range(i + 1, k):
-                a, b = c.members[i], c.members[j]
-                if b not in neighbor_sets[a]:
-                    out.append(f"clique {cid}: members {a} and {b} are not neighbors")
-        key = (id(c.table), k)
-        if key not in table_problem:
-            table_problem[key] = _table_problem(c.table, (num_labels,) * k)
-        if table_problem[key]:
-            out.append(f"clique {cid}: {table_problem[key]}")
+    if (field.indptr[:1].tolist() != [0] or field.indptr[-1] != len(field.indices)
+            or (np.diff(field.indptr) < 0).any()):
+        out.append(f"adjacency offsets do not index its {len(field.indices)} neighbor entries")
+        return out
+    edges = _neighbor_keys(field, out)
+    _clique_problems(field, edges, out)
     return out
+
+
+def _neighbor_keys(field, out):
+    """Sorted keys ``s * n + r`` of the distinct in-range, non-self neighbors ``r`` of each ``s``.
+
+    Reports self-loops, out-of-range and repeated neighbors, then the
+    neighbor entries whose converse is missing.
+    """
+    n, indptr, indices = field.num_sites, field.indptr, field.indices
+    site = np.repeat(np.arange(n), np.diff(indptr))
+    loop = indices == site
+    flagged = loop | (indices < 0) | (indices >= n)
+    site, nbr = site[~flagged], indices[~flagged]
+    keys = site * n + nbr
+    if (np.diff(keys) <= 0).any():
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        repeat = np.append(False, keys[1:] == keys[:-1])
+        flagged[np.flatnonzero(~flagged)[order[repeat]]] = True
+        keys, site, nbr = keys[~repeat], site[order[~repeat]], nbr[order[~repeat]]
+    bad = np.flatnonzero(flagged)
+    for i, s in zip(bad.tolist(), (np.searchsorted(indptr, bad, side="right") - 1).tolist()):
+        r = int(indices[i])
+        if loop[i]:
+            out.append(f"site {s}: self-loop in adjacency")
+        elif not 0 <= r < n:
+            out.append(f"site {s}: neighbor {r} out of range")
+        else:
+            out.append(f"site {s}: duplicate neighbor {r}")
+    # symmetric iff the keys (r, s) sort to the keys (s, r)
+    converse = nbr * n + site
+    if not np.array_equal(np.sort(converse), keys):
+        lonely = ~_contains(keys, converse)
+        for s, r in zip(site[lonely].tolist(), nbr[lonely].tolist()):
+            out.append(f"adjacency asymmetric: {r} neighbors {s} but not conversely")
+    return keys
+
+
+def _contains(sorted_keys, keys):
+    """Whether each of the non-negative ``keys`` occurs in ``sorted_keys``."""
+    return np.append(sorted_keys, -1)[np.searchsorted(sorted_keys, keys)] == keys
+
+
+def _clique_problems(field, edges, out):
+    """Reports empty, repeated, out-of-range and non-adjacent members and bad tables.
+
+    A clique with no members, a repeated member or an out-of-range member
+    gets only that report. Tables are checked once per (table, arity).
+    """
+    n, members, arity = field.num_sites, field.members, field.arity
+    k = len(members)
+    held = np.arange(k)[:, None] >= k - arity
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    repeated = np.zeros(arity.size, dtype=bool)
+    for i, j in pairs:
+        repeated |= held[i] & (members[i] == members[j])
+    outside = held & ((members < 0) | (members >= n)) & ~repeated
+    sound = (arity > 0) & ~repeated & ~outside.any(axis=0)
+
+    found = [(c, 0, "no members") for c in np.flatnonzero(arity == 0).tolist()]
+    found += [(c, 0, "repeated member") for c in np.flatnonzero(repeated).tolist()]
+    for row, c in zip(*(a.tolist() for a in np.nonzero(outside))):
+        found.append((c, 1 + row, f"member {int(members[row, c])} out of range"))
+    for p, (i, j) in enumerate(pairs):
+        both = np.flatnonzero(sound & held[i])
+        apart = both[~_contains(edges, members[i, both] * n + members[j, both])]
+        for c, a, b in zip(apart.tolist(), members[i, apart].tolist(),
+                           members[j, apart].tolist()):
+            found.append((c, 1 + k + p, f"members {a} and {b} are not neighbors"))
+    # shared tables are checked once per arity
+    key = field.table_ids * (k + 1) + arity
+    problem = {}
+    for t in np.flatnonzero(np.bincount(key[sound], minlength=1)).tolist():
+        problem[t] = _table_problem(field.tables[t // (k + 1)],
+                                    (field.num_labels,) * (t % (k + 1)))
+    bad = sound & np.isin(key, [t for t, text in problem.items() if text])
+    for c, t in zip(np.flatnonzero(bad).tolist(), key[bad].tolist()):
+        found.append((c, 2 + k + len(pairs), problem[t]))
+    out.extend(f"clique {c}: {text}" for c, _order, text in sorted(found))
 
 
 def _table_problem(table, want):

@@ -8,7 +8,11 @@ the sites it shares a pair clique with, which gives a second-order
 neighborhood: the six other sites sharing one of its two endpoints plus the
 two nearest parallel sites of the same orientation, so interior sites have
 exactly eight neighbors. :func:`build_edge_field` lays the cliques out from
-index grids of the lattice, in an order that is part of its contract.
+index grids of the lattice, in an order that is part of its contract, and
+hands the grids' member arrays and the CSR neighbor lists straight to
+:meth:`~mrfhcf.core.Field.from_arrays`: no :class:`~mrfhcf.core.Clique`
+object or per-site tuple is made unless a caller reads ``field.cliques`` or
+``field.adjacency``.
 """
 
 from __future__ import annotations
@@ -151,7 +155,8 @@ def build_edge_field(width: int, height: int,
     Instantiates one unary clique per site (edge prior), pair cliques for
     collinear continuations, endpoint-sharing turns, and nearest parallel
     runs. The four potential tables are shared across all cliques of their
-    family. A site's neighbors are the sites it shares a pair clique with.
+    family. A site's neighbors are the sites it shares a pair clique with,
+    each list ascending.
 
     Clique ids fix the summation order of every energy, so their order is
     part of the contract: the unary cliques by site; vertical, then
@@ -188,19 +193,17 @@ def build_edge_field(width: int, height: int,
         (_pairs(v[:, :-1], v[:, 1:]), par),
         (_pairs(hz[:-1], hz[1:]), par),
     )
-    cliques = [Clique((s,), unary) for s in range(n)]
-    for pairs, table in families:
-        cliques.extend(Clique(p, table) for p in pairs.tolist())
 
-    # the neighborhood graph of the pair cliques, each list ascending
-    pairs = np.concatenate([p for p, _ in families])
-    site = np.concatenate([pairs[:, 0], pairs[:, 1]])
-    other = np.concatenate([pairs[:, 1], pairs[:, 0]])
-    order = np.lexsort((other, site))
-    nbrs = other[order].tolist()
-    ends = np.cumsum(np.bincount(site, minlength=n)).tolist()
-    adjacency = [nbrs[i:j] for i, j in zip([0] + ends[:-1], ends)]
-    return Field(n, 2, adjacency, cliques)
+    indptr, indices = _neighbor_graph(np.concatenate([p for p, _ in families]), n)
+    return Field.from_arrays(n, 2, indptr, indices,
+                             ((np.arange(n)[:, None], unary),) + families)
+
+
+def _neighbor_graph(pairs, n):
+    """CSR adjacency of the graph on ``n`` sites with edges ``pairs``, each list ascending."""
+    keys = np.concatenate([pairs[:, 0] * n + pairs[:, 1], pairs[:, 1] * n + pairs[:, 0]])
+    keys.sort()
+    return np.append(0, np.cumsum(np.bincount(keys // n, minlength=n))), keys % n
 
 
 def _pairs(first, second):

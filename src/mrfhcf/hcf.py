@@ -115,6 +115,7 @@ def hcf_run(field, data, ranks=None, max_steps: int | None = None):
 
     comp = field.compiled
     values = data.values
+    nbrs, ptr = field.indices.tolist(), field.indptr.tolist()
 
     cfg = _extended(new_configuration(n))
     # every site's local energies and best label, kept current: a move
@@ -147,7 +148,7 @@ def hcf_run(field, data, ranks=None, max_steps: int | None = None):
         else:
             aug += row[b] - row[prev]
         # re-read the site and its neighbours, then re-key them
-        block = np.array((s,) + field.adjacency[s])
+        block = np.array([s] + nbrs[ptr[s]:ptr[s + 1]])
         own = cfg[block]
         e[block] = block_e = _rows_at(comp, values, cfg, block)
         g, best[block] = _stabilities(block_e, own)

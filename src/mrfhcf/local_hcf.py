@@ -127,11 +127,13 @@ def local_hcf_run(field, data, ranks=None, max_iterations: int | None = None,
             raise RuntimeError(f"local HCF exceeded its iteration cap ({cap}); "
                                "check the inputs for pathological values")
         g, best, changed = _sweep(comp, values, cfg, rank)
-        committed += _apply(cfg, best, changed)
-        rows.append(TraceRow(iteration, _augmented_sum(comp, values, cfg), committed,
-                             int(changed.size)))
         if changed.size:
+            committed += _apply(cfg, best, changed)
+            rows.append(TraceRow(iteration, _augmented_sum(comp, values, cfg), committed,
+                                 int(changed.size)))
             continue
+        # a quiet sweep leaves the configuration, so its energy, as it was
+        rows.append(TraceRow(iteration, rows[-1].energy, committed, 0))
         leftovers = np.flatnonzero(cfg[:n] == UNCOMMITTED)
         if not leftovers.size:
             break

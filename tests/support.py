@@ -142,6 +142,76 @@ def reference_augmented_energy(field, data, config):
     return total
 
 
+def reference_structure_problems(field):
+    """The structural check as a plain loop over ``field.adjacency`` and ``field.cliques``.
+
+    Messages in the library's order: each site's neighbor entries in list
+    order, then asymmetric pairs by site and ascending neighbor, then each
+    clique's problems in clique id order. Shared tables are checked once
+    per (table, arity).
+    """
+    out = []
+    n = field.num_sites
+    num_labels = field.num_labels
+    if n < 1:
+        out.append("num_sites must be at least 1")
+    if num_labels < 1:
+        out.append("num_labels must be at least 1")
+    if len(field.adjacency) != n:
+        out.append(f"adjacency has {len(field.adjacency)} entries for {n} sites")
+        return out
+    neighbor_sets = []
+    for s, nbrs in enumerate(field.adjacency):
+        seen = set()
+        for r in nbrs:
+            if r == s:
+                out.append(f"site {s}: self-loop in adjacency")
+            elif not 0 <= r < n:
+                out.append(f"site {s}: neighbor {r} out of range")
+            elif r in seen:
+                out.append(f"site {s}: duplicate neighbor {r}")
+            else:
+                seen.add(r)
+        neighbor_sets.append(seen)
+    for s, seen in enumerate(neighbor_sets):
+        for r in sorted(seen):
+            if s not in neighbor_sets[r]:
+                out.append(f"adjacency asymmetric: {r} neighbors {s} but not conversely")
+    table_problem = {}
+    for cid, c in enumerate(field.cliques):
+        k = len(c.members)
+        if k == 0:
+            out.append(f"clique {cid}: no members")
+            continue
+        if len(set(c.members)) != k:
+            out.append(f"clique {cid}: repeated member")
+            continue
+        bad = False
+        for m in c.members:
+            if not 0 <= m < n:
+                out.append(f"clique {cid}: member {m} out of range")
+                bad = True
+        if bad:
+            continue
+        for i in range(k):
+            for j in range(i + 1, k):
+                a, b = c.members[i], c.members[j]
+                if b not in neighbor_sets[a]:
+                    out.append(f"clique {cid}: members {a} and {b} are not neighbors")
+        key = (id(c.table), k)
+        if key not in table_problem:
+            want = (num_labels,) * k
+            if c.table.shape != want:
+                table_problem[key] = f"table shape {c.table.shape} is not {want}"
+            elif not np.isfinite(c.table).all():
+                table_problem[key] = "table has non-finite entries"
+            else:
+                table_problem[key] = None
+        if table_problem[key]:
+            out.append(f"clique {cid}: {table_problem[key]}")
+    return out
+
+
 def noisy_board(size, seed=7):
     """A ``size`` x ``size`` checkerboard edge problem with noise 40."""
     image = make_checkerboard(size, size, 10, 64, 192, 40.0, seed)

@@ -1,0 +1,36 @@
+"""Smoke test of tools/scale_probe.py on a small board."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "scale_probe.py"
+
+
+def test_probe_writes_every_layer_estimator_and_label_record(tmp_path, capsys):
+    spec = importlib.util.spec_from_file_location("scale_probe", TOOL)
+    probe = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(probe)
+    out = tmp_path / "BENCH.json"
+    out.write_text(json.dumps({"entries": {"parent": {"kept": True}}}))
+    assert probe.main(["--size", "8", "--entry", "change", "-o", str(out)]) == 0
+    assert "change: build" in capsys.readouterr().out
+
+    entries = json.loads(out.read_text())["entries"]
+    assert entries["parent"] == {"kept": True}
+    entry = entries["change"]
+    assert set(entry) == {"size", "sites", "machine", "layers_s", "estimators", "label"}
+    assert entry["size"] == 8 and entry["sites"] == 2 * 8 * 7
+    assert set(entry["layers_s"]) == {
+        "read_s", "llr_s", "build_edge_field_s", "check_s", "compile_s", "local_hcf_s",
+        "hcf_s", "icm_s"}
+    assert set(entry["estimators"]) == {"local_hcf", "hcf", "icm"}
+    energies = {e["energy"] for e in entry["estimators"].values()}
+    assert len(energies) == 1  # a clean board: every estimator finds the same labeling
+    assert all(e["iterations"] > 0 for e in entry["estimators"].values())
+    label = entry["label"]
+    assert set(label) == {
+        "runs", "wall_s", "peak_rss_mb", "wall_s_median", "peak_rss_mb_median",
+        "target_wall_s", "target_peak_rss_mb", "wall_target_met", "rss_target_met"}
+    assert len(label["wall_s"]) == len(label["peak_rss_mb"]) == label["runs"]
+    assert label["peak_rss_mb_median"] > 0

@@ -1,0 +1,142 @@
+"""Large-board probe: every set-up layer and estimator timed once, and ``label`` wall time.
+
+Usage, from the root of a checkout::
+
+    python3 tools/scale_probe.py --size 200 --entry change -o BENCH_8.json
+    python3 tools/scale_probe.py --size 200 --entry parent --src OTHER/src -o BENCH_8.json
+
+On a clean ``size`` x ``size`` checkerboard (squares of 10, intensities
+64/192, noise 8, seed 1; default model and potentials) it times, in
+process and once each: the PGM read, the LLR, ``build_edge_field``, the
+structural check on its own (``core._structure_problems``), the first
+``Field.compiled``, ``local_hcf_run``, ``hcf_run`` and ``icm_run`` from the
+TLR start. Next to each estimator it records the energy of its labeling
+and its iteration count, so that a speed-up shows it kept the answer.
+Before that, it runs ``python -m mrfhcf label`` on the same board
+``LABEL_RUNS`` times and records each child's wall time and peak RSS,
+and the medians against the targets of at most ``TARGET_LABEL_S``
+seconds and below ``TARGET_RSS_MB`` MB.
+
+``--src`` probes the ``mrfhcf`` package of another checkout (its ``src``
+directory), so two commits can be measured with one probe. The result is
+stored under ``entries[ENTRY]`` of the output JSON; other entries already
+in the file are kept. Single runs on a shared machine: expect noise of
+tens of percent between runs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+LABEL_RUNS = 3
+TARGET_LABEL_S = 1.5
+TARGET_RSS_MB = 100.0
+
+
+def _timed(layers, name, call, *args, **kwargs):
+    start = time.perf_counter()
+    out = call(*args, **kwargs)
+    layers[name] = time.perf_counter() - start
+    return out
+
+
+def probe_layers(size: int, board: Path) -> dict:
+    """In-process layer times and estimator results on the board file."""
+    from mrfhcf import build_edge_field, compute_llr, energy, hcf_run, icm_run, local_hcf_run, tlr
+    from mrfhcf.core import _structure_problems
+    from mrfhcf.fileio import read_pgm
+
+    layers = {}
+    image = _timed(layers, "read_s", read_pgm, board)
+    data = _timed(layers, "llr_s", compute_llr, image)
+    field = _timed(layers, "build_edge_field_s", build_edge_field, size, size)
+    problems = _timed(layers, "check_s", _structure_problems, field)
+    if problems:
+        raise RuntimeError(f"invalid field: {problems[:3]}")
+    _timed(layers, "compile_s", lambda: field.compiled)
+    cfg, trace = _timed(layers, "local_hcf_s", local_hcf_run, field, data)
+    estimators = {"local_hcf": {"energy": energy(field, data, cfg),
+                                "iterations": trace.iterations,
+                                "sweeps": len(trace.rows) - 1}}
+    cfg, htrace = _timed(layers, "hcf_s", hcf_run, field, data)
+    estimators["hcf"] = {"energy": energy(field, data, cfg), "iterations": len(htrace.steps)}
+    init = tlr(field, data)
+    cfg, itrace = _timed(layers, "icm_s", icm_run, field, data, init)
+    estimators["icm"] = {"energy": energy(field, data, cfg),
+                         "iterations": len(itrace.rows) - 1}
+    return {"sites": field.num_sites, "layers_s": layers, "estimators": estimators}
+
+
+def probe_label(src: Path, board: Path, outdir: Path) -> dict:
+    """``label`` on the board ``LABEL_RUNS`` times: each child's wall time and peak RSS."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    argv = [sys.executable, "-m", "mrfhcf", "label", "--in", str(board), "-o", str(outdir)]
+    walls, rss = [], []
+    for _ in range(LABEL_RUNS):
+        start = time.perf_counter()
+        child = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL)
+        _pid, status, usage = os.wait4(child.pid, 0)
+        walls.append(time.perf_counter() - start)
+        child.returncode = os.waitstatus_to_exitcode(status)  # reaped by wait4
+        if child.returncode:
+            raise RuntimeError(f"label exited with {child.returncode}")
+        rss.append(usage.ru_maxrss / 1024)  # KiB on Linux
+    wall, peak = statistics.median(walls), statistics.median(rss)
+    return {"runs": LABEL_RUNS, "wall_s": walls, "peak_rss_mb": rss,
+            "wall_s_median": wall, "peak_rss_mb_median": peak,
+            "target_wall_s": TARGET_LABEL_S, "target_peak_rss_mb": TARGET_RSS_MB,
+            "wall_target_met": wall <= TARGET_LABEL_S,
+            "rss_target_met": peak < TARGET_RSS_MB}
+
+
+def probe(size: int, src: Path) -> dict:
+    sys.path.insert(0, str(src))
+    import numpy as np
+
+    from mrfhcf import make_checkerboard
+    from mrfhcf.fileio import write_pgm
+
+    with tempfile.TemporaryDirectory() as tmp:
+        board = Path(tmp) / "board.pgm"
+        write_pgm(board, make_checkerboard(size, size, 10, 64, 192, 8.0, 1))
+        # label first: on Linux a child's ru_maxrss also counts the address
+        # space it was started from, so the probe must still be small
+        label = probe_label(src, board, Path(tmp) / "out")
+        entry = probe_layers(size, board)
+    entry.update(label=label, size=size, machine={
+        "python": platform.python_version(), "numpy": np.__version__,
+        "cpus": os.cpu_count(), "platform": platform.platform()})
+    return entry
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    parser.add_argument("--size", type=int, default=200)
+    parser.add_argument("--src", type=Path, default=ROOT / "src")
+    parser.add_argument("--entry", default="change")
+    parser.add_argument("-o", "--output", type=Path, default=ROOT / "BENCH_8.json")
+    args = parser.parse_args(argv)
+    if args.size < 2:
+        parser.error("--size must be at least 2")
+    entry = probe(args.size, args.src.resolve())
+    record = json.loads(args.output.read_text()) if args.output.exists() else {}
+    record.setdefault("entries", {})[args.entry] = entry
+    args.output.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
+    label = entry["label"]
+    print(f"{args.entry}: build {entry['layers_s']['build_edge_field_s']:.3f} s, "
+          f"label {label['wall_s_median']:.2f} s, {label['peak_rss_mb_median']:.0f} MB")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
