@@ -10,9 +10,9 @@ fileio, cli).
 
 from .baselines import (AnnealSchedule, MpmParams, anneal_run, icm_run,
                         mpm_marginals, mpm_run, tlr)
-from .core import (UNCOMMITTED, Clique, DataTerm, Field, augmented_energy,
-                   energy, fully_committed, local_energies, local_energy,
-                   new_configuration, validate_field)
+from .core import (UNCOMMITTED, Clique, DataTerm, Field, assign_ranks, augmented_energy,
+                   best_label, energy, fully_committed, local_energies, local_energy,
+                   new_configuration, stability, validate_field)
 from .edges import (EDGE, LABEL_LETTERS, NON_EDGE, EdgeLattice, EdgeModel,
                     EdgePotentials, Image, build_edge_field, compute_llr,
                     edge_llr, llr_data_term, make_chain_fixture,
@@ -20,8 +20,8 @@ from .edges import (EDGE, LABEL_LETTERS, NON_EDGE, EdgeLattice, EdgeModel,
 from .fileio import (COMPARE_HEADER, TRACE_HEADER, FileFormatError, parse_config,
                      read_mrfl, read_mrfllr, read_pgm, write_compare_csv,
                      write_mrfl, write_mrfllr, write_pgm, write_trace_csv)
-from .hcf import HCFStep, HCFTrace, best_label, hcf_run, stability
-from .local_hcf import StepResult, assign_ranks, local_hcf_run, local_hcf_step
+from .hcf import HCFStep, HCFTrace, hcf_run
+from .local_hcf import StepResult, local_hcf_run, local_hcf_step
 from .oracles import (SEARCH_GUARD, OracleResult, brute_force_map, chain_dp_map,
                       is_local_minimum)
 from .trace import RunTrace, TraceRow

@@ -21,6 +21,8 @@ and the results equal that visit's bit for bit:
   exceeds ``u * math.fsum(weights)``, else the last label;
 - the sweep traces carry the total energy, updated by each flip's exact
   local-energy difference, added in visit order onto the running total.
+
+The start is checked and padded by ``core``, which also scores it.
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _check_problem, _checked_labels, _extended, _local_rows, energy
-from .hcf import _check_runnable
+from .core import (_augmented_sum, _check_problem, _check_runnable, _checked_labels,
+                   _local_rows)
 from .trace import RunTrace, TraceRow
 
 
@@ -47,8 +49,7 @@ class AnnealSchedule:
             raise ValueError("t0 must be a positive real")
         if not (0.0 < self.alpha < 1.0):
             raise ValueError("alpha must be in (0, 1)")
-        if self.sweeps < 0:
-            raise ValueError("sweeps must be non-negative")
+        _check_count("sweeps", self.sweeps, 0, "non-negative")
 
 
 @dataclass(frozen=True)
@@ -59,10 +60,18 @@ class MpmParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.burn_in < 0:
-            raise ValueError("burn_in must be non-negative")
-        if self.samples < 1:
-            raise ValueError("samples must be positive")
+        _check_count("burn_in", self.burn_in, 0, "non-negative")
+        _check_count("samples", self.samples, 1, "positive")
+
+
+def _check_count(name, value, least, what):
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer")
+    if value < least:
+        raise ValueError(f"{name} must be {what}")
+
+
+_PARTIAL_START = "initial configuration must be fully committed"
 
 
 def tlr(field, data) -> np.ndarray:
@@ -72,14 +81,6 @@ def tlr(field, data) -> np.ndarray:
     """
     _check_problem(field, data)
     return np.argmin(data.values, axis=1).astype(np.int64)
-
-
-def _check_init(field, data, init):
-    # the start as an extended configuration (label 0 for the padding site)
-    cfg = _checked_labels(field, data, init)
-    if (cfg < 0).any():
-        raise ValueError("initial configuration must be fully committed")
-    return _extended(cfg)
 
 
 class _Wave:
@@ -154,8 +155,8 @@ def icm_run(field, data, init, order: str = "scan", seed: int | None = None,
     sites in a sweep see earlier changes. Stops after the first sweep that
     changes nothing; the fixpoint is a single-flip local minimum.
     """
-    _check_runnable(field, data)
-    cfg = _check_init(field, data, init)
+    comp = _check_runnable(field, data)
+    cfg = _checked_labels(field, data, init, _PARTIAL_START)
     n = field.num_sites
     if order == "scan":
         rng = None
@@ -168,7 +169,7 @@ def icm_run(field, data, init, order: str = "scan", seed: int | None = None,
         raise ValueError(f"unknown ICM order: {order!r}")
     cap = max_sweeps if max_sweeps is not None else 100 * n * field.num_labels
 
-    current = energy(field, data, cfg[:n])
+    current = _augmented_sum(comp, data.values, cfg)
     rows = [TraceRow(0, current, n, 0)]
     sweep = 0
     while True:
@@ -227,13 +228,13 @@ def anneal_run(field, data, init, schedule: AnnealSchedule, seed: int):
     initial one), so a cooling run can never return something worse than
     its start.
     """
-    _check_runnable(field, data)
-    cfg = _check_init(field, data, init)
+    comp = _check_runnable(field, data)
+    cfg = _checked_labels(field, data, init, _PARTIAL_START)
     n = field.num_sites
     rng = np.random.default_rng(seed)
     wave = _Wave(field, data, range(n))
 
-    current = energy(field, data, cfg[:n])
+    current = _augmented_sum(comp, data.values, cfg)
     best_cfg = cfg[:n].copy()
     best_energy = current
     rows = [TraceRow(0, current, n, 0)]
@@ -248,13 +249,13 @@ def anneal_run(field, data, init, schedule: AnnealSchedule, seed: int):
 
 
 def _mpm_core(field, data, init, params):
-    _check_runnable(field, data)
-    cfg = _check_init(field, data, init)
+    comp = _check_runnable(field, data)
+    cfg = _checked_labels(field, data, init, _PARTIAL_START)
     n = field.num_sites
     rng = np.random.default_rng(params.seed)
     wave = _Wave(field, data, range(n))
 
-    current = energy(field, data, cfg[:n])
+    current = _augmented_sum(comp, data.values, cfg)
     rows = [TraceRow(0, current, n, 0)]
     counts = np.zeros((n, field.num_labels), dtype=np.int64)
     sites = np.arange(n)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .baselines import AnnealSchedule, MpmParams, anneal_run, icm_run, mpm_run, tlr
-from .core import energy
+from .core import assign_ranks, energy
 from .edges import (EdgeModel, EdgePotentials, LABEL_LETTERS, build_edge_field,
                     compute_llr, llr_data_term, make_chain_fixture,
                     make_checkerboard, render_overlay)
@@ -21,7 +21,7 @@ from .fileio import (FileFormatError, _fmt, parse_config, read_mrfl, read_mrfllr
                      read_pgm, write_compare_csv, write_mrfl, write_pgm,
                      write_trace_csv)
 from .hcf import hcf_run
-from .local_hcf import assign_ranks, local_hcf_run
+from .local_hcf import local_hcf_run
 from .oracles import brute_force_map, chain_dp_map, is_local_minimum
 from .trace import TraceRow
 

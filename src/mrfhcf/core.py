@@ -14,10 +14,15 @@ all-uncommitted configuration therefore has augmented energy exactly 0.
 A :class:`Field` holds arrays, whichever of its two constructors built it:
 CSR adjacency, one padded member array in clique id order, and per-clique
 ids into a tuple of the distinct tables. ``Field(n, labels, adjacency,
-cliques)`` converts hand-built lists once; :meth:`Field.from_arrays` takes
-the arrays of a builder such as ``build_edge_field`` as they are. The
-structural check runs once, over those arrays, and the list views
-``Field.adjacency`` and ``Field.cliques`` are only built when read.
+cliques)`` turns hand-built lists into ``(members, table)`` blocks, which
+:meth:`Field.from_arrays` takes from a builder such as
+``build_edge_field``; both pad them with the same code. The structural
+check runs once, over those arrays, and the list views ``Field.adjacency``
+and ``Field.cliques`` are only built when read.
+
+This module is the one home of the input contract. Every estimator and
+reader checks its field, data term, configuration and ranks here, and
+gets them back padded for the virtual site ``n`` (label 0, rank ``n``).
 
 Every reader works on one further array form of the field, compiled from
 those arrays on first use (:class:`CompiledField`). Summation order is
@@ -38,7 +43,7 @@ it unchanged, and the leading +0.0 keeps an energy of -0.0 data terms at
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, groupby
 
 import numpy as np
 
@@ -76,10 +81,10 @@ class Field:
     - ``table_ids[c]`` indexes clique ``c``'s potential table in
       ``tables``, the distinct tables in order of first use.
 
-    ``Field(num_sites, num_labels, adjacency, cliques)`` converts
-    hand-built neighbor lists and :class:`Clique` objects to that form
-    once; :meth:`from_arrays` takes CSR adjacency and blocks of member
-    arrays as they are. Every clique's members must be pairwise adjacent.
+    ``Field(num_sites, num_labels, adjacency, cliques)`` turns hand-built
+    neighbor lists and :class:`Clique` objects into the CSR arrays and
+    ``(members, table)`` blocks that :meth:`from_arrays` takes; both pad
+    the blocks alike. Every clique's members must be pairwise adjacent.
     The structural invariants are checked once, on construction, over the
     arrays, and :func:`validate_field` reports what that check found.
 
@@ -93,19 +98,12 @@ class Field:
     def __init__(self, num_sites, num_labels, adjacency, cliques):
         cliques = tuple(cliques)
         adjacency = [[int(r) for r in nbrs] for nbrs in adjacency]
-        member_lists = [c.members for c in cliques]
-        arity = np.fromiter(map(len, member_lists), np.int64, len(member_lists))
-        k = max(int(arity.max(initial=0)), 2)
-        # flat member i of clique c goes to row k - end(c) + i, so that
-        # each clique's last member lands in row k - 1
-        cid = np.repeat(np.arange(len(cliques)), arity)
-        members = np.full((k, len(cliques)), int(num_sites), dtype=np.int64)
-        members[k - np.cumsum(arity)[cid] + np.arange(cid.size), cid] = \
-            _site_ids(chain.from_iterable(member_lists), cid.size)
-        table_ids, tables = _distinct([c.table for c in cliques])
+        # each run of cliques of one arity sharing one table becomes a block
+        runs = [list(run) for _key, run in
+                groupby(cliques, lambda c: (len(c.members), id(c.table)))]
         self._setup(num_sites, num_labels, np.cumsum([0] + [len(nbrs) for nbrs in adjacency]),
-                    _site_ids(chain.from_iterable(adjacency), sum(map(len, adjacency))),
-                    members, arity, np.array(table_ids, dtype=np.int64), tables)
+                    _site_array(list(chain.from_iterable(adjacency)), 1, "adjacency"),
+                    [([c.members for c in run], run[0].table) for run in runs])
         self._cliques = cliques
 
     @classmethod
@@ -116,32 +114,31 @@ class Field:
         rows of the integer array ``members``, of shape ``(count,
         arity)``, become the next ``count`` cliques, each with the potential
         table ``table``. Tables are told apart by identity, as in the list
-        constructor.
+        constructor. Raises ValueError unless ``indptr`` and ``indices``
+        are 1-D and every ``members`` 2-D, all with an integer dtype.
         """
-        blocks = [(np.asarray(m, dtype=np.int64), t) for m, t in blocks]
-        blocks = [(m, t) for m, t in blocks if len(m)]
-        counts = [len(m) for m, _t in blocks]
-        k = max([m.shape[1] for m, _t in blocks] + [2])
-        members = np.full((k, sum(counts)), int(num_sites), dtype=np.int64)
-        for (m, _t), start in zip(blocks, np.cumsum([0] + counts).tolist()):
-            members[k - m.shape[1]:, start:start + len(m)] = m.T
-        table_ids, tables = _distinct([t for _m, t in blocks])
         field = cls.__new__(cls)
-        field._setup(num_sites, num_labels, np.asarray(indptr), np.asarray(indices), members,
-                     np.repeat(np.array([m.shape[1] for m, _t in blocks], dtype=np.int64),
-                               counts),
-                     np.repeat(np.array(table_ids, dtype=np.int64), counts), tables)
+        field._setup(num_sites, num_labels, _site_array(indptr, 1, "adjacency offsets"),
+                     _site_array(indices, 1, "adjacency"), blocks)
         field._cliques = None
         return field
 
-    def _setup(self, num_sites, num_labels, indptr, indices, members, arity, table_ids,
-               tables):
+    def _setup(self, num_sites, num_labels, indptr, indices, blocks):
         self.num_sites = int(num_sites)
         self.num_labels = int(num_labels)
-        self.indptr = indptr.astype(np.int64)
-        self.indices = indices.astype(np.int64)
-        self.members, self.arity, self.table_ids = members, arity, table_ids
-        for a in (self.indptr, self.indices, members, arity, table_ids):
+        blocks = [(_site_array(m, 2, "clique members"), t) for m, t in blocks]
+        blocks = [(m, t) for m, t in blocks if len(m)]
+        counts = [len(m) for m, _t in blocks]
+        arity = [m.shape[1] for m, _t in blocks]
+        k = max(arity + [2])
+        members = np.full((k, sum(counts)), self.num_sites, dtype=np.int64)
+        for (m, _t), start in zip(blocks, np.cumsum([0] + counts).tolist()):
+            members[k - m.shape[1]:, start:start + len(m)] = m.T
+        table_ids, tables = _distinct([t for _m, t in blocks])
+        self.indptr, self.indices, self.members = indptr, indices, members
+        self.arity, self.table_ids = (np.repeat(np.array(ids, dtype=np.int64), counts)
+                                      for ids in (arity, table_ids))
+        for a in (indptr, indices, members, self.arity, self.table_ids):
             a.setflags(write=False)
         self.tables = tuple(np.asarray(t, dtype=np.float64) for t in tables)
         self._adjacency = None
@@ -190,10 +187,14 @@ def _distinct(tables):
     return ids, list({id(t): t for t in tables}.values())
 
 
-def _site_ids(values, count):
-    """``count`` site ids from an iterable of Python ints, as an int64 array."""
+def _site_array(values, ndim, what):
+    """``values``, of ``ndim`` dimensions and an integer dtype, as a new int64 array."""
+    raw = np.asarray(values)
+    # an empty list reads as float64, and Python ints past int64 as objects
+    if raw.ndim != ndim or (raw.size and raw.dtype.kind not in "iuO"):
+        raise ValueError(f"{what} must be a {ndim}-D array of integers")
     try:
-        return np.fromiter(values, np.int64, count)
+        return raw.astype(np.int64)
     except OverflowError:
         raise ValueError("site ids must fit in 64-bit integers") from None
 
@@ -352,23 +353,67 @@ def _check_problem(field, data):
             f"({field.num_sites} sites, {field.num_labels} labels)")
 
 
-def _checked_labels(field, data, config):
-    # the configuration as an int64 array, after checking it fits the problem
+def _check_runnable(field, data):
+    """The compiled field, after checking that an estimator can run on the problem."""
+    comp = field.compiled
+    if field.num_labels < 2:
+        raise ValueError("estimators need at least two labels")
     _check_problem(field, data)
-    cfg = np.asarray(config, dtype=np.int64)
-    if cfg.shape != (field.num_sites,):
-        raise ValueError(f"configuration of shape {cfg.shape} does not fit "
-                         f"{field.num_sites} sites")
-    bad = np.flatnonzero((cfg < UNCOMMITTED) | (cfg >= field.num_labels))
+    return comp
+
+
+def _checked_labels(field, data, config, partial=None):
+    """The configuration as int64 with label 0 appended for the padding site.
+
+    Raises ValueError unless the data term fits the field and the
+    configuration holds, for each site, a label or UNCOMMITTED as an
+    integer; with a message ``partial``, also when a site is uncommitted.
+    """
+    _check_problem(field, data)
+    raw = np.asarray(config)
+    n = field.num_sites
+    if raw.shape != (n,):
+        raise ValueError(f"configuration of shape {raw.shape} does not fit {n} sites")
+    cfg = np.zeros(n + 1, dtype=np.int64)
+    with np.errstate(invalid="ignore"):  # NaN and infinities are refused below
+        cfg[:n] = raw
+    cast = cfg[:n] != raw
+    bad = np.flatnonzero(cast | (cfg[:n] < UNCOMMITTED) | (cfg[:n] >= field.num_labels))
     if bad.size:
         s = int(bad[0])
+        if cast[s]:
+            raise ValueError(f"site {s}: label {raw[s].item()!r} is not an integer")
         raise ValueError(f"site {s}: label {cfg[s]} out of range")
+    if partial is not None and not fully_committed(cfg):
+        raise ValueError(partial)
     return cfg
 
 
-def _extended(cfg):
-    """The configuration with label 0 appended for the virtual padding site."""
-    return np.append(cfg, 0)
+def _checked_ranks(field, ranks):
+    """The ranks (site order if None) as int64 with ``n`` appended for the padding site."""
+    n = field.num_sites
+    if ranks is None:
+        return np.arange(n + 1, dtype=np.int64)
+    arr = np.asarray(ranks)
+    if arr.shape != (n,) or not np.array_equal(np.sort(arr), np.arange(n)):
+        raise ValueError("ranks must be a permutation of the site indices")
+    return np.append(arr.astype(np.int64), n)
+
+
+def assign_ranks(field, mode: str = "site-index", seed: int | None = None) -> np.ndarray:
+    """Distinct per-site ranks used to break stability ties.
+
+    ``site-index`` ranks sites by their index; ``seeded-permutation`` draws
+    a reproducible random permutation for experiments with tie-break order.
+    """
+    n = field.num_sites
+    if mode == "site-index":
+        return np.arange(n, dtype=np.int64)
+    if mode == "seeded-permutation":
+        if seed is None:
+            raise ValueError("seeded-permutation rank mode needs a seed")
+        return np.random.default_rng(seed).permutation(n).astype(np.int64)
+    raise ValueError(f"unknown rank mode: {mode!r}")
 
 
 def energy(field: Field, data: DataTerm, config) -> float:
@@ -377,11 +422,10 @@ def energy(field: Field, data: DataTerm, config) -> float:
     Sums clique potentials in ascending clique id order, then data terms in
     ascending site id order. Raises ValueError if any site is uncommitted.
     """
-    cfg = _checked_labels(field, data, config)
-    if (cfg < 0).any():
-        raise ValueError("energy of a partially committed configuration is undefined; "
-                         "use augmented_energy")
-    return _augmented_sum(field.compiled, data.values, _extended(cfg))
+    cfg = _checked_labels(field, data, config,
+                          "energy of a partially committed configuration is undefined; "
+                          "use augmented_energy")
+    return _augmented_sum(field.compiled, data.values, cfg)
 
 
 def augmented_energy(field: Field, data: DataTerm, config) -> float:
@@ -392,8 +436,7 @@ def augmented_energy(field: Field, data: DataTerm, config) -> float:
     :func:`energy` on fully committed configurations and is exactly 0.0 on
     the all-uncommitted configuration.
     """
-    cfg = _checked_labels(field, data, config)
-    return _augmented_sum(field.compiled, data.values, _extended(cfg))
+    return _augmented_sum(field.compiled, data.values, _checked_labels(field, data, config))
 
 
 def _table_rows(comp, labs):
@@ -479,6 +522,17 @@ def _stabilities(e, own):
     return np.where(uncommitted, -gap, gap), best
 
 
+def _site_read(field, data, config, site):
+    """One site's local energies, shape ``(1, num_labels)``, and its label in ``config``.
+
+    Raises ValueError on a configuration that does not fit or a site out of range.
+    """
+    cfg = _checked_labels(field, data, config)
+    if not 0 <= site < field.num_sites:
+        raise ValueError(f"site {site} out of range")
+    return _rows_at(field.compiled, data.values, cfg, [site]), cfg[site:site + 1]
+
+
 def local_energy(field: Field, data: DataTerm, config, site: int, label: int) -> float:
     """Energy seen by one site when it takes ``label``.
 
@@ -487,19 +541,40 @@ def local_energy(field: Field, data: DataTerm, config, site: int, label: int) ->
     touch an uncommitted other member, plus the site's own data term.
     The site's current label in ``config`` plays no role.
     """
-    cfg = _checked_labels(field, data, config)
-    if not 0 <= site < field.num_sites:
-        raise ValueError(f"site {site} out of range")
+    e, _own = _site_read(field, data, config, site)
     if not 0 <= label < field.num_labels:
         raise ValueError(f"label {label} is not a committed label")
-    return _rows_at(field.compiled, data.values, _extended(cfg), [site])[0, label].item()
+    return e[0, label].item()
+
+
+def best_label(field: Field, data: DataTerm, config, site: int) -> tuple[int, float]:
+    """Committed label with the lowest local energy at ``site`` and that energy.
+
+    Ties go to the smallest label index; the site's own current label does
+    not influence the result.
+    """
+    e, own = _site_read(field, data, config, site)
+    best = _stabilities(e, own)[1].item()
+    return best, e[0, best].item()
+
+
+def stability(field: Field, data: DataTerm, config, site: int) -> float:
+    """Stability of one site under the current configuration.
+
+    Uncommitted sites get the negated best-versus-second-best gap (always
+    <= 0); committed sites get the best-alternative gap relative to their
+    current label (negative iff a strictly better label exists).
+    """
+    if field.num_labels < 2:
+        raise ValueError("stability needs at least two labels")
+    return _stabilities(*_site_read(field, data, config, site))[0].item()
 
 
 def local_energies(field: Field, data: DataTerm, config) -> np.ndarray:
     """Local energies for every site and label as a (num_sites, num_labels) array."""
     cfg = _checked_labels(field, data, config)
     comp = field.compiled
-    return _local_rows(comp, comp.others, comp.offsets, data.values, _extended(cfg))
+    return _local_rows(comp, comp.others, comp.offsets, data.values, cfg)
 
 
 def validate_field(field: Field) -> list[str]:

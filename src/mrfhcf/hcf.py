@@ -12,7 +12,8 @@ uncommitted ones and the committed ones with negative stability.
 Local energies come from the array reader ``core._local_rows`` and
 stabilities from ``core._stabilities``, the kernels Local HCF's sweep
 uses: the run reads every site once, then only each move's closed
-neighbourhood.
+neighbourhood. The input checks and padding come from ``core`` too, as
+do the one-site readers ``stability`` and ``best_label``.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (UNCOMMITTED, _check_problem, _checked_labels, _extended, _local_rows,
+from .core import (UNCOMMITTED, _check_runnable, _checked_labels, _checked_ranks, _local_rows,
                    _rows_at, _stabilities, new_configuration)
 
 
@@ -39,56 +40,6 @@ class HCFStep:
 @dataclass(frozen=True)
 class HCFTrace:
     steps: tuple[HCFStep, ...]
-
-
-def _site_stats(field, data, config, site):
-    """(local energies, stability, best label) of one site; the last two as Python values."""
-    cfg = _extended(_checked_labels(field, data, config))
-    if not 0 <= site < field.num_sites:
-        raise ValueError(f"site {site} out of range")
-    e = _rows_at(field.compiled, data.values, cfg, [site])
-    g, best = _stabilities(e, cfg[site:site + 1])
-    return e[0], g.item(), best.item()
-
-
-def best_label(field, data, config, site: int) -> tuple[int, float]:
-    """Committed label with the lowest local energy at ``site`` and that energy.
-
-    Ties go to the smallest label index; the site's own current label does
-    not influence the result.
-    """
-    row, _g, best = _site_stats(field, data, config, site)
-    return best, row[best].item()
-
-
-def stability(field, data, config, site: int) -> float:
-    """Stability of one site under the current configuration.
-
-    Uncommitted sites get the negated best-versus-second-best gap (always
-    <= 0); committed sites get the best-alternative gap relative to their
-    current label (negative iff a strictly better label exists).
-    """
-    if field.num_labels < 2:
-        raise ValueError("stability needs at least two labels")
-    return _site_stats(field, data, config, site)[1]
-
-
-def _check_runnable(field, data):
-    if field._problems:
-        raise ValueError("invalid field: " + "; ".join(field._problems[:3]))
-    if field.num_labels < 2:
-        raise ValueError("estimators need at least two labels")
-    _check_problem(field, data)
-
-
-def _check_ranks(field, ranks):
-    if ranks is None:
-        return list(range(field.num_sites))
-    arr = np.asarray(ranks)
-    if arr.shape != (field.num_sites,) or not np.array_equal(
-            np.sort(arr), np.arange(field.num_sites)):
-        raise ValueError("ranks must be a permutation of the site indices")
-    return [int(r) for r in arr]
 
 
 def hcf_run(field, data, ranks=None, max_steps: int | None = None):
@@ -108,16 +59,15 @@ def hcf_run(field, data, ranks=None, max_steps: int | None = None):
     deltas; each change of an already committed site lowers it by exactly
     the magnitude of that site's stability.
     """
-    _check_runnable(field, data)
+    comp = _check_runnable(field, data)
     n = field.num_sites
-    rank = _check_ranks(field, ranks)
+    rank = _checked_ranks(field, ranks).tolist()
     cap = max_steps if max_steps is not None else 100 * n * field.num_labels
 
-    comp = field.compiled
     values = data.values
     nbrs, ptr = field.indices.tolist(), field.indptr.tolist()
 
-    cfg = _extended(new_configuration(n))
+    cfg = _checked_labels(field, data, new_configuration(n))
     # every site's local energies and best label, kept current: a move
     # changes only the rows of its neighbours, and a site's own label
     # never enters its own row

@@ -7,7 +7,9 @@ ordered stability over all of its neighbors, and either its stability is
 negative or it is uncommitted with stability exactly 0. Two neighbors can
 never change in the same iteration, so the sweep is safe to evaluate in
 parallel. The sweep runs as whole-array numpy work on the field's compiled
-arrays (read, stability, eligibility, energy), on the calling thread.
+arrays (read, stability, eligibility, energy), on the calling thread. The
+input checks, the padded configuration and ranks, and the per-site ranks
+of ``assign_ranks`` come from ``core``.
 """
 
 from __future__ import annotations
@@ -16,9 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (UNCOMMITTED, _augmented_sum, _checked_labels, _extended,
-                   _local_rows, _stabilities, new_configuration)
-from .hcf import _check_ranks, _check_runnable
+from .core import (UNCOMMITTED, _augmented_sum, _check_runnable, _checked_labels,
+                   _checked_ranks, _local_rows, _stabilities, new_configuration)
 from .trace import RunTrace, TraceRow
 
 
@@ -28,22 +29,6 @@ class StepResult:
     new_commits: int
     energy_after: float
     any_change: bool
-
-
-def assign_ranks(field, mode: str = "site-index", seed: int | None = None) -> np.ndarray:
-    """Distinct per-site ranks used to break stability ties.
-
-    ``site-index`` ranks sites by their index; ``seeded-permutation`` draws
-    a reproducible random permutation for experiments with tie-break order.
-    """
-    n = field.num_sites
-    if mode == "site-index":
-        return np.arange(n, dtype=np.int64)
-    if mode == "seeded-permutation":
-        if seed is None:
-            raise ValueError("seeded-permutation rank mode needs a seed")
-        return np.random.default_rng(seed).permutation(n).astype(np.int64)
-    raise ValueError(f"unknown rank mode: {mode!r}")
 
 
 def _sweep(comp, values, cfg, rank):
@@ -74,11 +59,6 @@ def _apply(cfg, best, changed):
     return commits
 
 
-def _ranks(field, ranks):
-    """Checked ranks as an int64 array with ``n`` appended for the padding site."""
-    return np.array(_check_ranks(field, ranks) + [field.num_sites], dtype=np.int64)
-
-
 def local_hcf_step(field, data, config, ranks, threads: int = 1):
     """One synchronous iteration; returns (new configuration, StepResult).
 
@@ -88,10 +68,9 @@ def local_hcf_step(field, data, config, ranks, threads: int = 1):
     configuration. ``threads`` is accepted and has no effect on results;
     the sweep runs on the calling thread and starts no other.
     """
-    _check_runnable(field, data)
-    cfg = _extended(_checked_labels(field, data, config))
-    comp = field.compiled
-    _g, best, changed = _sweep(comp, data.values, cfg, _ranks(field, ranks))
+    comp = _check_runnable(field, data)
+    cfg = _checked_labels(field, data, config)
+    _g, best, changed = _sweep(comp, data.values, cfg, _checked_ranks(field, ranks))
     commits = _apply(cfg, best, changed)
     energy_after = _augmented_sum(comp, data.values, cfg)
     return cfg[:-1].copy(), StepResult(tuple(changed.tolist()), commits, energy_after,
@@ -109,14 +88,13 @@ def local_hcf_run(field, data, ranks=None, max_iterations: int | None = None,
     across repeated runs. ``threads`` is accepted and has no effect on
     results; the run starts no thread.
     """
-    _check_runnable(field, data)
+    comp = _check_runnable(field, data)
     n = field.num_sites
-    rank = _ranks(field, ranks)
+    rank = _checked_ranks(field, ranks)
     cap = max_iterations if max_iterations is not None else 100 * n * field.num_labels
-    comp = field.compiled
     values = data.values
 
-    cfg = _extended(new_configuration(n))
+    cfg = _checked_labels(field, data, new_configuration(n))
     rows = [TraceRow(0, 0.0, 0, 0)]
     committed = 0
     iteration = 0
@@ -127,28 +105,24 @@ def local_hcf_run(field, data, ranks=None, max_iterations: int | None = None,
             raise RuntimeError(f"local HCF exceeded its iteration cap ({cap}); "
                                "check the inputs for pathological values")
         g, best, changed = _sweep(comp, values, cfg, rank)
-        if changed.size:
-            committed += _apply(cfg, best, changed)
-            rows.append(TraceRow(iteration, _augmented_sum(comp, values, cfg), committed,
-                                 int(changed.size)))
-            continue
-        # a quiet sweep leaves the configuration, so its energy, as it was
-        rows.append(TraceRow(iteration, rows[-1].energy, committed, 0))
-        leftovers = np.flatnonzero(cfg[:n] == UNCOMMITTED)
-        if not leftovers.size:
-            break
-        # Exact-tie degenerate case: a zero-stability uncommitted site can
-        # be blocked forever by a committed neighbor of equal stability and
-        # lower rank. The quiet sweep just read every leftover on this very
-        # configuration, so commit the lowest ordered stability among them
-        # by hand, then resume the synchronous sweeps.
-        iteration += 1
-        if iteration > cap:
-            raise RuntimeError(f"local HCF exceeded its iteration cap ({cap})")
-        tied = leftovers[g[leftovers] == g[leftovers].min()]
-        s = tied[np.argmin(rank[tied])]
-        cfg[s] = best[s]
-        committed += 1
-        rows.append(TraceRow(iteration, _augmented_sum(comp, values, cfg), committed, 1))
+        if not changed.size:
+            # a quiet sweep leaves the configuration, so its energy, as it was
+            rows.append(TraceRow(iteration, rows[-1].energy, committed, 0))
+            leftovers = np.flatnonzero(cfg[:n] == UNCOMMITTED)
+            if not leftovers.size:
+                break
+            # Exact-tie degenerate case: a zero-stability uncommitted site
+            # can be blocked forever by a committed neighbor of equal
+            # stability and lower rank. The quiet sweep just read every
+            # leftover on this very configuration, so the next iteration
+            # commits only the lowest ordered stability among them.
+            iteration += 1
+            if iteration > cap:
+                raise RuntimeError(f"local HCF exceeded its iteration cap ({cap})")
+            tied = leftovers[g[leftovers] == g[leftovers].min()]
+            changed = tied[[np.argmin(rank[tied])]]
+        committed += _apply(cfg, best, changed)
+        rows.append(TraceRow(iteration, _augmented_sum(comp, values, cfg), committed,
+                             int(changed.size)))
 
     return cfg[:-1].copy(), RunTrace(tuple(rows))

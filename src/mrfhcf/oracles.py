@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _check_problem, _checked_labels, energy, local_energies
+from .core import _check_problem, _checked_labels, _local_rows, energy
 
 SEARCH_GUARD = 1 << 24
 
@@ -118,15 +118,11 @@ def _chain_potentials(field, data, order):
             ia, ib = position[a], position[b]
             if abs(ia - ib) != 1:
                 raise ValueError("field is not a simple path")
-            table = c.table.tolist()
-            if ia < ib:
-                for la in range(num_labels):
-                    for lb in range(num_labels):
-                        pair_cost[ia][la][lb] += table[la][lb]
-            else:
-                for la in range(num_labels):
-                    for lb in range(num_labels):
-                        pair_cost[ib][lb][la] += table[la][lb]
+            # a pair cost runs from the earlier position to the later one
+            table = (c.table if ia < ib else c.table.T).tolist()
+            for la in range(num_labels):
+                for lb in range(num_labels):
+                    pair_cost[min(ia, ib)][la][lb] += table[la][lb]
         else:
             raise ValueError("chain oracle supports cliques of size 1 and 2 only")
     rows = data.values.tolist()
@@ -204,9 +200,11 @@ def is_local_minimum(field, data, config, tolerance: float = 1e-12) -> bool:
     per-site local energies. A flip must be more than ``tolerance`` below
     the current label to disqualify.
     """
-    cfg = _checked_labels(field, data, config)
-    if (cfg < 0).any():
-        raise ValueError("local minimum check needs a fully committed configuration")
-    e = local_energies(field, data, cfg)
-    own = e[np.arange(len(cfg)), cfg]
+    if np.isnan(tolerance):
+        raise ValueError("tolerance must not be NaN")
+    cfg = _checked_labels(field, data, config,
+                          "local minimum check needs a fully committed configuration")
+    comp = field.compiled
+    e = _local_rows(comp, comp.others, comp.offsets, data.values, cfg)
+    own = e[comp.sites, cfg[:-1]]
     return not (e < (own - tolerance)[:, None]).any()

@@ -9,8 +9,8 @@ from mrfhcf import (EDGE, Clique, DataTerm, Field, augmented_energy, best_label,
                     energy, hcf_run, is_local_minimum, llr_data_term, local_energies,
                     local_energy, local_hcf_run, local_hcf_step, new_configuration,
                     stability, tlr)
-from mrfhcf.core import _extended
-from mrfhcf.local_hcf import _ranks, _sweep
+from mrfhcf.core import _checked_labels, _checked_ranks
+from mrfhcf.local_hcf import _sweep
 from support import (random_field, reference_augmented_energy, reference_local_rows,
                      reference_row_stats, scalar_reader, triple_clique_field)
 
@@ -67,10 +67,11 @@ def test_augmented_energy_matches_the_clique_walk():
 def test_sweep_stabilities_match_the_scalar_readers():
     rng = np.random.default_rng(2)
     for field, data in cases():
-        rank = _ranks(field, None)
+        rank = _checked_ranks(field, None)
         read = scalar_reader(field, data)
         for cfg in configurations(field, rng):
-            g, best, _changed = _sweep(field.compiled, data.values, _extended(cfg), rank)
+            g, best, _changed = _sweep(field.compiled, data.values,
+                                       _checked_labels(field, data, cfg), rank)
             labels = cfg.tolist()
             for s in range(field.num_sites):
                 assert bits(g[s]) == bits(stability(field, data, cfg, s))
@@ -109,7 +110,8 @@ def test_hand_rows_match_the_reference_stabilities():
         assert repr(stability(field, data, [own], 0)) == g_repr
         assert best_label(field, data, [own], 0) == (best, row[best])
         g, sweep_best, _changed = _sweep(field.compiled, data.values,
-                                         _extended(np.array([own])), _ranks(field, None))
+                                         _checked_labels(field, data, [own]),
+                                         _checked_ranks(field, None))
         assert (repr(g[0].item()), sweep_best[0]) == (g_repr, best)
 
 

@@ -1,0 +1,114 @@
+"""The input contract the public entries share: configurations, field arrays, parameters."""
+
+import re
+
+import numpy as np
+import pytest
+
+from mrfhcf import (AnnealSchedule, Field, MpmParams, anneal_run, augmented_energy,
+                    best_label, energy, icm_run, is_local_minimum, local_energies,
+                    local_energy, local_hcf_step, mpm_run, stability, tlr)
+
+# every public entry that takes a configuration or a start, on (field, data, config)
+ENTRIES = {
+    "energy": energy,
+    "augmented_energy": augmented_energy,
+    "local_energies": local_energies,
+    "local_energy": lambda field, data, cfg: local_energy(field, data, cfg, 0, 0),
+    "stability": lambda field, data, cfg: stability(field, data, cfg, 0),
+    "best_label": lambda field, data, cfg: best_label(field, data, cfg, 0),
+    "is_local_minimum": is_local_minimum,
+    "local_hcf_step": lambda field, data, cfg: local_hcf_step(field, data, cfg, None),
+    "icm_run": icm_run,
+    "anneal_run": lambda field, data, cfg: anneal_run(field, data, cfg,
+                                                      AnnealSchedule(sweeps=2), seed=0),
+    "mpm_run": lambda field, data, cfg: mpm_run(field, data, cfg, MpmParams(1, 2)),
+}
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+@pytest.mark.parametrize("value, shown", [(0.5, "0.5"), (-0.5, "-0.5"), (0.7, "0.7"),
+                                          (np.nan, "nan"), (np.inf, "inf"), (1e30, "1e+30")])
+def test_non_integer_labels_are_refused(chain, entry, value, shown):
+    field, data = chain
+    with pytest.raises(ValueError, match=f"^site 0: label {re.escape(shown)} is not an integer$"):
+        ENTRIES[entry](field, data, np.full(8, value))
+    cfg = tlr(field, data).astype(np.float64)
+    cfg[5] = value
+    with pytest.raises(ValueError, match=f"^site 5: label {re.escape(shown)} is not an integer$"):
+        ENTRIES[entry](field, data, cfg)
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_integer_labels_of_any_dtype_read_as_before(chain, entry):
+    field, data = chain
+    start = tlr(field, data)
+    want = repr(ENTRIES[entry](field, data, start))
+    for cfg in (start.astype(np.float64), start.astype(np.int8), start.tolist()):
+        assert repr(ENTRIES[entry](field, data, cfg)) == want
+
+
+PAIR = np.ones((2, 2))
+
+
+@pytest.mark.parametrize("members", [np.array([0, 1]), np.array(0), np.zeros((1, 1, 2), int),
+                                     [[0, 1.5]], [[0, np.nan]], [[0.0, 1.0]], [[True, False]]])
+def test_array_constructor_refuses_member_blocks_that_are_not_2d_integers(members):
+    with pytest.raises(ValueError, match="clique members must be a 2-D array of integers"):
+        Field.from_arrays(2, 2, [0, 1, 2], [1, 0], [(members, PAIR)])
+
+
+@pytest.mark.parametrize("indptr, indices, what", [
+    ([0, 1.5, 2], [1, 0], "adjacency offsets"),
+    ([0.0, 1.0, 2.0], [1, 0], "adjacency offsets"),
+    ([[0, 1, 2]], [1, 0], "adjacency offsets"),
+    (np.array([0, 1, np.inf]), [1, 0], "adjacency offsets"),
+    ([0, 1, 2], [1.25, 0], "adjacency"),
+    ([0, 1, 2], [[1, 0]], "adjacency"),
+    ([0, 1, 2], [1, np.nan], "adjacency"),
+])
+def test_array_constructor_refuses_csr_arrays_that_are_not_1d_integers(indptr, indices, what):
+    with pytest.raises(ValueError, match=f"^{what} must be a 1-D array of integers$"):
+        Field.from_arrays(2, 2, indptr, indices, [([[0, 1]], PAIR)])
+
+
+def test_array_constructor_takes_integers_of_any_width_and_empty_blocks_of_any_dtype():
+    want = Field.from_arrays(2, 2, [0, 1, 2], [1, 0], [([[0, 1]], PAIR)])
+    got = Field.from_arrays(2, 2, np.array([0, 1, 2], dtype=np.uint16),
+                            np.array([1, 0], dtype=np.int8),
+                            [(np.array([[0, 1]], dtype=np.int32), PAIR), (np.zeros((0, 3)), PAIR)])
+    for name in ("indptr", "indices", "members", "arity", "table_ids"):
+        a, b = getattr(want, name), getattr(got, name)
+        assert a.dtype == b.dtype == np.int64 and np.array_equal(a, b), name
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: AnnealSchedule(sweeps=2.5), "sweeps must be an integer"),
+    (lambda: AnnealSchedule(sweeps=2.0), "sweeps must be an integer"),
+    (lambda: AnnealSchedule(sweeps=-1), "sweeps must be non-negative"),
+    (lambda: MpmParams(samples=1.5), "samples must be an integer"),
+    (lambda: MpmParams(samples=0), "samples must be positive"),
+    (lambda: MpmParams(burn_in=0.5), "burn_in must be an integer"),
+    (lambda: MpmParams(burn_in=-1), "burn_in must be non-negative"),
+])
+def test_sampling_budgets_must_be_integer_counts(make, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make()
+
+
+def test_numpy_integer_budgets_run(chain):
+    field, data = chain
+    start = tlr(field, data)
+    want = anneal_run(field, data, start, AnnealSchedule(sweeps=3), seed=1)
+    got = anneal_run(field, data, start, AnnealSchedule(sweeps=np.int64(3)), seed=1)
+    assert repr(got) == repr(want)
+    want = mpm_run(field, data, start, MpmParams(2, 3))
+    assert repr(mpm_run(field, data, start, MpmParams(np.int32(2), np.int64(3)))) == repr(want)
+
+
+def test_local_minimum_check_refuses_a_nan_tolerance(chain):
+    field, data = chain
+    alternating = [0, 1, 0, 1, 0, 1, 0, 1]
+    assert not is_local_minimum(field, data, alternating)
+    with pytest.raises(ValueError, match="tolerance must not be NaN"):
+        is_local_minimum(field, data, alternating, tolerance=float("nan"))

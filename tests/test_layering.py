@@ -1,0 +1,34 @@
+"""The estimator modules depend on the energy model (``core``) and the trace rows alone."""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "mrfhcf"
+ESTIMATORS = ("hcf", "local_hcf", "baselines", "oracles")
+
+
+def package_imports(path):
+    """The package modules one source file imports from, relative (``.core``) or absolute."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            out.add("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "mrfhcf":
+            out.add(node.module)
+        elif isinstance(node, ast.Import):
+            out.update(a.name for a in node.names if a.name.split(".")[0] == "mrfhcf")
+    return out
+
+
+def test_estimator_modules_import_only_core_and_trace():
+    imports = {path.stem: package_imports(path) for path in PACKAGE.glob("*.py")}
+    for module in ESTIMATORS:
+        assert imports[module] <= {".core", ".trace"}, module
+    assert ".hcf" in imports["cli"]  # the reader does find the package's own imports
+
+
+def test_the_import_reader_sees_every_form(tmp_path):
+    source = tmp_path / "m.py"
+    source.write_text("from . import hcf\nfrom ..x import y\nfrom .core import z\n"
+                      "import mrfhcf.edges\nfrom mrfhcf.fileio import read_pgm\nimport numpy\n")
+    assert package_imports(source) == {".", "..x", ".core", "mrfhcf.edges", "mrfhcf.fileio"}

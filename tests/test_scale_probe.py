@@ -4,13 +4,27 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "scale_probe.py"
 
 
-def test_probe_writes_every_layer_estimator_and_label_record(tmp_path, capsys):
+def load_probe():
     spec = importlib.util.spec_from_file_location("scale_probe", TOOL)
     probe = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(probe)
+    return probe
+
+
+def test_probe_needs_an_output_file(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        load_probe().main(["--size", "8"])
+    assert exit_info.value.code == 2
+    assert "-o/--output" in capsys.readouterr().err
+
+
+def test_probe_writes_every_layer_estimator_and_label_record(tmp_path, capsys):
+    probe = load_probe()
     out = tmp_path / "BENCH.json"
     out.write_text(json.dumps({"entries": {"parent": {"kept": True}}}))
     assert probe.main(["--size", "8", "--entry", "change", "-o", str(out)]) == 0

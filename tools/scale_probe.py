@@ -2,8 +2,8 @@
 
 Usage, from the root of a checkout::
 
-    python3 tools/scale_probe.py --size 200 --entry change -o BENCH_8.json
-    python3 tools/scale_probe.py --size 200 --entry parent --src OTHER/src -o BENCH_8.json
+    python3 tools/scale_probe.py --size 200 --entry change -o BENCH_9.json
+    python3 tools/scale_probe.py --size 200 --entry parent --src OTHER/src -o BENCH_9.json
 
 On a clean ``size`` x ``size`` checkerboard (squares of 10, intensities
 64/192, noise 8, seed 1; default model and potentials) it times, in
@@ -20,8 +20,9 @@ seconds and below ``TARGET_RSS_MB`` MB.
 ``--src`` probes the ``mrfhcf`` package of another checkout (its ``src``
 directory), so two commits can be measured with one probe. The result is
 stored under ``entries[ENTRY]`` of the output JSON; other entries already
-in the file are kept. Single runs on a shared machine: expect noise of
-tens of percent between runs.
+in the file are kept. ``-o`` has no default, so that a plain run cannot
+add to an earlier record by mistake. Single runs on a shared machine:
+expect noise of tens of percent between runs.
 """
 
 from __future__ import annotations
@@ -124,7 +125,7 @@ def main(argv=None) -> int:
     parser.add_argument("--size", type=int, default=200)
     parser.add_argument("--src", type=Path, default=ROOT / "src")
     parser.add_argument("--entry", default="change")
-    parser.add_argument("-o", "--output", type=Path, default=ROOT / "BENCH_8.json")
+    parser.add_argument("-o", "--output", type=Path, required=True)
     args = parser.parse_args(argv)
     if args.size < 2:
         parser.error("--size must be at least 2")
