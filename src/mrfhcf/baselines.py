@@ -4,23 +4,55 @@ All stochastic estimators draw from numpy's PCG64 generator seeded
 explicitly, so runs are reproducible across platforms.
 
 ICM, annealing and MPM sweep the sites one at a time, in scan order or
-(random-order ICM) a seeded permutation per sweep, and each site sees the
-labels its earlier neighbours took in the same sweep. A sweep runs as a
-wavefront (Lamport, "The Parallel Execution of DO Loops", CACM 1974): a
-site's level is one more than the highest level of its neighbours visited
-before it, so no two sites of a level are neighbours and every earlier
-neighbour sits in a lower level. Reading one level's local energies as
-one array therefore sees exactly what the one-site-at-a-time visit sees,
-and the results equal that visit's bit for bit:
+(random-order ICM) a seeded permutation per sweep: each site sees the
+labels its earlier neighbours took in the same sweep and its later
+neighbours in the sweep before. The results equal that visit's bit for
+bit:
 
 - ICM takes each row's argmin, ties to the lowest label;
-- a Gibbs sweep draws one ``rng.random(n)`` and site ``s`` takes element
-  ``s``. At temperature ``t = max(T, 1e-300)`` a row ``v`` weighs label
-  ``l`` by ``math.exp(-(v[l] - min(v)) / t)``; the site takes the first
-  label whose running weight sum (``np.add.accumulate`` along the row)
-  exceeds ``u * math.fsum(weights)``, else the last label;
+- Gibbs sweep ``k`` draws one ``rng.random(n)``, sweep after sweep, and
+  site ``s`` takes element ``s``. At temperature ``t = max(T, 1e-300)`` a
+  row ``v`` weighs label ``l`` by ``math.exp(-(v[l] - min(v)) / t)``; the
+  site takes the first label whose running weight sum
+  (``np.add.accumulate`` along the row) exceeds ``u * math.fsum(weights)``,
+  else the last label;
 - the sweep traces carry the total energy, updated by each flip's exact
   local-energy difference, added in visit order onto the running total.
+
+A sweep runs as a wavefront (Lamport, "The Parallel Execution of DO
+Loops", CACM 1974): a site's level ``L(s)`` is one more than the highest
+level of its neighbours visited before it, so no two sites of a level are
+neighbours and every earlier neighbour sits in a lower level. Reading one
+level's local energies as one array therefore sees exactly what the
+one-site-at-a-time visit sees.
+
+A Gibbs run pipelines its whole budget as one space-time wavefront:
+sweep ``k`` visits site ``s`` at level ``L(s) + k*S``. With the pace
+``P``, one more than the largest ``L(r) - L(s)`` over neighbours ``s``
+visited before ``r`` (at least 1), every stride ``S >= P`` is exact. When
+``(r, k)`` runs, an earlier neighbour ``s`` has run sweep ``k``, at
+``L(s) + k*S``, and not sweep ``k + 1``, because ``L(r) - L(s) < P <= S``;
+by the same bound a later neighbour has run sweep ``k - 1`` and not sweep
+``k``. Two visits share a level only if their sites' levels differ by a
+multiple of ``S``, which neither two neighbours (``0 < |L(r) - L(s)| <
+S``) nor one site in two sweeps can. The run takes ``depth + S*(K - 1)``
+levels for ``K`` sweeps instead of ``depth * K``.
+
+- Sweep ``k``'s uniforms are drawn when it enters the pipeline, at level
+  ``k*S``. Sweeps enter in order, so the generator stream is that of
+  sweeping one after another.
+- When sweep ``k``'s last level has run, its flips are added in visit
+  order onto the running energy and its labels handed to the caller.
+- The sweeps in flight keep their uniforms, temperatures, local energy
+  rows and labels in a ring of ``ceil(depth / S)`` slots. The stride is
+  widened past ``P`` until those slots hold at most ``_IN_FLIGHT`` site
+  visits; a sweep with more sites than that runs alone.
+- The read arrays are gathered once in ``(L(s) mod S, L(s))`` order, so
+  each space-time level is one contiguous slice.
+
+ICM runs through the same sweep loop with one sweep in flight (``S =
+depth``): its sweep count is not known in advance, and most runs stop
+after a few sweeps. Random-order ICM builds one wave per sweep.
 
 The start is checked and padded by ``core``, which also scores it.
 """
@@ -83,17 +115,34 @@ def tlr(field, data) -> np.ndarray:
     return np.argmin(data.values, axis=1).astype(np.int64)
 
 
-class _Wave:
-    """A visit order cut into dependency levels, the read arrays in level order.
+# a pipelined Gibbs run keeps at most this many site visits in flight (a
+# uniform, a temperature, a local energy row and a label: 40 bytes each at
+# 2 labels, 10 MB in all), unless one sweep alone has more sites
+_IN_FLIGHT = 1 << 18
 
-    ``sites[bounds[i]:bounds[i + 1]]`` is level ``i``, in ascending site
-    order; ``visit`` lists the positions in ``sites`` in visit order.
-    ``others``, ``offsets`` and ``values`` are the per-site arrays of the
-    compiled field ``comp`` and the data rows, taken in the order of
-    ``sites``, so that each level reads contiguous columns.
+
+class _Wave:
+    """A visit order cut into dependency levels, the read arrays laid out for a stride.
+
+    ``level[s]`` is site ``s``'s level and ``depth`` the number of levels.
+    ``stride`` is ``depth`` (one sweep in flight) unless ``pipelined``: then
+    it is the least stride from the pace up (one more than the largest
+    level step from a site to a later visited neighbour, at least 1) that
+    keeps at most ``_IN_FLIGHT`` site visits in flight.
+
+    ``sites`` lists the sites in ``(level % stride, level)`` order,
+    ascending within a level: level ``v`` is ``sites[bounds[v]:ends[v]]``.
+    With one sweep in flight the levels come in order, so ``ends[v] ==
+    bounds[v + 1]``. ``position[s]`` is site ``s``'s index in ``sites``,
+    ``visit`` lists those indices in visit order and ``lap`` holds each
+    laid-out site's ``level // stride``. ``others``, ``offsets`` and
+    ``values`` are the per-site arrays of the compiled field ``comp`` and
+    the data rows, taken in the order of ``sites``; ``others`` holds the
+    other members' indices in ``sites``, to read a configuration laid out
+    in that order.
     """
 
-    def __init__(self, field, data, order):
+    def __init__(self, field, data, order, pipelined=False):
         n = field.num_sites
         self.comp = comp = field.compiled
         # a level depends only on the neighbours visited before the site;
@@ -104,46 +153,129 @@ class _Wave:
         earlier = comp.neighbors[before].tolist()
         ends = np.cumsum(before.sum(axis=1)).tolist()
         starts = [0] + ends[:-1]
-        level = [-1] * n
+        level = [0] * n
         get = level.__getitem__
         for s in order:
-            level[s] = 1 + max(map(get, earlier[starts[s]:ends[s]]), default=-1)
-        level = np.array(level)
-        self.sites = np.argsort(level, kind="stable")
-        self.bounds = [0] + np.cumsum(np.bincount(level)).tolist()
-        position = np.empty(n, dtype=np.int64)
-        position[self.sites] = np.arange(n)
-        self.visit = position[order]
-        self.others = comp.others[:, :, self.sites]
+            nbrs = earlier[starts[s]:ends[s]]
+            if nbrs:  # cheaper than max(..., default=-1)
+                level[s] = 1 + max(map(get, nbrs))
+        self.level = level = np.array(level, dtype=np.int64)
+        sizes = np.bincount(level)
+        self.depth = depth = len(sizes)
+        if pipelined:
+            steps = (level[:, None] - np.append(level, 0)[comp.neighbors])[before]
+            pace = 1 + int(steps.max(initial=0))
+            flight = max(1, _IN_FLIGHT // n)
+            self.stride = max(pace, -(-depth // flight))
+        else:
+            self.stride = depth
+
+        if self.stride >= depth:  # the levels in order
+            self.sites = np.argsort(level, kind="stable")
+            self.bounds = [0] + np.cumsum(sizes).tolist()
+            self.ends = self.bounds[1:]
+        else:  # the levels by residue, ascending within one
+            laid = np.argsort(np.arange(depth) % self.stride, kind="stable")
+            rank = np.empty(depth, dtype=np.int64)
+            rank[laid] = np.arange(depth)
+            self.sites = np.argsort(rank[level], kind="stable")
+            first = np.empty(depth, dtype=np.int64)
+            first[laid] = np.cumsum(sizes[laid]) - sizes[laid]
+            self.bounds = first.tolist() + [n]
+            self.ends = (first + sizes).tolist()
+        self.position = np.empty(n, dtype=np.int64)
+        self.position[self.sites] = np.arange(n)
+        self.visit = self.position[order]
+        self.lap = level[self.sites] // self.stride
+        # the other members as indices into `sites`, the padding site n staying n
+        self.others = np.append(self.position, n)[comp.others[:, :, self.sites]]
         self.offsets = comp.offsets[:, self.sites]
         self.values = data.values[self.sites]
 
+    def spans(self, count):
+        """``(t, (level, others, offsets, values))`` per space-time level of ``count`` sweeps.
 
-def _wave_sweep(wave, cfg, pick, current):
-    """Visit every site once, in the wave's order, in place on the extended ``cfg``.
+        ``count`` None runs without end. Level ``t`` visits ``sites[level]``,
+        the site at index ``i`` for sweep ``t // stride - lap[i]``;
+        ``others``, ``offsets`` and ``values`` are the slice's columns of
+        the read arrays.
+        """
+        stride, last = self.stride, self.depth - 1
+        t = newest = oldest = 0  # the sweep that entered last, the first not ended
+        while oldest != count:
+            level = slice(self.bounds[t - newest * stride], self.ends[t - oldest * stride])
+            yield t, (level, self.others[:, :, level], self.offsets[:, level], self.values[level])
+            if t - oldest * stride == last:
+                oldest += 1
+            t += 1
+            if t == (newest + 1) * stride and newest + 1 != count:
+                newest += 1
 
-    ``pick(rows, level)`` returns the new labels of the sites at positions
-    ``level`` (a slice) from their local energy rows. Returns ``current``
-    plus each flip's energy change, added in visit order, and the number of
-    sites whose label changed.
+
+def _sweeps(wave, start, current, count=None, temperature=None, rng=None):
+    """Run ``count`` sweeps of ``wave`` (None: without end) from the labels ``start``.
+
+    With ``temperature``, sweep ``k`` is a Gibbs sweep at
+    ``temperature(k)`` drawing from ``rng``; without, every site takes its
+    argmin. After each sweep, in order, yields the total energy
+    ``current`` plus the sweep's flip deltas, the number of flips and the
+    sweep's labels in site order.
+
+    Sweep ``k``'s visit of the site at index ``i`` of ``wave.sites`` keeps
+    its uniform, temperature, local energy row and label in ring slot
+    ``(k + lap[i]) % flight``: the epoch ``t // stride`` of its level
+    ``t``, so that each level reads and writes one slice of one slot.
     """
-    before = cfg[wave.sites]
-    seen = np.empty(wave.values.shape)
-    for a, b in zip(wave.bounds, wave.bounds[1:]):
-        level = slice(a, b)
-        rows = _local_rows(wave.comp, wave.others[:, :, level], wave.offsets[:, level],
-                           wave.values[level], cfg)
-        seen[level] = rows
-        cfg[wave.sites[level]] = pick(rows, level)
-    after = cfg[wave.sites]
-    flips = wave.visit[(before != after)[wave.visit]]
-    steps = seen[flips, after[flips]] - seen[flips, before[flips]]
-    return float(np.add.accumulate(np.concatenate(([current], steps)))[-1]), len(flips)
+    n, stride, depth = len(wave.sites), wave.stride, wave.depth
+    # a slot is written again `flight` epochs later, after its sweep ended
+    flight = (depth - 1) // stride + 1
+    if count is not None:
+        flight = min(flight, count)
+    seen = np.empty((flight, n, wave.values.shape[1]))
+    uniforms, temperatures = np.empty((2, flight, n if temperature is not None else 0))
+    cfg = np.zeros(n + 1, dtype=np.int64)  # laid out as `wave.sites`, then the padding site
+    cfg[:n] = before = start[wave.sites]
+    # with one sweep in flight, the ring's one slot of labels is `cfg` itself
+    labels = cfg[None, :n] if flight == 1 else np.empty((flight, n), dtype=np.int64)
+    home = wave.lap * n + np.arange(n)
 
+    def visits(k):
+        # where sweep k's visits, in the order of `wave.sites`, sit in the flat ring
+        return (k * n + home) % (flight * n)
 
-def _icm_labels(rows, level):
-    # argmin ties go to the lowest label
-    return rows.argmin(axis=1)
+    entered = done = 0
+    for t, (level, others, offsets, values) in wave.spans(count):
+        if t % stride == 0:
+            # a new epoch: the next sweep enters and the ring turns one slot
+            if temperature is not None and entered < count:
+                at = visits(entered)
+                temperatures.reshape(-1)[at] = temperature(entered)
+                uniforms.reshape(-1)[at] = rng.random(n)[wave.sites]
+                entered += 1
+            slot = t // stride % flight
+            seen_at, labels_at = seen[slot], labels[slot]
+            uniforms_at, temperatures_at = uniforms[slot], temperatures[slot]
+        rows = _local_rows(wave.comp, others, offsets, values, cfg)
+        if temperature is None:
+            new = rows.argmin(axis=1)  # ties go to the lowest label
+        else:
+            new = _gibbs_labels(rows, uniforms_at[level], temperatures_at[level])
+        seen_at[level] = rows
+        labels_at[level] = new
+        if flight > 1:
+            cfg[level] = new
+        if t - done * stride == depth - 1:
+            # sweep `done` has run its last level
+            at = visits(done)
+            after = labels.reshape(-1)[at]
+            flips = wave.visit[(before != after)[wave.visit]]
+            at = at[flips]
+            rows = seen.reshape(-1, seen.shape[2])
+            steps = rows[at, after[flips]] - rows[at, before[flips]]
+            current = float(np.add.accumulate(np.concatenate(([current], steps)))[-1])
+            before = after
+            done += 1
+            yield current, len(flips), after[wave.position]
 
 
 def icm_run(field, data, init, order: str = "scan", seed: int | None = None,
@@ -158,65 +290,64 @@ def icm_run(field, data, init, order: str = "scan", seed: int | None = None,
     comp = _check_runnable(field, data)
     cfg = _checked_labels(field, data, init, _PARTIAL_START)
     n = field.num_sites
+    current = _augmented_sum(comp, data.values, cfg)
     if order == "scan":
-        rng = None
-        wave = _Wave(field, data, range(n))
+        sweeps = _sweeps(_Wave(field, data, range(n)), cfg, current)
     elif order == "random":
         if seed is None:
             raise ValueError("random visit order needs a seed")
-        rng = np.random.default_rng(seed)
+        sweeps = _random_order_sweeps(field, data, cfg, current, np.random.default_rng(seed))
     else:
         raise ValueError(f"unknown ICM order: {order!r}")
     cap = max_sweeps if max_sweeps is not None else 100 * n * field.num_labels
 
-    current = _augmented_sum(comp, data.values, cfg)
     rows = [TraceRow(0, current, n, 0)]
     sweep = 0
     while True:
         sweep += 1
         if sweep > cap:
             raise RuntimeError(f"ICM exceeded its sweep cap ({cap})")
-        if rng is not None:
-            wave = _Wave(field, data, rng.permutation(n).tolist())
-        current, changes = _wave_sweep(wave, cfg, _icm_labels, current)
+        current, changes, labels = next(sweeps)
         rows.append(TraceRow(sweep, current, n, changes))
         if changes == 0:
-            break
-    return cfg[:n].copy(), RunTrace(tuple(rows))
+            return labels, RunTrace(tuple(rows))
+
+
+def _random_order_sweeps(field, data, labels, current, rng):
+    """ICM sweeps without end, each in a fresh permutation drawn from ``rng``."""
+    n = field.num_sites
+    while True:
+        wave = _Wave(field, data, rng.permutation(n).tolist())
+        current, changes, labels = next(_sweeps(wave, labels, current, 1))
+        yield current, changes, labels
 
 
 def _gibbs_labels(rows, uniforms, temperature):
     """One label per row, drawn with probability proportional to exp(-energy / T).
 
-    Row ``i`` uses the uniform ``uniforms[i]``; the arithmetic is that of
-    the module docstring, element by element as Python floats compute it.
+    Row ``i`` uses the uniform ``uniforms[i]`` and the temperature
+    ``temperature``, one for every row or ``temperature[i]``; the
+    arithmetic is that of the module docstring, element by element as
+    Python floats compute it.
     """
-    t = temperature if temperature > 1e-300 else 1e-300
+    t = np.where(temperature > 1e-300, temperature, 1e-300).reshape(-1, 1)
     # the shift by the row minimum keeps the exponentials in range; a
     # quotient past the float range is -inf and weighs 0, as in Python
     with np.errstate(over="ignore"):
         x = -(rows - rows.min(axis=1, keepdims=True)) / t
     weights = np.fromiter(map(math.exp, x.ravel().tolist()), float, x.size).reshape(x.shape)
-    total = np.fromiter(map(math.fsum, weights.tolist()), float, len(weights))
     acc = np.add.accumulate(weights, axis=1)
+    if acc.shape[1] == 2:
+        # one IEEE addition of two floats is their correctly rounded sum,
+        # which is what math.fsum returns
+        total = acc[:, 1]
+    else:
+        total = np.fromiter(map(math.fsum, weights.tolist()), float, len(weights))
     # running sums never decrease, so the labels before the last whose sum
     # exceeds u * total form a suffix, and the first of them is found by
     # counting; when there are none, the last label is taken
     taken = (uniforms * total)[:, None] < acc[:, :-1]
     return acc.shape[1] - 1 - taken.sum(axis=1)
-
-
-def _gibbs_sweep(wave, cfg, temperature, rng, current):
-    """Resample every site of ``cfg`` once in the scan-order ``wave``, in place.
-
-    Returns the total energy ``current`` updated by the exact per-flip
-    deltas, and the number of sites whose label changed.
-    """
-    # site s takes uniform s: the scan visit draws them in site order
-    uniforms = rng.random(len(wave.sites))[wave.sites]
-    return _wave_sweep(wave, cfg,
-                       lambda rows, level: _gibbs_labels(rows, uniforms[level], temperature),
-                       current)
 
 
 def anneal_run(field, data, init, schedule: AnnealSchedule, seed: int):
@@ -231,20 +362,19 @@ def anneal_run(field, data, init, schedule: AnnealSchedule, seed: int):
     comp = _check_runnable(field, data)
     cfg = _checked_labels(field, data, init, _PARTIAL_START)
     n = field.num_sites
-    rng = np.random.default_rng(seed)
-    wave = _Wave(field, data, range(n))
+    wave = _Wave(field, data, range(n), pipelined=True)
 
     current = _augmented_sum(comp, data.values, cfg)
     best_cfg = cfg[:n].copy()
     best_energy = current
     rows = [TraceRow(0, current, n, 0)]
-    for k in range(schedule.sweeps):
-        temperature = schedule.t0 * schedule.alpha ** k
-        current, changes = _gibbs_sweep(wave, cfg, temperature, rng, current)
+    sweeps = _sweeps(wave, cfg, current, schedule.sweeps,
+                     lambda k: schedule.t0 * schedule.alpha ** k, np.random.default_rng(seed))
+    for k, (current, changes, labels) in enumerate(sweeps):
         rows.append(TraceRow(k + 1, current, n, changes))
         if current < best_energy:
             best_energy = current
-            best_cfg = cfg[:n].copy()
+            best_cfg = labels
     return best_cfg, RunTrace(tuple(rows))
 
 
@@ -252,18 +382,18 @@ def _mpm_core(field, data, init, params):
     comp = _check_runnable(field, data)
     cfg = _checked_labels(field, data, init, _PARTIAL_START)
     n = field.num_sites
-    rng = np.random.default_rng(params.seed)
-    wave = _Wave(field, data, range(n))
+    wave = _Wave(field, data, range(n), pipelined=True)
 
     current = _augmented_sum(comp, data.values, cfg)
     rows = [TraceRow(0, current, n, 0)]
     counts = np.zeros((n, field.num_labels), dtype=np.int64)
     sites = np.arange(n)
-    for k in range(params.burn_in + params.samples):
-        current, changes = _gibbs_sweep(wave, cfg, 1.0, rng, current)
+    sweeps = _sweeps(wave, cfg, current, params.burn_in + params.samples,
+                     lambda k: 1.0, np.random.default_rng(params.seed))
+    for k, (current, changes, labels) in enumerate(sweeps):
         rows.append(TraceRow(k + 1, current, n, changes))
         if k >= params.burn_in:
-            counts[sites, cfg[:n]] += 1
+            counts[sites, labels] += 1
     return counts / params.samples, RunTrace(tuple(rows))
 
 

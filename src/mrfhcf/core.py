@@ -43,6 +43,7 @@ it unchanged, and the leading +0.0 keeps an energy of -0.0 data terms at
 
 from __future__ import annotations
 
+import operator
 from itertools import chain, groupby
 
 import numpy as np
@@ -61,7 +62,7 @@ class Clique:
     __slots__ = ("members", "table")
 
     def __init__(self, members, table):
-        self.members = tuple(int(m) for m in members)
+        self.members = tuple(members)
         self.table = np.asarray(table, dtype=np.float64)
 
     def __repr__(self):
@@ -97,7 +98,7 @@ class Field:
 
     def __init__(self, num_sites, num_labels, adjacency, cliques):
         cliques = tuple(cliques)
-        adjacency = [[int(r) for r in nbrs] for nbrs in adjacency]
+        adjacency = [list(nbrs) for nbrs in adjacency]
         # each run of cliques of one arity sharing one table becomes a block
         runs = [list(run) for _key, run in
                 groupby(cliques, lambda c: (len(c.members), id(c.table)))]
@@ -522,12 +523,22 @@ def _stabilities(e, own):
     return np.where(uncommitted, -gap, gap), best
 
 
+def _checked_index(value, what):
+    """``value`` as a Python int, if ``operator.index`` takes it (Python or numpy integers)."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} {value} is not an integer") from None
+
+
 def _site_read(field, data, config, site):
     """One site's local energies, shape ``(1, num_labels)``, and its label in ``config``.
 
-    Raises ValueError on a configuration that does not fit or a site out of range.
+    Raises ValueError on a configuration that does not fit, or a site that
+    is not an integer or out of range.
     """
     cfg = _checked_labels(field, data, config)
+    site = _checked_index(site, "site")
     if not 0 <= site < field.num_sites:
         raise ValueError(f"site {site} out of range")
     return _rows_at(field.compiled, data.values, cfg, [site]), cfg[site:site + 1]
@@ -542,6 +553,7 @@ def local_energy(field: Field, data: DataTerm, config, site: int, label: int) ->
     The site's current label in ``config`` plays no role.
     """
     e, _own = _site_read(field, data, config, site)
+    label = _checked_index(label, "label")
     if not 0 <= label < field.num_labels:
         raise ValueError(f"label {label} is not a committed label")
     return e[0, label].item()

@@ -5,9 +5,9 @@ import re
 import numpy as np
 import pytest
 
-from mrfhcf import (AnnealSchedule, Field, MpmParams, anneal_run, augmented_energy,
+from mrfhcf import (AnnealSchedule, Clique, Field, MpmParams, anneal_run, augmented_energy,
                     best_label, energy, icm_run, is_local_minimum, local_energies,
-                    local_energy, local_hcf_step, mpm_run, stability, tlr)
+                    local_energy, local_hcf_step, mpm_run, stability, tlr, validate_field)
 
 # every public entry that takes a configuration or a start, on (field, data, config)
 ENTRIES = {
@@ -112,3 +112,52 @@ def test_local_minimum_check_refuses_a_nan_tolerance(chain):
     assert not is_local_minimum(field, data, alternating)
     with pytest.raises(ValueError, match="tolerance must not be NaN"):
         is_local_minimum(field, data, alternating, tolerance=float("nan"))
+
+
+@pytest.mark.parametrize("read, message", [
+    (lambda field, data: stability(field, data, [0] * 8, 0.5), "site 0.5"),
+    (lambda field, data: best_label(field, data, [0] * 8, 1.0), "site 1.0"),
+    (lambda field, data: stability(field, data, [0] * 8, np.float64(2.0)), "site 2.0"),
+    (lambda field, data: stability(field, data, [0] * 8, None), "site None"),
+    (lambda field, data: local_energy(field, data, [0] * 8, 0.5, 0), "site 0.5"),
+    (lambda field, data: local_energy(field, data, [0] * 8, 0, 0.5), "label 0.5"),
+    (lambda field, data: local_energy(field, data, [0] * 8, 0, np.float32(1.0)), "label 1.0"),
+])
+def test_one_site_readers_refuse_a_site_or_label_that_is_not_an_integer(chain, read, message):
+    field, data = chain
+    with pytest.raises(ValueError, match=f"^{re.escape(message)} is not an integer$"):
+        read(field, data)
+
+
+def test_one_site_readers_take_python_and_numpy_integers(chain):
+    field, data = chain
+    cfg = tlr(field, data)
+    for site in (np.int8(3), np.int64(3), np.uint16(3), np.array(3)):
+        assert stability(field, data, cfg, site) == stability(field, data, cfg, 3)
+        assert best_label(field, data, cfg, site) == best_label(field, data, cfg, 3)
+        for label in (1, np.int32(1), np.uint8(1)):
+            assert local_energy(field, data, cfg, site, label) == local_energy(field, data, cfg,
+                                                                               3, 1)
+    with pytest.raises(ValueError, match="^site 8 out of range$"):
+        stability(field, data, cfg, np.int64(8))
+    with pytest.raises(ValueError, match="^label 2 is not a committed label$"):
+        local_energy(field, data, cfg, 0, np.int64(2))
+
+
+def test_list_constructor_refuses_site_ids_that_are_not_integers():
+    with pytest.raises(ValueError, match="^adjacency must be a 1-D array of integers$"):
+        Field(2, 2, [(1.5,), (0,)], [Clique((0, 1), PAIR)])
+    with pytest.raises(ValueError, match="^clique members must be a 2-D array of integers$"):
+        Field(2, 2, [(1,), (0,)], [Clique((0, 1.7), PAIR)])
+    with pytest.raises(ValueError, match="^clique members must be a 2-D array of integers$"):
+        Field(2, 2, [(1,), (0,)], [Clique((0, 1.0), PAIR)])
+
+
+def test_list_constructor_takes_site_ids_of_any_integer_type():
+    want = Field(2, 2, [(1,), (0,)], [Clique((0, 1), PAIR)])
+    got = Field(2, 2, [(np.int8(1),), np.array([0], dtype=np.uint16)],
+                [Clique(np.array([0, 1], dtype=np.int32), PAIR)])
+    assert validate_field(got) == []
+    for name in ("indptr", "indices", "members", "arity", "table_ids"):
+        a, b = getattr(want, name), getattr(got, name)
+        assert a.dtype == b.dtype == np.int64 and np.array_equal(a, b), name

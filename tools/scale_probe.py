@@ -2,16 +2,18 @@
 
 Usage, from the root of a checkout::
 
-    python3 tools/scale_probe.py --size 200 --entry change -o BENCH_9.json
-    python3 tools/scale_probe.py --size 200 --entry parent --src OTHER/src -o BENCH_9.json
+    python3 tools/scale_probe.py --size 200 --entry change -o BENCH_10.json
+    python3 tools/scale_probe.py --size 200 --entry parent --src OTHER/src -o BENCH_10.json
 
 On a clean ``size`` x ``size`` checkerboard (squares of 10, intensities
 64/192, noise 8, seed 1; default model and potentials) it times, in
 process and once each: the PGM read, the LLR, ``build_edge_field``, the
 structural check on its own (``core._structure_problems``), the first
-``Field.compiled``, ``local_hcf_run``, ``hcf_run`` and ``icm_run`` from the
-TLR start. Next to each estimator it records the energy of its labeling
-and its iteration count, so that a speed-up shows it kept the answer.
+``Field.compiled``, ``local_hcf_run``, ``hcf_run``, and ``icm_run``,
+``anneal_run`` (default schedule, seed 1) and ``mpm_run`` (default
+parameters) from the TLR start. Next to each estimator it records the
+energy of its labeling and its iteration count (for annealing and MPM
+also the sweep count), so that a speed-up shows it kept the answer.
 Before that, it runs ``python -m mrfhcf label`` on the same board
 ``LABEL_RUNS`` times and records each child's wall time and peak RSS,
 and the medians against the targets of at most ``TARGET_LABEL_S``
@@ -53,7 +55,8 @@ def _timed(layers, name, call, *args, **kwargs):
 
 def probe_layers(size: int, board: Path) -> dict:
     """In-process layer times and estimator results on the board file."""
-    from mrfhcf import build_edge_field, compute_llr, energy, hcf_run, icm_run, local_hcf_run, tlr
+    from mrfhcf import (AnnealSchedule, MpmParams, anneal_run, build_edge_field, compute_llr,
+                        energy, hcf_run, icm_run, local_hcf_run, mpm_run, tlr)
     from mrfhcf.core import _structure_problems
     from mrfhcf.fileio import read_pgm
 
@@ -75,6 +78,11 @@ def probe_layers(size: int, board: Path) -> dict:
     cfg, itrace = _timed(layers, "icm_s", icm_run, field, data, init)
     estimators["icm"] = {"energy": energy(field, data, cfg),
                          "iterations": len(itrace.rows) - 1}
+    for name, run, args in (("anneal", anneal_run, (AnnealSchedule(), 1)),
+                            ("mpm", mpm_run, (MpmParams(),))):
+        cfg, gtrace = _timed(layers, f"{name}_s", run, field, data, init, *args)
+        estimators[name] = {"energy": energy(field, data, cfg), "iterations": gtrace.iterations,
+                            "sweeps": len(gtrace.rows) - 1}
     return {"sites": field.num_sites, "layers_s": layers, "estimators": estimators}
 
 
