@@ -43,8 +43,9 @@ levels for ``K`` sweeps instead of ``depth * K``.
   sweeping one after another.
 - When sweep ``k``'s last level has run, its flips are added in visit
   order onto the running energy and its labels handed to the caller.
-- The sweeps in flight keep their uniforms, temperatures, local energy
-  rows and labels in a ring of ``ceil(depth / S)`` slots. The stride is
+- The sweeps in flight keep each visit's uniform, local energy row and
+  label in a ring of ``ceil(depth / S)`` slots; a visit reads its
+  temperature from the per-sweep temperatures by its sweep. The stride is
   widened past ``P`` until those slots hold at most ``_IN_FLIGHT`` site
   visits; a sweep with more sites than that runs alone.
 - The read arrays are gathered once in ``(L(s) mod S, L(s))`` order, so
@@ -116,8 +117,8 @@ def tlr(field, data) -> np.ndarray:
 
 
 # a pipelined Gibbs run keeps at most this many site visits in flight (a
-# uniform, a temperature, a local energy row and a label: 40 bytes each at
-# 2 labels, 10 MB in all), unless one sweep alone has more sites
+# uniform, a local energy row and a label: 32 bytes each at 2 labels, 8 MB
+# in all), unless one sweep alone has more sites
 _IN_FLIGHT = 1 << 18
 
 
@@ -170,19 +171,15 @@ class _Wave:
         else:
             self.stride = depth
 
-        if self.stride >= depth:  # the levels in order
-            self.sites = np.argsort(level, kind="stable")
-            self.bounds = [0] + np.cumsum(sizes).tolist()
-            self.ends = self.bounds[1:]
-        else:  # the levels by residue, ascending within one
-            laid = np.argsort(np.arange(depth) % self.stride, kind="stable")
-            rank = np.empty(depth, dtype=np.int64)
-            rank[laid] = np.arange(depth)
-            self.sites = np.argsort(rank[level], kind="stable")
-            first = np.empty(depth, dtype=np.int64)
-            first[laid] = np.cumsum(sizes[laid]) - sizes[laid]
-            self.bounds = first.tolist() + [n]
-            self.ends = (first + sizes).tolist()
+        # the levels by residue, ascending within one
+        laid = np.argsort(np.arange(depth) % self.stride, kind="stable")
+        rank = np.empty(depth, dtype=np.int64)
+        rank[laid] = np.arange(depth)
+        self.sites = np.argsort(rank[level], kind="stable")
+        first = np.empty(depth, dtype=np.int64)
+        first[laid] = np.cumsum(sizes[laid]) - sizes[laid]
+        self.bounds = first.tolist() + [n]
+        self.ends = (first + sizes).tolist()
         self.position = np.empty(n, dtype=np.int64)
         self.position[self.sites] = np.arange(n)
         self.visit = self.position[order]
@@ -212,17 +209,17 @@ class _Wave:
                 newest += 1
 
 
-def _sweeps(wave, start, current, count=None, temperature=None, rng=None):
+def _sweeps(wave, start, current, count=None, temperatures=None, rng=None):
     """Run ``count`` sweeps of ``wave`` (None: without end) from the labels ``start``.
 
-    With ``temperature``, sweep ``k`` is a Gibbs sweep at
-    ``temperature(k)`` drawing from ``rng``; without, every site takes its
+    With ``temperatures``, sweep ``k`` is a Gibbs sweep at
+    ``temperatures[k]`` drawing from ``rng``; without, every site takes its
     argmin. After each sweep, in order, yields the total energy
     ``current`` plus the sweep's flip deltas, the number of flips and the
     sweep's labels in site order.
 
     Sweep ``k``'s visit of the site at index ``i`` of ``wave.sites`` keeps
-    its uniform, temperature, local energy row and label in ring slot
+    its uniform, its local energy row and its label in ring slot
     ``(k + lap[i]) % flight``: the epoch ``t // stride`` of its level
     ``t``, so that each level reads and writes one slice of one slot.
     """
@@ -231,12 +228,11 @@ def _sweeps(wave, start, current, count=None, temperature=None, rng=None):
     flight = (depth - 1) // stride + 1
     if count is not None:
         flight = min(flight, count)
+    uniforms = np.empty((flight, n if temperatures is not None else 0))
     seen = np.empty((flight, n, wave.values.shape[1]))
-    uniforms, temperatures = np.empty((2, flight, n if temperature is not None else 0))
+    labels = np.empty((flight, n), dtype=np.int64)
     cfg = np.zeros(n + 1, dtype=np.int64)  # laid out as `wave.sites`, then the padding site
     cfg[:n] = before = start[wave.sites]
-    # with one sweep in flight, the ring's one slot of labels is `cfg` itself
-    labels = cfg[None, :n] if flight == 1 else np.empty((flight, n), dtype=np.int64)
     home = wave.lap * n + np.arange(n)
 
     def visits(k):
@@ -247,23 +243,20 @@ def _sweeps(wave, start, current, count=None, temperature=None, rng=None):
     for t, (level, others, offsets, values) in wave.spans(count):
         if t % stride == 0:
             # a new epoch: the next sweep enters and the ring turns one slot
-            if temperature is not None and entered < count:
-                at = visits(entered)
-                temperatures.reshape(-1)[at] = temperature(entered)
-                uniforms.reshape(-1)[at] = rng.random(n)[wave.sites]
+            epoch = t // stride
+            if temperatures is not None and entered < count:
+                uniforms.reshape(-1)[visits(entered)] = rng.random(n)[wave.sites]
                 entered += 1
-            slot = t // stride % flight
-            seen_at, labels_at = seen[slot], labels[slot]
-            uniforms_at, temperatures_at = uniforms[slot], temperatures[slot]
+            slot = epoch % flight
+            uniforms_at, seen_at, labels_at = uniforms[slot], seen[slot], labels[slot]
         rows = _local_rows(wave.comp, others, offsets, values, cfg)
-        if temperature is None:
+        if temperatures is None:
             new = rows.argmin(axis=1)  # ties go to the lowest label
         else:
-            new = _gibbs_labels(rows, uniforms_at[level], temperatures_at[level])
+            new = _gibbs_labels(rows, uniforms_at[level],
+                                temperatures[epoch - wave.lap[level]])
         seen_at[level] = rows
-        labels_at[level] = new
-        if flight > 1:
-            cfg[level] = new
+        labels_at[level] = cfg[level] = new
         if t - done * stride == depth - 1:
             # sweep `done` has run its last level
             at = visits(done)
@@ -368,8 +361,9 @@ def anneal_run(field, data, init, schedule: AnnealSchedule, seed: int):
     best_cfg = cfg[:n].copy()
     best_energy = current
     rows = [TraceRow(0, current, n, 0)]
-    sweeps = _sweeps(wave, cfg, current, schedule.sweeps,
-                     lambda k: schedule.t0 * schedule.alpha ** k, np.random.default_rng(seed))
+    temperatures = np.array([schedule.t0 * schedule.alpha ** k for k in range(schedule.sweeps)])
+    sweeps = _sweeps(wave, cfg, current, schedule.sweeps, temperatures,
+                     np.random.default_rng(seed))
     for k, (current, changes, labels) in enumerate(sweeps):
         rows.append(TraceRow(k + 1, current, n, changes))
         if current < best_energy:
@@ -388,8 +382,9 @@ def _mpm_core(field, data, init, params):
     rows = [TraceRow(0, current, n, 0)]
     counts = np.zeros((n, field.num_labels), dtype=np.int64)
     sites = np.arange(n)
-    sweeps = _sweeps(wave, cfg, current, params.burn_in + params.samples,
-                     lambda k: 1.0, np.random.default_rng(params.seed))
+    count = params.burn_in + params.samples
+    sweeps = _sweeps(wave, cfg, current, count, np.ones(count),
+                     np.random.default_rng(params.seed))
     for k, (current, changes, labels) in enumerate(sweeps):
         rows.append(TraceRow(k + 1, current, n, changes))
         if k >= params.burn_in:

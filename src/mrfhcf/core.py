@@ -56,13 +56,17 @@ class Clique:
 
     ``table`` has shape ``(num_labels,) * len(members)`` and is indexed by
     the members' labels in member order. Tables may be shared between
-    cliques; they are treated as immutable.
+    cliques; they are treated as immutable. ``members`` holds Python ints;
+    a member that is not a Python or numpy integer raises ValueError.
     """
 
     __slots__ = ("members", "table")
 
     def __init__(self, members, table):
-        self.members = tuple(members)
+        try:
+            self.members = tuple(map(operator.index, members))
+        except TypeError:
+            raise ValueError("clique members must be integers") from None
         self.table = np.asarray(table, dtype=np.float64)
 
     def __repr__(self):

@@ -147,10 +147,12 @@ def test_one_site_readers_take_python_and_numpy_integers(chain):
 def test_list_constructor_refuses_site_ids_that_are_not_integers():
     with pytest.raises(ValueError, match="^adjacency must be a 1-D array of integers$"):
         Field(2, 2, [(1.5,), (0,)], [Clique((0, 1), PAIR)])
-    with pytest.raises(ValueError, match="^clique members must be a 2-D array of integers$"):
-        Field(2, 2, [(1,), (0,)], [Clique((0, 1.7), PAIR)])
-    with pytest.raises(ValueError, match="^clique members must be a 2-D array of integers$"):
-        Field(2, 2, [(1,), (0,)], [Clique((0, 1.0), PAIR)])
+    with pytest.raises(ValueError, match="^clique members must be integers$"):
+        Clique((0, 1.7), PAIR)
+    with pytest.raises(ValueError, match="^clique members must be integers$"):
+        Clique((0, np.float64(1.0)), PAIR)
+    with pytest.raises(ValueError, match="^clique members must be integers$"):
+        Clique(np.array([[0, 1]]), PAIR)
 
 
 def test_list_constructor_takes_site_ids_of_any_integer_type():
@@ -161,3 +163,14 @@ def test_list_constructor_takes_site_ids_of_any_integer_type():
     for name in ("indptr", "indices", "members", "arity", "table_ids"):
         a, b = getattr(want, name), getattr(got, name)
         assert a.dtype == b.dtype == np.int64 and np.array_equal(a, b), name
+
+
+def test_clique_members_are_python_ints():
+    for members in ((0, 1), (np.int8(0), np.uint64(1)), np.array([0, 1], dtype=np.int32)):
+        clique = Clique(members, PAIR)
+        assert clique.members == (0, 1)
+        assert all(type(m) is int for m in clique.members)
+        assert repr(clique) == "Clique(members=(0, 1))"
+    field = Field(2, 2, [(1,), (0,)], [Clique(np.array([0, 1], dtype=np.int32), PAIR)])
+    assert [type(m) for m in field.cliques[0].members] == [int, int]
+    assert repr(field.cliques[0]) == "Clique(members=(0, 1))"
