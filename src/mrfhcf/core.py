@@ -405,6 +405,17 @@ def _checked_ranks(field, ranks):
     return np.append(arr.astype(np.int64), n)
 
 
+def _check_count(name, value, least=0, default=None):
+    """``value``, checked to be a Python or numpy integer >= ``least``; ``default`` for None."""
+    if value is None and default is not None:
+        return default
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer")
+    if value < least:
+        raise ValueError(f"{name} must be {'positive' if least else 'non-negative'}")
+    return value
+
+
 def assign_ranks(field, mode: str = "site-index", seed: int | None = None) -> np.ndarray:
     """Distinct per-site ranks used to break stability ties.
 
@@ -415,8 +426,7 @@ def assign_ranks(field, mode: str = "site-index", seed: int | None = None) -> np
     if mode == "site-index":
         return np.arange(n, dtype=np.int64)
     if mode == "seeded-permutation":
-        if seed is None:
-            raise ValueError("seeded-permutation rank mode needs a seed")
+        _check_count("seed", seed)  # None too: this mode needs a seed
         return np.random.default_rng(seed).permutation(n).astype(np.int64)
     raise ValueError(f"unknown rank mode: {mode!r}")
 

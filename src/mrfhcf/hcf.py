@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (UNCOMMITTED, _check_runnable, _checked_labels, _checked_ranks, _local_rows,
-                   _rows_at, _stabilities, new_configuration)
+from .core import (UNCOMMITTED, _check_count, _check_runnable, _checked_labels, _checked_ranks,
+                   _local_rows, _rows_at, _stabilities, new_configuration)
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,7 @@ def hcf_run(field, data, ranks=None, max_steps: int | None = None):
     comp = _check_runnable(field, data)
     n = field.num_sites
     rank = _checked_ranks(field, ranks).tolist()
-    cap = max_steps if max_steps is not None else 100 * n * field.num_labels
+    cap = _check_count("max_steps", max_steps, default=100 * n * field.num_labels)
 
     values = data.values
     nbrs, ptr = field.indices.tolist(), field.indptr.tolist()

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (UNCOMMITTED, _augmented_sum, _check_runnable, _checked_labels,
+from .core import (UNCOMMITTED, _augmented_sum, _check_count, _check_runnable, _checked_labels,
                    _checked_ranks, _local_rows, _stabilities, new_configuration)
 from .trace import RunTrace, TraceRow
 
@@ -91,7 +91,7 @@ def local_hcf_run(field, data, ranks=None, max_iterations: int | None = None,
     comp = _check_runnable(field, data)
     n = field.num_sites
     rank = _checked_ranks(field, ranks)
-    cap = max_iterations if max_iterations is not None else 100 * n * field.num_labels
+    cap = _check_count("max_iterations", max_iterations, default=100 * n * field.num_labels)
     values = data.values
 
     cfg = _checked_labels(field, data, new_configuration(n))

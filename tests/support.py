@@ -383,6 +383,21 @@ def reference_gibbs_draw(row, temperature, rng):
     return len(row) - 1
 
 
+def reference_levels(field, order):
+    """Each site's wavefront level for the visit ``order``, one site at a time.
+
+    A site's level is one more than the highest level of its neighbours
+    visited before it, and 0 when it has none.
+    """
+    order = [int(s) for s in order]
+    when = {s: i for i, s in enumerate(order)}
+    level = [0] * field.num_sites
+    for s in order:
+        earlier = [level[r] for r in field.adjacency[s] if when[r] < when[s]]
+        level[s] = 1 + max(earlier, default=-1)
+    return level
+
+
 def reference_gibbs_sweep(read, cfg, temperature, rng, current):
     """Resample every site of the list ``cfg`` in scan order, in place.
 

@@ -5,9 +5,11 @@ import re
 import numpy as np
 import pytest
 
-from mrfhcf import (AnnealSchedule, Clique, Field, MpmParams, anneal_run, augmented_energy,
-                    best_label, energy, icm_run, is_local_minimum, local_energies,
-                    local_energy, local_hcf_step, mpm_run, stability, tlr, validate_field)
+from mrfhcf import (AnnealSchedule, Clique, Field, MpmParams, anneal_run, assign_ranks,
+                    augmented_energy, best_label, energy, hcf_run, icm_run, is_local_minimum,
+                    local_energies, local_energy, local_hcf_run, local_hcf_step, mpm_run,
+                    stability, tlr, validate_field)
+from mrfhcf.cli import main
 
 # every public entry that takes a configuration or a start, on (field, data, config)
 ENTRIES = {
@@ -104,6 +106,58 @@ def test_numpy_integer_budgets_run(chain):
     assert repr(got) == repr(want)
     want = mpm_run(field, data, start, MpmParams(2, 3))
     assert repr(mpm_run(field, data, start, MpmParams(np.int32(2), np.int64(3)))) == repr(want)
+
+
+# every run that takes an iteration cap, on (field, data, cap)
+CAPS = {
+    "max_iterations": lambda field, data, cap: local_hcf_run(field, data, max_iterations=cap),
+    "max_steps": lambda field, data, cap: hcf_run(field, data, max_steps=cap),
+    "max_sweeps": lambda field, data, cap: icm_run(field, data, tlr(field, data),
+                                                   max_sweeps=cap),
+}
+
+
+@pytest.mark.parametrize("name", CAPS)
+@pytest.mark.parametrize("cap, message", [(1.5, "an integer"), (2.0, "an integer"),
+                                          ("3", "an integer"), (-1, "non-negative")])
+def test_iteration_caps_must_be_non_negative_integers(chain, name, cap, message):
+    field, data = chain
+    with pytest.raises(ValueError, match=f"^{name} must be {message}$"):
+        CAPS[name](field, data, cap)
+
+
+@pytest.mark.parametrize("name", CAPS)
+def test_numpy_integer_caps_run_and_a_zero_cap_lets_nothing_run(chain, name):
+    field, data = chain
+    assert repr(CAPS[name](field, data, np.int64(1000))) == repr(CAPS[name](field, data, None))
+    with pytest.raises(RuntimeError, match=r"cap \(0\)"):
+        CAPS[name](field, data, 0)
+
+
+# every stochastic entry, on (field, data, seed)
+SEEDS = {
+    "icm_run": lambda field, data, seed: icm_run(field, data, tlr(field, data), "random", seed),
+    "anneal_run": lambda field, data, seed: anneal_run(field, data, tlr(field, data),
+                                                       AnnealSchedule(sweeps=2), seed),
+    "MpmParams": lambda field, data, seed: mpm_run(field, data, tlr(field, data),
+                                                   MpmParams(1, 2, seed)),
+    "assign_ranks": lambda field, data, seed: assign_ranks(field, "seeded-permutation", seed),
+}
+
+
+@pytest.mark.parametrize("entry", SEEDS)
+@pytest.mark.parametrize("seed, message", [(1.5, "an integer"), (1.0, "an integer"),
+                                           ("1", "an integer"), (-1, "non-negative")])
+def test_seeds_must_be_non_negative_integers(chain, entry, seed, message):
+    field, data = chain
+    with pytest.raises(ValueError, match=f"^seed must be {message}$"):
+        SEEDS[entry](field, data, seed)
+    assert repr(SEEDS[entry](field, data, np.uint8(4))) == repr(SEEDS[entry](field, data, 4))
+
+
+def test_a_bad_cap_exits_as_a_runtime_parameter_error(capsys):
+    assert main(["label", "--chain-fixture", "--max-iterations", "-1"]) == 4
+    assert capsys.readouterr().err == "error: max_iterations must be non-negative\n"
 
 
 def test_local_minimum_check_refuses_a_nan_tolerance(chain):

@@ -1,4 +1,5 @@
-"""The estimator modules depend on the energy model (``core``) and the trace rows alone."""
+"""The estimator modules depend on the energy model (``core``) and the trace rows alone,
+and leave every input check to ``core``."""
 
 import ast
 from pathlib import Path
@@ -25,6 +26,15 @@ def test_estimator_modules_import_only_core_and_trace():
     for module in ESTIMATORS:
         assert imports[module] <= {".core", ".trace"}, module
     assert ".hcf" in imports["cli"]  # the reader does find the package's own imports
+
+
+def test_estimator_modules_define_no_input_check():
+    # the input contract lives in `core`; an estimator calls its checks
+    for module in ESTIMATORS:
+        tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+        defined = [node.name for node in ast.walk(tree)
+                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        assert not [name for name in defined if name.startswith("_check")], module
 
 
 def test_the_import_reader_sees_every_form(tmp_path):

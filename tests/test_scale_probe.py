@@ -37,15 +37,24 @@ def test_probe_writes_every_layer_estimator_and_label_record(tmp_path, capsys):
     assert entry["size"] == 8 and entry["sites"] == 2 * 8 * 7
     assert set(entry["layers_s"]) == {
         "read_s", "llr_s", "build_edge_field_s", "check_s", "compile_s", "local_hcf_s",
-        "hcf_s", "icm_s", "anneal_s", "mpm_s"}
-    assert set(entry["estimators"]) == {"local_hcf", "hcf", "icm", "anneal", "mpm"}
+        "hcf_s", "icm_s", "icm_random_s", "anneal_s", "mpm_s",
+        "noisy_icm_random_s", "noisy_anneal_s", "noisy_mpm_s"}
+    assert set(entry["estimators"]) == {"local_hcf", "hcf", "icm", "icm_random", "anneal", "mpm",
+                                        "noisy_icm_random", "noisy_anneal", "noisy_mpm"}
     # a clean board: every deterministic estimator finds the same labeling
-    deterministic = [entry["estimators"][name] for name in ("local_hcf", "hcf", "icm")]
+    deterministic = [entry["estimators"][name]
+                     for name in ("local_hcf", "hcf", "icm", "icm_random")]
     assert len({e["energy"] for e in deterministic}) == 1
     assert all(e["iterations"] > 0 for e in deterministic)
     # no Gibbs sweep need flip a site of a clean board, but every sweep is counted
     assert entry["estimators"]["anneal"]["sweeps"] == 100
     assert entry["estimators"]["mpm"]["sweeps"] == 120
+    # on the noisy board the Gibbs sweeps do flip sites
+    noisy = {name: entry["estimators"][f"noisy_{name}"] for name in ("anneal", "mpm")}
+    assert noisy["anneal"]["sweeps"] == 100 and noisy["mpm"]["sweeps"] == 120
+    assert all(e["flips"] > 0 and e["iterations"] > 0 for e in noisy.values())
+    assert set(entry["estimators"]["noisy_icm_random"]) == {"energy", "iterations", "sweeps",
+                                                           "flips"}
     label = entry["label"]
     assert set(label) == {
         "runs", "wall_s", "peak_rss_mb", "wall_s_median", "peak_rss_mb_median",

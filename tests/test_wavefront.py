@@ -12,11 +12,12 @@ import pytest
 
 from mrfhcf import (AnnealSchedule, Clique, DataTerm, Field, MpmParams, anneal_run, icm_run,
                     make_chain_fixture, mpm_marginals, mpm_run, tlr)
+from mrfhcf import baselines
 from mrfhcf.baselines import _gibbs_labels, _Wave
 from mrfhcf.cli import main
 from support import (chain8_field, noisy_board, random_field, reference_anneal_run,
-                     reference_gibbs_draw, reference_icm_run, reference_mpm_marginals,
-                     triple_clique_field)
+                     reference_gibbs_draw, reference_icm_run, reference_levels,
+                     reference_mpm_marginals, triple_clique_field)
 
 
 CASES = {
@@ -116,8 +117,67 @@ def test_levels_respect_the_visit_order(name):
 def test_scan_depth_is_the_longest_dependency_chain():
     field, data = chain8_field()
     assert len(_Wave(field, data, range(8)).bounds) - 1 == 8
+    assert _Wave(field, data, range(7, -1, -1)).depth == 8  # from either end
     field, data = noisy_board(16)
     assert len(_Wave(field, data, range(field.num_sites)).bounds) - 1 == 32
+
+
+def reference_layout(field, order, pipelined):
+    """``(level, stride, sites, bounds, ends)`` of ``_Wave`` from :func:`reference_levels`."""
+    n = field.num_sites
+    level = reference_levels(field, order)
+    depth = max(level) + 1
+    stride = depth
+    if pipelined:
+        when = {int(s): i for i, s in enumerate(order)}
+        pace = 1 + max((level[r] - level[s] for s in range(n) for r in field.adjacency[s]
+                        if when[s] < when[r]), default=0)
+        stride = max(pace, -(-depth // max(1, baselines._IN_FLIGHT // n)))
+    sites = sorted(range(n), key=lambda s: (level[s] % stride, level[s], s))
+    laid = [level[s] for s in sites]
+    bounds = [laid.index(v) for v in range(depth)]
+    ends = [b + laid.count(v) for v, b in enumerate(bounds)]
+    return level, stride, sites, bounds + [n], ends
+
+
+def same_layout(wave, field, order, pipelined):
+    level, stride, sites, bounds, ends = reference_layout(field, order, pipelined)
+    assert wave.level.tolist() == level
+    assert (wave.depth, wave.stride) == (len(ends), stride)
+    assert wave.sites.tolist() == sites
+    assert (wave.bounds, wave.ends) == (bounds, ends)
+    for a, b in zip(wave.bounds, wave.ends):
+        assert np.all(np.diff(wave.sites[a:b]) > 0)  # ascending within a level
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_wave_layout_equals_the_reference_levels(name, monkeypatch):
+    field, data = CASES[name]()
+    n = field.num_sites
+    orders = [range(n)] + [np.random.default_rng(s).permutation(n) for s in range(5)]
+    for order in orders:
+        for pipelined in (False, True):
+            same_layout(_Wave(field, data, order, pipelined), field, order, pipelined)
+        # two sweeps' visits in flight at most: the stride widens past the pace
+        monkeypatch.setattr(baselines, "_IN_FLIGHT", 2 * n)
+        same_layout(_Wave(field, data, order, True), field, order, True)
+        monkeypatch.undo()
+
+
+PAIR = np.ones((2, 2))
+
+
+@pytest.mark.parametrize("field", [
+    Field(3, 2, [(1,), (0,), ()], [Clique((0, 1), PAIR)]),  # site 2 is isolated
+    Field(1, 2, [()], [Clique((0,), np.ones(2))]),
+    chain8_field()[0],
+], ids=["isolated", "one-site", "chain8"])
+def test_wave_layout_on_edge_cases(field):
+    n = field.num_sites
+    data = DataTerm(np.zeros((n, 2)))
+    for order in (range(n), range(n - 1, -1, -1), np.random.default_rng(3).permutation(n)):
+        for pipelined in (False, True):
+            same_layout(_Wave(field, data, order, pipelined), field, order, pipelined)
 
 
 class FixedUniform:

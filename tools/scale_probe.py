@@ -2,18 +2,22 @@
 
 Usage, from the root of a checkout::
 
-    python3 tools/scale_probe.py --size 200 --entry change -o BENCH_10.json
-    python3 tools/scale_probe.py --size 200 --entry parent --src OTHER/src -o BENCH_10.json
+    python3 tools/scale_probe.py --size 200 --entry change -o BENCH_11.json
+    python3 tools/scale_probe.py --size 200 --entry parent --src OTHER/src -o BENCH_11.json
 
 On a clean ``size`` x ``size`` checkerboard (squares of 10, intensities
 64/192, noise 8, seed 1; default model and potentials) it times, in
 process and once each: the PGM read, the LLR, ``build_edge_field``, the
 structural check on its own (``core._structure_problems``), the first
-``Field.compiled``, ``local_hcf_run``, ``hcf_run``, and ``icm_run``,
-``anneal_run`` (default schedule, seed 1) and ``mpm_run`` (default
-parameters) from the TLR start. Next to each estimator it records the
-energy of its labeling and its iteration count (for annealing and MPM
-also the sweep count), so that a speed-up shows it kept the answer.
+``Field.compiled``, ``local_hcf_run``, ``hcf_run``, and ``icm_run`` in
+scan order and in random order (seed 1), ``anneal_run`` (default
+schedule, seed 1) and ``mpm_run`` (default parameters) from the TLR
+start. No Gibbs sweep need flip a site of the clean board, so random-order
+ICM, annealing and MPM also run on a noisy board of the same size (noise
+``NOISY_SIGMA``, the model at the same sigma), as ``noisy_*``. Next to
+each estimator it records the energy of its labeling and its iteration
+count (for annealing and MPM also the sweep count, and on the noisy board
+the number of flips), so that a speed-up shows it kept the answer.
 Before that, it runs ``python -m mrfhcf label`` on the same board
 ``LABEL_RUNS`` times and records each child's wall time and peak RSS,
 and the medians against the targets of at most ``TARGET_LABEL_S``
@@ -44,6 +48,7 @@ ROOT = Path(__file__).resolve().parent.parent
 LABEL_RUNS = 3
 TARGET_LABEL_S = 1.5
 TARGET_RSS_MB = 100.0
+NOISY_SIGMA = 40.0
 
 
 def _timed(layers, name, call, *args, **kwargs):
@@ -55,8 +60,9 @@ def _timed(layers, name, call, *args, **kwargs):
 
 def probe_layers(size: int, board: Path) -> dict:
     """In-process layer times and estimator results on the board file."""
-    from mrfhcf import (AnnealSchedule, MpmParams, anneal_run, build_edge_field, compute_llr,
-                        energy, hcf_run, icm_run, local_hcf_run, mpm_run, tlr)
+    from mrfhcf import (AnnealSchedule, EdgeModel, MpmParams, anneal_run, build_edge_field,
+                        compute_llr, energy, hcf_run, icm_run, local_hcf_run,
+                        make_checkerboard, mpm_run, tlr)
     from mrfhcf.core import _structure_problems
     from mrfhcf.fileio import read_pgm
 
@@ -75,14 +81,24 @@ def probe_layers(size: int, board: Path) -> dict:
     cfg, htrace = _timed(layers, "hcf_s", hcf_run, field, data)
     estimators["hcf"] = {"energy": energy(field, data, cfg), "iterations": len(htrace.steps)}
     init = tlr(field, data)
-    cfg, itrace = _timed(layers, "icm_s", icm_run, field, data, init)
-    estimators["icm"] = {"energy": energy(field, data, cfg),
-                         "iterations": len(itrace.rows) - 1}
-    for name, run, args in (("anneal", anneal_run, (AnnealSchedule(), 1)),
-                            ("mpm", mpm_run, (MpmParams(),))):
+    for name, order in (("icm", "scan"), ("icm_random", "random")):
+        cfg, itrace = _timed(layers, f"{name}_s", icm_run, field, data, init, order, 1)
+        estimators[name] = {"energy": energy(field, data, cfg),
+                            "iterations": len(itrace.rows) - 1}
+    gibbs = (("anneal", anneal_run, (AnnealSchedule(), 1)), ("mpm", mpm_run, (MpmParams(),)))
+    for name, run, args in gibbs:
         cfg, gtrace = _timed(layers, f"{name}_s", run, field, data, init, *args)
         estimators[name] = {"energy": energy(field, data, cfg), "iterations": gtrace.iterations,
                             "sweeps": len(gtrace.rows) - 1}
+
+    noisy = compute_llr(make_checkerboard(size, size, 10, 64, 192, NOISY_SIGMA, 1),
+                        EdgeModel(sigma=NOISY_SIGMA))
+    init = tlr(field, noisy)
+    for name, run, args in (("icm_random", icm_run, ("random", 1)),) + gibbs:
+        cfg, trace = _timed(layers, f"noisy_{name}_s", run, field, noisy, init, *args)
+        estimators[f"noisy_{name}"] = {
+            "energy": energy(field, noisy, cfg), "iterations": trace.iterations,
+            "sweeps": len(trace.rows) - 1, "flips": sum(r.changed for r in trace.rows)}
     return {"sites": field.num_sites, "layers_s": layers, "estimators": estimators}
 
 
