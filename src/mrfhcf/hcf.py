@@ -11,9 +11,10 @@ uncommitted ones and the committed ones with negative stability.
 
 Local energies come from the array reader ``core._local_rows`` and
 stabilities from ``core._stabilities``, the kernels Local HCF's sweep
-uses: the run reads every site once, then only each move's closed
-neighbourhood. The input checks and padding come from ``core`` too, as
-do the one-site readers ``stability`` and ``best_label``.
+uses: the run reads every site once, then, in one call per batch of
+moves, only the moved sites' closed neighbourhoods. The input checks and
+padding come from ``core`` too, as do the one-site readers ``stability``
+and ``best_label``.
 """
 
 from __future__ import annotations
@@ -47,12 +48,20 @@ def hcf_run(field, data, ranks=None, max_steps: int | None = None):
 
     A priority queue holds the sites that can act: every uncommitted site
     and every committed site with negative stability, keyed by the ordered
-    stability (stability, rank). The loop pops the minimum, moves that site
-    to its best label, and re-keys the site and its neighbors; entries whose
-    key has since changed are skipped when popped. Negative stabilities
-    therefore act first, and uncommitted sites whose labels tie exactly
-    (stability 0) commit after them in rank order, so the run ends fully
-    committed when the queue is empty.
+    stability (stability, rank). Each step moves the minimum to its best
+    label and re-keys the site and its neighbors; entries whose key has
+    since changed are skipped when popped. Negative stabilities therefore
+    act first, and uncommitted sites whose labels tie exactly (stability 0)
+    commit after them in rank order, so the run ends fully committed when
+    the queue is empty.
+
+    Steps are taken in batches, with the same result. A batch pops entries
+    in order up to the first within distance 2 of an earlier one, moves
+    them all and re-reads their closed neighbourhoods in one call: at
+    distance 3 or more no site's row reads another batch site's move. It
+    keeps the longest prefix in which no key re-keyed by an earlier step
+    sorts below the next site's (the queue would pop that site first),
+    and undoes and re-queues the rest.
 
     Returns (configuration, HCFTrace). The trace's energy entries are the
     augmented energy maintained incrementally from the exact per-step
@@ -73,41 +82,77 @@ def hcf_run(field, data, ranks=None, max_steps: int | None = None):
     # never enters its own row
     e = _local_rows(comp, comp.others, comp.offsets, values, cfg)
     g, best = _stabilities(e, cfg[:n])
-    # each site's queued (stability, rank); None when it cannot act
-    key = list(zip(g.tolist(), rank))
-    queue = [(k, s) for s, k in enumerate(key)]
+    # each site's queued stability, None when it cannot act; the queue
+    # holds (stability, rank, site) entries
+    key = g.tolist()
+    queue = [(k, rank[s], s) for s, k in enumerate(key)]
     heapq.heapify(queue)
 
     steps = []
     aug = 0.0
     committed = 0
     while queue:
-        k, s = heapq.heappop(queue)
-        if k != key[s]:
-            continue
-        if len(steps) >= cap:
-            raise RuntimeError(f"HCF exceeded its step cap ({cap}); "
-                               "check the inputs for pathological values")
-        row = e[s].tolist()
-        b = int(best[s])
-        prev = int(cfg[s])
-        cfg[s] = b
-        if prev == UNCOMMITTED:
-            committed += 1
-            aug += row[b]
-        else:
-            aug += row[b] - row[prev]
-        # re-read the site and its neighbours, then re-key them
-        block = np.array([s] + nbrs[ptr[s]:ptr[s + 1]])
-        own = cfg[block]
-        e[block] = block_e = _rows_at(comp, values, cfg, block)
-        g, best[block] = _stabilities(block_e, own)
-        for t, gt, lab in zip(block.tolist(), g.tolist(), own.tolist()):
-            kt = (gt, rank[t]) if lab == UNCOMMITTED or gt < 0 else None
-            if kt != key[t]:
-                key[t] = kt
-                if kt is not None:
-                    heapq.heappush(queue, (kt, t))
-        steps.append(HCFStep(len(steps), s, b, k[0], aug, committed))
+        # collect valid entries in heap order, up to the step cap or the
+        # first whose closed neighbourhood meets an earlier one's (it stays)
+        cands, block, bounds, taken = [], [], [], set()
+        while queue:
+            k, _, s = queue[0]
+            if k != key[s]:
+                heapq.heappop(queue)
+                continue
+            if len(steps) + len(cands) == cap:
+                if cands:
+                    break
+                raise RuntimeError(f"HCF exceeded its step cap ({cap}); "
+                                   "check the inputs for pathological values")
+            hood = [s] + nbrs[ptr[s]:ptr[s + 1]]
+            if not taken.isdisjoint(hood):
+                break
+            heapq.heappop(queue)
+            taken.update(hood)
+            cands.append(s)
+            block += hood
+            bounds.append(len(block))
+        if not cands:
+            break
+        # move every candidate, then re-read all their closed neighbourhoods
+        # at once: at distance 3 or more no block reads another's move
+        at = np.array(cands)
+        rows, prev = e[at].tolist(), cfg[at].tolist()
+        cfg[at] = moves = best[at]
+        sites = np.array(block)
+        own = cfg[sites]
+        block_e = _rows_at(comp, values, cfg, sites)
+        g, block_best = _stabilities(block_e, own)
+        g, own = g.tolist(), own.tolist()
+        # keep the prefix serial HCF would take; low is the least entry
+        # queued by the steps kept so far
+        low, start = (np.inf,), 0
+        for j, (s, b, row, was, end) in enumerate(zip(cands, moves.tolist(), rows, prev, bounds)):
+            k = key[s]
+            if low < (k, rank[s], s):
+                # undo the rest; their rows and keys were never written
+                cfg[at[j:]] = prev[j:]
+                for s in cands[j:]:
+                    heapq.heappush(queue, (key[s], rank[s], s))
+                break
+            if was == UNCOMMITTED:
+                committed += 1
+                aug += row[b]
+            else:
+                aug += row[b] - row[was]
+            for t, gt, lt in zip(block[start:end], g[start:end], own[start:end]):
+                kt = gt if lt == UNCOMMITTED or gt < 0 else None
+                if kt != key[t]:
+                    key[t] = kt
+                    if kt is not None:
+                        entry = (kt, rank[t], t)
+                        heapq.heappush(queue, entry)
+                        if entry < low:
+                            low = entry
+            steps.append(HCFStep(len(steps), s, b, k, aug, committed))
+            start = end
+        e[sites[:start]] = block_e[:start]
+        best[sites[:start]] = block_best[:start]
 
     return cfg[:n].copy(), HCFTrace(tuple(steps))

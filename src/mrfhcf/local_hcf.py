@@ -65,10 +65,12 @@ def local_hcf_step(field, data, config, ranks, threads: int = 1):
     Reads all stabilities and best labels from ``config``, then writes the
     changes of every eligible site. The input configuration is not
     modified. ``energy_after`` is the augmented energy of the returned
-    configuration. ``threads`` is accepted and has no effect on results;
-    the sweep runs on the calling thread and starts no other.
+    configuration. ``threads`` must be a positive integer and has no
+    effect on results; the sweep runs on the calling thread and starts no
+    other.
     """
     comp = _check_runnable(field, data)
+    _check_count("threads", threads, least=1)
     cfg = _checked_labels(field, data, config)
     _g, best, changed = _sweep(comp, data.values, cfg, _checked_ranks(field, ranks))
     commits = _apply(cfg, best, changed)
@@ -85,13 +87,14 @@ def local_hcf_run(field, data, ranks=None, max_iterations: int | None = None,
     all-uncommitted state; each subsequent row records one sweep with the
     augmented energy of the configuration it produced. The returned
     configuration is fully committed; output and trace are bit-identical
-    across repeated runs. ``threads`` is accepted and has no effect on
-    results; the run starts no thread.
+    across repeated runs. ``threads`` must be a positive integer and has
+    no effect on results; the run starts no thread.
     """
     comp = _check_runnable(field, data)
     n = field.num_sites
     rank = _checked_ranks(field, ranks)
     cap = _check_count("max_iterations", max_iterations, default=100 * n * field.num_labels)
+    _check_count("threads", threads, least=1)
     values = data.values
 
     cfg = _checked_labels(field, data, new_configuration(n))

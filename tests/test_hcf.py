@@ -3,10 +3,11 @@ import warnings
 import numpy as np
 import pytest
 
-from mrfhcf import (Clique, DataTerm, EdgePotentials, Field, UNCOMMITTED,
+import mrfhcf.hcf
+from mrfhcf import (Clique, DataTerm, EdgeModel, EdgePotentials, Field, UNCOMMITTED,
                     assign_ranks, augmented_energy, best_label, build_edge_field,
-                    energy, hcf_run, is_local_minimum, llr_data_term,
-                    new_configuration, stability)
+                    compute_llr, energy, hcf_run, is_local_minimum, llr_data_term,
+                    make_checkerboard, new_configuration, stability)
 from support import (chain8_field, noisy_board, random_field, reference_hcf_run,
                      reference_row_stats, scalar_reader, triple_clique_field)
 
@@ -158,6 +159,9 @@ REFERENCE_CASES = {
     "chain8": chain8_field,
     "board12": lambda: noisy_board(12),
     "board16": lambda: noisy_board(16),
+    "board24": lambda: noisy_board(24),
+    "clean20": lambda: (build_edge_field(20, 20, EdgePotentials()),
+                        compute_llr(make_checkerboard(20, 20, 10, 64, 192, 8.0, 1), EdgeModel())),
     "zero9": zero_lattice,
 }
 
@@ -208,6 +212,62 @@ def test_step_cap_triggers():
     field, data = random_field(0)
     with pytest.raises(RuntimeError, match="cap"):
         hcf_run(field, data, max_steps=1)
+
+
+@pytest.mark.parametrize("make", [lambda: noisy_board(16),
+                                  *(lambda seed=seed: random_field(seed) for seed in range(5))],
+                         ids=["board16", *(f"random{seed}" for seed in range(5))])
+def test_step_cap_is_exact(make):
+    # a batch never runs past the cap, and the cap is reached only by the
+    # step that would exceed it
+    field, data = make()
+    config, trace = hcf_run(field, data)
+    steps = len(trace.steps)
+    capped_config, capped = hcf_run(field, data, max_steps=steps)
+    assert capped_config.tolist() == config.tolist()
+    assert list(map(repr, capped.steps)) == list(map(repr, trace.steps))
+    with pytest.raises(RuntimeError, match=f"cap \\({steps - 1}\\)"):
+        hcf_run(field, data, max_steps=steps - 1)
+
+
+def test_a_move_that_rekeys_a_neighbour_below_the_next_candidate_goes_first():
+    # a path 0-...-5: site 0 acts first, and site 4, four steps away, holds
+    # the next key; committing 0 pulls its neighbour 1 from -0.5 to -5.5,
+    # below site 4's -2, so serial HCF takes 1 before 4
+    n = 6
+    adjacency = [tuple(t for t in (s - 1, s + 1) if 0 <= t < n) for s in range(n)]
+    pull = np.zeros((2, 2))
+    pull[1, 1] = -5.0
+    cliques = [Clique((0, 1), pull), *(Clique((s, s + 1), np.zeros((2, 2))) for s in range(1, 5))]
+    data = DataTerm([[0.0, d] for d in (-4.0, -0.5, -0.1, -0.2, -2.0, -0.3)])
+    field = Field(n, 2, adjacency, cliques)
+    config, trace = hcf_run(field, data)
+    assert [step.site for step in trace.steps] == [0, 1, 4, 5, 3, 2]
+    assert [step.stability for step in trace.steps[:3]] == [-4.0, -5.5, -2.0]
+    want_config, want = reference_hcf_run(field, data)
+    assert config.tolist() == want_config.tolist() == [1] * n
+    assert list(map(repr, trace.steps)) == list(map(repr, want.steps))
+
+
+@pytest.mark.parametrize("make, ranks", [(lambda: noisy_board(16), None),
+                                         (zero_lattice, 1), (zero_lattice, 2)],
+                         ids=["board16", "zero9-seeded1", "zero9-seeded2"])
+def test_one_read_serves_several_steps(monkeypatch, make, ranks):
+    # the closed neighbourhoods of a batch are re-read in one call, so a
+    # run reads far fewer times than it steps
+    field, data = make()
+    if ranks is not None:
+        ranks = assign_ranks(field, "seeded-permutation", ranks)
+    reads = []
+    rows_at = mrfhcf.hcf._rows_at
+
+    def counted(*args):
+        reads.append(args)
+        return rows_at(*args)
+
+    monkeypatch.setattr(mrfhcf.hcf, "_rows_at", counted)
+    _config, trace = hcf_run(field, data, ranks=ranks)
+    assert 0 < 2 * len(reads) <= len(trace.steps)
 
 
 def test_explicit_ranks_change_tie_breaking():

@@ -5,10 +5,10 @@ import re
 import numpy as np
 import pytest
 
-from mrfhcf import (AnnealSchedule, Clique, Field, MpmParams, anneal_run, assign_ranks,
-                    augmented_energy, best_label, energy, hcf_run, icm_run, is_local_minimum,
-                    local_energies, local_energy, local_hcf_run, local_hcf_step, mpm_run,
-                    stability, tlr, validate_field)
+from mrfhcf import (UNCOMMITTED, AnnealSchedule, Clique, Field, MpmParams, anneal_run,
+                    assign_ranks, augmented_energy, best_label, energy, hcf_run, icm_run,
+                    is_local_minimum, local_energies, local_energy, local_hcf_run,
+                    local_hcf_step, mpm_run, stability, tlr, validate_field)
 from mrfhcf.cli import main
 
 # every public entry that takes a configuration or a start, on (field, data, config)
@@ -153,6 +153,24 @@ def test_seeds_must_be_non_negative_integers(chain, entry, seed, message):
     with pytest.raises(ValueError, match=f"^seed must be {message}$"):
         SEEDS[entry](field, data, seed)
     assert repr(SEEDS[entry](field, data, np.uint8(4))) == repr(SEEDS[entry](field, data, 4))
+
+
+# every entry that takes a thread count, on (field, data, threads)
+THREADS = {
+    "local_hcf_run": lambda field, data, threads: local_hcf_run(field, data, threads=threads),
+    "local_hcf_step": lambda field, data, threads: local_hcf_step(
+        field, data, [UNCOMMITTED] * field.num_sites, None, threads=threads),
+}
+
+
+@pytest.mark.parametrize("entry", THREADS)
+@pytest.mark.parametrize("threads, message", [("x", "an integer"), (-3, "positive"),
+                                              (0, "positive")])
+def test_thread_counts_must_be_positive_integers(chain, entry, threads, message):
+    field, data = chain
+    with pytest.raises(ValueError, match=f"^threads must be {message}$"):
+        THREADS[entry](field, data, threads)
+    assert repr(THREADS[entry](field, data, np.int64(2))) == repr(THREADS[entry](field, data, 1))
 
 
 def test_a_bad_cap_exits_as_a_runtime_parameter_error(capsys):

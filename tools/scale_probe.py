@@ -14,7 +14,8 @@ scan order and in random order (seed 1), ``anneal_run`` (default
 schedule, seed 1) and ``mpm_run`` (default parameters) from the TLR
 start. No Gibbs sweep need flip a site of the clean board, so random-order
 ICM, annealing and MPM also run on a noisy board of the same size (noise
-``NOISY_SIGMA``, the model at the same sigma), as ``noisy_*``. Next to
+``NOISY_SIGMA``, the model at the same sigma), as ``noisy_*``; so does
+``hcf_run``, whose revisions and re-keyed neighbours show there. Next to
 each estimator it records the energy of its labeling and its iteration
 count (for annealing and MPM also the sweep count, and on the noisy board
 the number of flips), so that a speed-up shows it kept the answer.
@@ -93,6 +94,9 @@ def probe_layers(size: int, board: Path) -> dict:
 
     noisy = compute_llr(make_checkerboard(size, size, 10, 64, 192, NOISY_SIGMA, 1),
                         EdgeModel(sigma=NOISY_SIGMA))
+    cfg, htrace = _timed(layers, "noisy_hcf_s", hcf_run, field, noisy)
+    estimators["noisy_hcf"] = {"energy": energy(field, noisy, cfg),
+                               "iterations": len(htrace.steps)}
     init = tlr(field, noisy)
     for name, run, args in (("icm_random", icm_run, ("random", 1)),) + gibbs:
         cfg, trace = _timed(layers, f"noisy_{name}_s", run, field, noisy, init, *args)
