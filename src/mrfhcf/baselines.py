@@ -54,9 +54,10 @@ levels for ``K`` sweeps instead of ``depth * K``.
 - The read arrays are gathered once in ``(L(s) mod S, L(s))`` order, so
   each space-time level is one contiguous slice.
 
-ICM runs through the same sweep loop with one sweep in flight (``S =
-depth``): its sweep count is not known in advance, and most runs stop
-after a few sweeps. Random-order ICM builds one wave per sweep.
+A wave schedules a known number of sweeps, all run by one ``_sweeps``
+call; a one-sweep wave takes ``S = depth`` and computes no pace. ICM, whose
+sweep count is not known in advance, runs one call per sweep on a one-sweep
+wave (a new one per sweep in random order). Annealing and MPM share one run.
 
 The start is checked and padded by ``core``, which also scores it.
 """
@@ -64,6 +65,7 @@ The start is checked and padded by ``core``, which also scores it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,6 +73,10 @@ import numpy as np
 from .core import (_augmented_sum, _check_count, _check_problem, _check_runnable,
                    _checked_labels, _local_rows)
 from .trace import RunTrace, TraceRow
+
+
+def _real(value):
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -81,9 +87,9 @@ class AnnealSchedule:
     sweeps: int = 100
 
     def __post_init__(self):
-        if not (math.isfinite(self.t0) and self.t0 > 0):
+        if not (_real(self.t0) and math.isfinite(self.t0) and self.t0 > 0):
             raise ValueError("t0 must be a positive real")
-        if not (0.0 < self.alpha < 1.0):
+        if not (_real(self.alpha) and 0.0 < self.alpha < 1.0):
             raise ValueError("alpha must be in (0, 1)")
         _check_count("sweeps", self.sweeps)
 
@@ -113,36 +119,36 @@ def tlr(field, data) -> np.ndarray:
     return np.argmin(data.values, axis=1).astype(np.int64)
 
 
-# a pipelined Gibbs run keeps at most this many site visits in flight (a
+# a wave of several sweeps keeps at most this many site visits in flight (a
 # uniform, a local energy row and a label: 32 bytes each at 2 labels, 8 MB
 # in all), unless one sweep alone has more sites
 _IN_FLIGHT = 1 << 18
 
 
 class _Wave:
-    """A visit order cut into dependency levels, the read arrays laid out for a stride.
+    """The schedule of ``sweeps`` sweeps in one visit order, cut into dependency levels.
 
-    ``level[s]`` is site ``s``'s level (the round that placed it) and ``depth`` their number.
-    ``stride`` is ``depth`` (one sweep in flight) unless ``pipelined``: then
-    it is the least stride from the pace up (one more than the largest
-    level step from a site to a later visited neighbour, at least 1) that
-    keeps at most ``_IN_FLIGHT`` site visits in flight.
+    ``level[s]`` is site ``s``'s level (the round that placed it) and
+    ``depth`` their number. One sweep takes ``stride = depth``; more take
+    the least stride from the pace up (one more than the largest level step
+    from a site to a later visited neighbour, at least 1) that keeps at
+    most ``_IN_FLIGHT`` site visits in flight.
 
     ``sites`` lists the sites in ``(level % stride, level)`` order,
     ascending within a level: level ``v`` is ``sites[bounds[v]:ends[v]]``.
-    With one sweep in flight the levels come in order, so ``ends[v] ==
-    bounds[v + 1]``. ``position[s]`` is site ``s``'s index in ``sites``,
-    ``visit`` lists those indices in visit order and ``lap`` holds each
-    laid-out site's ``level // stride``. ``others``, ``offsets`` and
-    ``values`` are the per-site arrays of the compiled field ``comp`` and
-    the data rows, taken in the order of ``sites``; ``others`` holds the
-    other members' indices in ``sites``, to read a configuration laid out
-    in that order.
+    With one sweep the levels come in order, so ``ends[v] == bounds[v +
+    1]``. ``position[s]`` is site ``s``'s index in ``sites``, ``visit``
+    lists those indices in visit order and ``lap`` holds each laid-out
+    site's ``level // stride``. ``others``, ``offsets`` and ``values`` are
+    the per-site arrays of the compiled field ``comp`` and the data rows,
+    taken in the order of ``sites``; ``others`` holds the other members'
+    indices in ``sites``, to read a configuration laid out in that order.
     """
 
-    def __init__(self, field, data, order, pipelined=False):
+    def __init__(self, field, data, order, sweeps):
         n = field.num_sites
         self.comp = comp = field.compiled
+        self.sweeps = sweeps
         # a level depends only on the neighbours visited before the site;
         # the padding neighbour n counts as never visited
         when = np.full(n + 1, n)
@@ -160,13 +166,12 @@ class _Wave:
         sizes = np.array([len(v) for v in levels])
         self.level = level = np.empty(n, dtype=np.int64)
         level[np.concatenate(levels)] = np.repeat(np.arange(depth), sizes)
-        if pipelined:
+        self.stride = depth
+        if sweeps > 1:
             steps = (level[:, None] - np.append(level, 0)[comp.neighbors])[before]
             pace = 1 + int(steps.max(initial=0))
             flight = max(1, _IN_FLIGHT // n)
             self.stride = max(pace, -(-depth // flight))
-        else:
-            self.stride = depth
 
         # the levels by residue, ascending within one
         laid = [v for r in range(self.stride) for v in range(r, depth, self.stride)]
@@ -183,17 +188,16 @@ class _Wave:
         self.offsets = comp.offsets[:, self.sites]
         self.values = data.values[self.sites]
 
-    def spans(self, count):
-        """``(t, (level, others, offsets, values))`` per space-time level of ``count`` sweeps.
+    def spans(self):
+        """``(t, (level, others, offsets, values))`` per space-time level of the sweeps.
 
-        ``count`` None runs without end. Level ``t`` visits ``sites[level]``,
-        the site at index ``i`` for sweep ``t // stride - lap[i]``;
-        ``others``, ``offsets`` and ``values`` are the slice's columns of
-        the read arrays.
+        Level ``t`` visits ``sites[level]``, the site at index ``i`` for
+        sweep ``t // stride - lap[i]``; ``others``, ``offsets`` and
+        ``values`` are the slice's columns of the read arrays.
         """
-        stride, last = self.stride, self.depth - 1
+        stride, last, count = self.stride, self.depth - 1, self.sweeps
         t = newest = oldest = 0  # the sweep that entered last, the first not ended
-        while oldest != count:
+        while oldest < count:
             level = slice(self.bounds[t - newest * stride], self.ends[t - oldest * stride])
             yield t, (level, self.others[:, :, level], self.offsets[:, level], self.values[level])
             if t - oldest * stride == last:
@@ -203,8 +207,8 @@ class _Wave:
                 newest += 1
 
 
-def _sweeps(wave, start, current, count=None, temperatures=None, rng=None):
-    """Run ``count`` sweeps of ``wave`` (None: without end) from the labels ``start``.
+def _sweeps(wave, start, current, temperatures=None, rng=None):
+    """Run the ``wave.sweeps`` sweeps of ``wave`` from the labels ``start``.
 
     With ``temperatures``, sweep ``k`` is a Gibbs sweep at
     ``temperatures[k]`` drawing from ``rng``; without, every site takes its
@@ -212,16 +216,15 @@ def _sweeps(wave, start, current, count=None, temperatures=None, rng=None):
     ``current`` plus the sweep's flip deltas, the number of flips and the
     sweep's labels in site order.
 
-    Sweep ``k``'s visit of the site at index ``i`` of ``wave.sites`` keeps
-    its uniform, its local energy row and its label in ring slot
-    ``(k + lap[i]) % flight``: the epoch ``t // stride`` of its level
-    ``t``, so that each level reads and writes one slice of one slot.
+    Sweep ``k`` enters at epoch ``k``, the levels ``t`` with ``t // stride
+    == k``. Its visit of the site at index ``i`` of ``wave.sites`` keeps
+    its uniform, its local energy row and its label in ring slot ``(k +
+    lap[i]) % flight``: the epoch of its level, so that each level reads
+    and writes one slice of one slot.
     """
     n, stride, depth = len(wave.sites), wave.stride, wave.depth
     # a slot is written again `flight` epochs later, after its sweep ended
-    flight = (depth - 1) // stride + 1
-    if count is not None:
-        flight = min(flight, count)
+    flight = min((depth - 1) // stride + 1, wave.sweeps)
     uniforms = np.empty((flight, n if temperatures is not None else 0))
     seen = np.empty((flight, n, wave.values.shape[1]))
     labels = np.empty((flight, n), dtype=np.int64)
@@ -233,14 +236,13 @@ def _sweeps(wave, start, current, count=None, temperatures=None, rng=None):
         # where sweep k's visits, in the order of `wave.sites`, sit in the flat ring
         return (k * n + home) % (flight * n)
 
-    entered = done = 0
-    for t, (level, others, offsets, values) in wave.spans(count):
+    done = 0
+    for t, (level, others, offsets, values) in wave.spans():
         if t % stride == 0:
-            # a new epoch: the next sweep enters and the ring turns one slot
+            # a new epoch: its sweep enters and the ring turns one slot
             epoch = t // stride
-            if temperatures is not None and entered < count:
-                uniforms.reshape(-1)[visits(entered)] = rng.random(n)[wave.sites]
-                entered += 1
+            if temperatures is not None and epoch < wave.sweeps:
+                uniforms.reshape(-1)[visits(epoch)] = rng.random(n)[wave.sites]
             slot = epoch % flight
             uniforms_at, seen_at, labels_at = uniforms[slot], seen[slot], labels[slot]
         rows = _local_rows(wave.comp, others, offsets, values, cfg)
@@ -275,33 +277,27 @@ def icm_run(field, data, init, order: str = "scan", seed: int | None = None,
     changes nothing; the fixpoint is a single-flip local minimum.
     """
     comp = _check_runnable(field, data)
-    cfg = _checked_labels(field, data, init, _PARTIAL_START)
+    labels = _checked_labels(field, data, init, _PARTIAL_START)
     n = field.num_sites
     cap = _check_count("max_sweeps", max_sweeps, default=100 * n * field.num_labels)
-    current = _augmented_sum(comp, data.values, cfg)
+    current = _augmented_sum(comp, data.values, labels)
     if order == "scan":
-        sweeps = _sweeps(_Wave(field, data, range(n)), cfg, current)
+        wave = _Wave(field, data, range(n), 1)
     elif order == "random":
         _check_count("seed", seed)  # None too: a random order needs a seed
-        sweeps = _random_order_sweeps(field, data, cfg, current, np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
     else:
         raise ValueError(f"unknown ICM order: {order!r}")
 
     rows = [TraceRow(0, current, n, 0)]
     for sweep in range(1, cap + 1):
-        current, changes, labels = next(sweeps)
+        if order == "random":
+            wave = _Wave(field, data, rng.permutation(n), 1)
+        current, changes, labels = next(_sweeps(wave, labels, current))
         rows.append(TraceRow(sweep, current, n, changes))
         if changes == 0:
             return labels, RunTrace(tuple(rows))
     raise RuntimeError(f"ICM exceeded its sweep cap ({cap})")
-
-
-def _random_order_sweeps(field, data, labels, current, rng):
-    """ICM sweeps without end, each in a fresh permutation drawn from ``rng``."""
-    while True:
-        wave = _Wave(field, data, rng.permutation(field.num_sites))
-        current, _changes, labels = sweep = next(_sweeps(wave, labels, current, 1))
-        yield sweep
 
 
 def _gibbs_labels(rows, uniforms, temperature):
@@ -332,6 +328,26 @@ def _gibbs_labels(rows, uniforms, temperature):
     return acc.shape[1] - 1 - taken.sum(axis=1)
 
 
+def _gibbs_run(field, data, init, temperatures, seed):
+    """Gibbs sweeps in scan order from ``init``, one per temperature, drawing from ``seed``.
+
+    Yields the trace rows so far and the labels in site order: first for
+    the checked start, then after each sweep.
+    """
+    _check_count("seed", seed)
+    comp = _check_runnable(field, data)
+    cfg = _checked_labels(field, data, init, _PARTIAL_START)
+    n = field.num_sites
+    current = _augmented_sum(comp, data.values, cfg)
+    rows = [TraceRow(0, current, n, 0)]
+    yield rows, cfg[:n].copy()
+    wave = _Wave(field, data, range(n), len(temperatures))
+    sweeps = _sweeps(wave, cfg, current, temperatures, np.random.default_rng(seed))
+    for k, (current, changes, labels) in enumerate(sweeps, 1):
+        rows.append(TraceRow(k, current, n, changes))
+        yield rows, labels
+
+
 def anneal_run(field, data, init, schedule: AnnealSchedule, seed: int):
     """Simulated annealing with Gibbs resampling sweeps under geometric cooling.
 
@@ -341,44 +357,19 @@ def anneal_run(field, data, init, schedule: AnnealSchedule, seed: int):
     initial one), so a cooling run can never return something worse than
     its start.
     """
-    _check_count("seed", seed)
-    comp = _check_runnable(field, data)
-    cfg = _checked_labels(field, data, init, _PARTIAL_START)
-    n = field.num_sites
-    wave = _Wave(field, data, range(n), pipelined=True)
-
-    current = _augmented_sum(comp, data.values, cfg)
-    best_cfg = cfg[:n].copy()
-    best_energy = current
-    rows = [TraceRow(0, current, n, 0)]
     temperatures = np.array([schedule.t0 * schedule.alpha ** k for k in range(schedule.sweeps)])
-    sweeps = _sweeps(wave, cfg, current, schedule.sweeps, temperatures,
-                     np.random.default_rng(seed))
-    for k, (current, changes, labels) in enumerate(sweeps):
-        rows.append(TraceRow(k + 1, current, n, changes))
-        if current < best_energy:
-            best_energy = current
-            best_cfg = labels
+    for rows, labels in _gibbs_run(field, data, init, temperatures, seed):
+        if len(rows) == 1 or rows[-1].energy < best_energy:
+            best_energy, best_cfg = rows[-1].energy, labels
     return best_cfg, RunTrace(tuple(rows))
 
 
 def _mpm_core(field, data, init, params):
-    comp = _check_runnable(field, data)
-    cfg = _checked_labels(field, data, init, _PARTIAL_START)
-    n = field.num_sites
-    wave = _Wave(field, data, range(n), pipelined=True)
-
-    current = _augmented_sum(comp, data.values, cfg)
-    rows = [TraceRow(0, current, n, 0)]
-    counts = np.zeros((n, field.num_labels), dtype=np.int64)
-    sites = np.arange(n)
     count = params.burn_in + params.samples
-    sweeps = _sweeps(wave, cfg, current, count, np.ones(count),
-                     np.random.default_rng(params.seed))
-    for k, (current, changes, labels) in enumerate(sweeps):
-        rows.append(TraceRow(k + 1, current, n, changes))
-        if k >= params.burn_in:
-            counts[sites, labels] += 1
+    counts = 0
+    for rows, labels in _gibbs_run(field, data, init, np.ones(count), params.seed):
+        if len(rows) > 1 + params.burn_in:
+            counts = counts + (labels[:, None] == np.arange(field.num_labels))
     return counts / params.samples, RunTrace(tuple(rows))
 
 

@@ -406,10 +406,10 @@ def _checked_ranks(field, ranks):
 
 
 def _check_count(name, value, least=0, default=None):
-    """``value``, checked to be a Python or numpy integer >= ``least``; ``default`` for None."""
+    """``value``, checked to be a non-bool integer >= ``least``; ``default`` for None."""
     if value is None and default is not None:
         return default
-    if not isinstance(value, (int, np.integer)):
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer")
     if value < least:
         raise ValueError(f"{name} must be {'positive' if least else 'non-negative'}")
@@ -538,11 +538,13 @@ def _stabilities(e, own):
 
 
 def _checked_index(value, what):
-    """``value`` as a Python int, if ``operator.index`` takes it (Python or numpy integers)."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{what} {value} is not an integer") from None
+    """``value`` as a Python int, if it is no bool and ``operator.index`` takes it."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{what} {value} is not an integer")
 
 
 def _site_read(field, data, config, site):

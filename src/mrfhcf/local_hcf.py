@@ -100,32 +100,29 @@ def local_hcf_run(field, data, ranks=None, max_iterations: int | None = None,
     cfg = _checked_labels(field, data, new_configuration(n))
     rows = [TraceRow(0, 0.0, 0, 0)]
     committed = 0
-    iteration = 0
+    fallback = None  # the site the tie fallback commits in the next iteration
 
-    while True:
-        iteration += 1
-        if iteration > cap:
-            raise RuntimeError(f"local HCF exceeded its iteration cap ({cap}); "
-                               "check the inputs for pathological values")
-        g, best, changed = _sweep(comp, values, cfg, rank)
+    for iteration in range(1, cap + 1):
+        if fallback is None:
+            g, best, changed = _sweep(comp, values, cfg, rank)
+        else:
+            changed, fallback = fallback, None
         if not changed.size:
             # a quiet sweep leaves the configuration, so its energy, as it was
             rows.append(TraceRow(iteration, rows[-1].energy, committed, 0))
             leftovers = np.flatnonzero(cfg[:n] == UNCOMMITTED)
             if not leftovers.size:
-                break
+                return cfg[:-1].copy(), RunTrace(tuple(rows))
             # Exact-tie degenerate case: a zero-stability uncommitted site
             # can be blocked forever by a committed neighbor of equal
             # stability and lower rank. The quiet sweep just read every
             # leftover on this very configuration, so the next iteration
             # commits only the lowest ordered stability among them.
-            iteration += 1
-            if iteration > cap:
-                raise RuntimeError(f"local HCF exceeded its iteration cap ({cap})")
             tied = leftovers[g[leftovers] == g[leftovers].min()]
-            changed = tied[[np.argmin(rank[tied])]]
+            fallback = tied[[np.argmin(rank[tied])]]
+            continue
         committed += _apply(cfg, best, changed)
         rows.append(TraceRow(iteration, _augmented_sum(comp, values, cfg), committed,
                              int(changed.size)))
-
-    return cfg[:-1].copy(), RunTrace(tuple(rows))
+    raise RuntimeError(f"local HCF exceeded its iteration cap ({cap}); "
+                       "check the inputs for pathological values")

@@ -131,6 +131,52 @@ def test_mrfl_lattice_dims_round_trip(tmp_path):
     assert back.tolist() == [0, 0, 0, 0]
 
 
+NAN, INF = float("nan"), float("inf")
+
+REFUSED_WRITES = {
+    "llr-nan": lambda p: write_mrfllr(p, 2, 2, [NAN] * 4),
+    "llr-inf": lambda p: write_mrfllr(p, 2, 2, [0.0, -INF, 0.0, 0.0]),
+    "llr-float-width": lambda p: write_mrfllr(p, 2.0, 2, [0.0] * 4),
+    "labels-float": lambda p: write_mrfl(p, [0.5, 1.0]),
+    "labels-whole-floats": lambda p: write_mrfl(p, np.array([1.0, 0.0])),
+    "labels-bool": lambda p: write_mrfl(p, [True, False]),
+    "sites-not-the-lattice's": lambda p: write_mrfl(p, [0, 1, 0], 3, 3),
+    "one-dimension-zero": lambda p: write_mrfl(p, [0] * 4, 0, 2),
+    "narrower-than-2": lambda p: write_mrfl(p, [0] * 4, 1, 5),
+    "float-height": lambda p: write_mrfl(p, [0] * 4, 2, 2.0),
+    "bool-width": lambda p: write_mrfl(p, [0] * 4, True, 2),
+}
+
+
+@pytest.mark.parametrize("name", list(REFUSED_WRITES))
+def test_writers_refuse_what_their_readers_refuse_before_opening_the_file(tmp_path, name):
+    path = tmp_path / "out"
+    with pytest.raises(ValueError):
+        REFUSED_WRITES[name](path)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("labels, width, height", [
+    ([0, 1, 0, 2], 2, 2),
+    (np.array([3, 0, 1], dtype=np.uint8), 0, 0),
+    ([1] * 12, np.int32(3), np.int64(3)),
+])
+def test_every_accepted_mrfl_write_round_trips(tmp_path, labels, width, height):
+    path = tmp_path / "labels.mrfl"
+    write_mrfl(path, labels, width, height)
+    assert read_mrfl(path)[:2] == (width, height)
+    assert read_mrfl(path)[2].tolist() == np.asarray(labels).tolist()
+
+
+def test_extreme_finite_llrs_round_trip(tmp_path):
+    path = tmp_path / "values.mrfllr"
+    llr = np.array([1.7976931348623157e308, -0.0, 5e-324, -1e-300])
+    write_mrfllr(path, np.int64(2), 2, llr)
+    width, height, back = read_mrfllr(path)
+    assert (width, height) == (2, 2)
+    assert back.tobytes() == llr.tobytes()
+
+
 def test_trace_csv_format(tmp_path):
     rows = (TraceRow(0, 0.0, 0, 0), TraceRow(1, -5.499999999999999, 3, 3))
     path = tmp_path / "trace.csv"

@@ -92,6 +92,17 @@ def test_array_constructor_takes_integers_of_any_width_and_empty_blocks_of_any_d
     (lambda: MpmParams(samples=0), "samples must be positive"),
     (lambda: MpmParams(burn_in=0.5), "burn_in must be an integer"),
     (lambda: MpmParams(burn_in=-1), "burn_in must be non-negative"),
+    pytest.param(lambda: AnnealSchedule(sweeps=True), "sweeps must be an integer",
+                 id="sweeps-bool"),
+    pytest.param(lambda: MpmParams(samples=True), "samples must be an integer", id="samples-bool"),
+    pytest.param(lambda: MpmParams(burn_in=False), "burn_in must be an integer",
+                 id="burn_in-bool"),
+    pytest.param(lambda: AnnealSchedule(t0="2"), "t0 must be a positive real", id="t0-str"),
+    pytest.param(lambda: AnnealSchedule(t0=True), "t0 must be a positive real", id="t0-bool"),
+    pytest.param(lambda: AnnealSchedule(t0=np.True_), "t0 must be a positive real",
+                 id="t0-numpy-bool"),
+    pytest.param(lambda: AnnealSchedule(alpha="0.5"), r"alpha must be in \(0, 1\)",
+                 id="alpha-str"),
 ])
 def test_sampling_budgets_must_be_integer_counts(make, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
@@ -119,7 +130,8 @@ CAPS = {
 
 @pytest.mark.parametrize("name", CAPS)
 @pytest.mark.parametrize("cap, message", [(1.5, "an integer"), (2.0, "an integer"),
-                                          ("3", "an integer"), (-1, "non-negative")])
+                                          ("3", "an integer"), (True, "an integer"),
+                                          (-1, "non-negative")])
 def test_iteration_caps_must_be_non_negative_integers(chain, name, cap, message):
     field, data = chain
     with pytest.raises(ValueError, match=f"^{name} must be {message}$"):
@@ -147,7 +159,8 @@ SEEDS = {
 
 @pytest.mark.parametrize("entry", SEEDS)
 @pytest.mark.parametrize("seed, message", [(1.5, "an integer"), (1.0, "an integer"),
-                                           ("1", "an integer"), (-1, "non-negative")])
+                                           ("1", "an integer"), (True, "an integer"),
+                                           (-1, "non-negative")])
 def test_seeds_must_be_non_negative_integers(chain, entry, seed, message):
     field, data = chain
     with pytest.raises(ValueError, match=f"^seed must be {message}$"):
@@ -164,8 +177,8 @@ THREADS = {
 
 
 @pytest.mark.parametrize("entry", THREADS)
-@pytest.mark.parametrize("threads, message", [("x", "an integer"), (-3, "positive"),
-                                              (0, "positive")])
+@pytest.mark.parametrize("threads, message", [("x", "an integer"), (True, "an integer"),
+                                              (-3, "positive"), (0, "positive")])
 def test_thread_counts_must_be_positive_integers(chain, entry, threads, message):
     field, data = chain
     with pytest.raises(ValueError, match=f"^threads must be {message}$"):
@@ -194,6 +207,14 @@ def test_local_minimum_check_refuses_a_nan_tolerance(chain):
     (lambda field, data: local_energy(field, data, [0] * 8, 0.5, 0), "site 0.5"),
     (lambda field, data: local_energy(field, data, [0] * 8, 0, 0.5), "label 0.5"),
     (lambda field, data: local_energy(field, data, [0] * 8, 0, np.float32(1.0)), "label 1.0"),
+    pytest.param(lambda field, data: stability(field, data, [0] * 8, True), "site True",
+                 id="stability-bool-site"),
+    pytest.param(lambda field, data: best_label(field, data, [0] * 8, False), "site False",
+                 id="best_label-bool-site"),
+    pytest.param(lambda field, data: local_energy(field, data, [0] * 8, True, 0), "site True",
+                 id="local_energy-bool-site"),
+    pytest.param(lambda field, data: local_energy(field, data, [0] * 8, 0, True), "label True",
+                 id="local_energy-bool-label"),
 ])
 def test_one_site_readers_refuse_a_site_or_label_that_is_not_an_integer(chain, read, message):
     field, data = chain

@@ -184,6 +184,21 @@ def test_iteration_cap_triggers(chain):
         local_hcf_run(field, data, max_iterations=1)
 
 
+@pytest.mark.parametrize("cap", [1, 2])
+def test_the_cap_expires_with_one_message_in_a_sweep_and_in_the_tie_fallback(cap):
+    # on the all-zero 4x4 lattice sweep 1 commits one site and sweep 2 is
+    # quiet, so iteration 2 is a sweep under cap 1 and the fallback's under cap 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        field = build_edge_field(4, 4, EdgePotentials(0.0, 0.0, 0.0, 0.0))
+    data = DataTerm(np.zeros((field.num_sites, 2)))
+    rows = local_hcf_run(field, data)[1].rows
+    assert [(r.committed, r.changed) for r in rows[1:4]] == [(1, 1), (1, 0), (2, 1)]
+    with pytest.raises(RuntimeError, match=rf"^local HCF exceeded its iteration cap \({cap}\); "
+                                           "check the inputs for pathological values$"):
+        local_hcf_run(field, data, max_iterations=cap)
+
+
 def test_trace_final_properties(chain):
     field, data = chain
     config, trace = local_hcf_run(field, data)

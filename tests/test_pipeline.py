@@ -26,11 +26,12 @@ FIELDS = {
 }
 
 
-def space_time(wave, field, count):
-    """{(site, sweep): level} of ``count`` sweeps, checking each level as it comes."""
+def space_time(wave, field):
+    """{(site, sweep): level} of the wave's sweeps, checking each level as it comes."""
+    count = wave.sweeps
     at = {}
     levels = 0
-    for t, (level, others, offsets, values) in wave.spans(count):
+    for t, (level, others, offsets, values) in wave.spans():
         levels += 1
         sites = wave.sites[level].tolist()
         sweeps = (t // wave.stride - wave.lap[level]).tolist()
@@ -48,13 +49,13 @@ def space_time(wave, field, count):
 
 
 @pytest.mark.parametrize("name", list(FIELDS))
-@pytest.mark.parametrize("count", [1, 2, 5, 30])
+@pytest.mark.parametrize("count", [0, 1, 2, 5, 30])
 def test_schedule_visits_every_site_once_per_sweep_in_scan_order(name, count):
     field, data = FIELDS[name]()
     n = field.num_sites
-    wave = _Wave(field, data, range(n), pipelined=True)
+    wave = _Wave(field, data, range(n), count)
     assert wave.stride >= 1
-    at = space_time(wave, field, count)
+    at = space_time(wave, field)
     assert sorted(at) == [(s, k) for s in range(n) for k in range(count)]
     for (s, k), t in at.items():
         for r in field.adjacency[s]:
@@ -68,18 +69,20 @@ def test_schedule_visits_every_site_once_per_sweep_in_scan_order(name, count):
 
 def test_pace_and_level_counts():
     field, data = chain8_field()
-    wave = _Wave(field, data, range(8), pipelined=True)
+    wave = _Wave(field, data, range(8), 2)
     assert (wave.depth, wave.stride) == (8, 2)
     field, data = noisy_board(16)
-    wave = _Wave(field, data, range(field.num_sites), pipelined=True)
-    assert (wave.depth, wave.stride) == (32, 4)
-    assert sum(1 for _ in wave.spans(100)) == 428
-    assert sum(1 for _ in wave.spans(0)) == 0
-    # one sweep in flight, as ICM runs it
-    single = _Wave(field, data, range(field.num_sites))
+    n = field.num_sites
+    for sweeps in (2, 100):
+        wave = _Wave(field, data, range(n), sweeps)
+        assert (wave.depth, wave.stride) == (32, 4)
+    assert sum(1 for _ in wave.spans()) == 428  # depth + stride * (100 - 1)
+    assert sum(1 for _ in _Wave(field, data, range(n), 0).spans()) == 0
+    # one sweep, as ICM runs it: no pace, the levels in order
+    single = _Wave(field, data, range(n), 1)
     assert single.stride == 32
-    levels = [(level.start, level.stop) for _t, (level, *_views) in single.spans(2)]
-    assert levels == list(zip(single.bounds[:-1], single.ends)) * 2
+    levels = [(level.start, level.stop) for _t, (level, *_views) in single.spans()]
+    assert levels == list(zip(single.bounds[:-1], single.ends))
 
 
 @pytest.mark.parametrize("limit", [1, 480, 2 * 480, 5 * 480])
@@ -87,11 +90,11 @@ def test_a_small_in_flight_limit_widens_the_stride(monkeypatch, limit):
     monkeypatch.setattr(baselines, "_IN_FLIGHT", limit)
     field, data = noisy_board(16)
     n = field.num_sites
-    wave = _Wave(field, data, range(n), pipelined=True)
+    wave = _Wave(field, data, range(n), 12)
     flight = (wave.depth - 1) // wave.stride + 1
     assert flight * n <= max(limit, n)
     assert wave.stride >= 4
-    space_time(wave, field, 12)
+    space_time(wave, field)
     init = tlr(field, data)
     schedule = AnnealSchedule(sweeps=12)
     assert repr(anneal_run(field, data, init, schedule, 4)) == repr(

@@ -38,10 +38,10 @@ def test_probe_writes_every_layer_estimator_and_label_record(tmp_path, capsys):
     assert set(entry["layers_s"]) == {
         "read_s", "llr_s", "build_edge_field_s", "check_s", "compile_s", "local_hcf_s",
         "hcf_s", "icm_s", "icm_random_s", "anneal_s", "mpm_s",
-        "noisy_hcf_s", "noisy_icm_random_s", "noisy_anneal_s", "noisy_mpm_s"}
+        "noisy_hcf_s", "noisy_icm_s", "noisy_icm_random_s", "noisy_anneal_s", "noisy_mpm_s"}
     assert set(entry["estimators"]) == {"local_hcf", "hcf", "icm", "icm_random", "anneal", "mpm",
-                                        "noisy_hcf", "noisy_icm_random", "noisy_anneal",
-                                        "noisy_mpm"}
+                                        "noisy_hcf", "noisy_icm", "noisy_icm_random",
+                                        "noisy_anneal", "noisy_mpm"}
     # a clean board: every deterministic estimator finds the same labeling
     deterministic = [entry["estimators"][name]
                      for name in ("local_hcf", "hcf", "icm", "icm_random")]
@@ -54,8 +54,8 @@ def test_probe_writes_every_layer_estimator_and_label_record(tmp_path, capsys):
     noisy = {name: entry["estimators"][f"noisy_{name}"] for name in ("anneal", "mpm")}
     assert noisy["anneal"]["sweeps"] == 100 and noisy["mpm"]["sweeps"] == 120
     assert all(e["flips"] > 0 and e["iterations"] > 0 for e in noisy.values())
-    assert set(entry["estimators"]["noisy_icm_random"]) == {"energy", "iterations", "sweeps",
-                                                           "flips"}
+    for name in ("noisy_icm", "noisy_icm_random"):
+        assert set(entry["estimators"][name]) == {"energy", "iterations", "sweeps", "flips"}
     # serial HCF steps at least once per site on the noisy board too
     assert set(entry["estimators"]["noisy_hcf"]) == {"energy", "iterations"}
     assert entry["estimators"]["noisy_hcf"]["iterations"] >= entry["sites"]

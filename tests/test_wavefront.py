@@ -101,7 +101,7 @@ def test_levels_respect_the_visit_order(name):
     orders = [list(range(n))] + [np.random.default_rng(s).permutation(n).tolist()
                                  for s in range(5)]
     for order in orders:
-        wave = _Wave(field, data, order)
+        wave = _Wave(field, data, order, 1)
         assert sorted(wave.sites.tolist()) == list(range(n))
         assert wave.sites[wave.visit].tolist() == order
         level = level_of(wave, n)
@@ -116,19 +116,19 @@ def test_levels_respect_the_visit_order(name):
 
 def test_scan_depth_is_the_longest_dependency_chain():
     field, data = chain8_field()
-    assert len(_Wave(field, data, range(8)).bounds) - 1 == 8
-    assert _Wave(field, data, range(7, -1, -1)).depth == 8  # from either end
+    assert len(_Wave(field, data, range(8), 1).bounds) - 1 == 8
+    assert _Wave(field, data, range(7, -1, -1), 1).depth == 8  # from either end
     field, data = noisy_board(16)
-    assert len(_Wave(field, data, range(field.num_sites)).bounds) - 1 == 32
+    assert len(_Wave(field, data, range(field.num_sites), 1).bounds) - 1 == 32
 
 
-def reference_layout(field, order, pipelined):
+def reference_layout(field, order, sweeps):
     """``(level, stride, sites, bounds, ends)`` of ``_Wave`` from :func:`reference_levels`."""
     n = field.num_sites
     level = reference_levels(field, order)
     depth = max(level) + 1
     stride = depth
-    if pipelined:
+    if sweeps > 1:
         when = {int(s): i for i, s in enumerate(order)}
         pace = 1 + max((level[r] - level[s] for s in range(n) for r in field.adjacency[s]
                         if when[s] < when[r]), default=0)
@@ -140,12 +140,15 @@ def reference_layout(field, order, pipelined):
     return level, stride, sites, bounds + [n], ends
 
 
-def same_layout(wave, field, order, pipelined):
-    level, stride, sites, bounds, ends = reference_layout(field, order, pipelined)
+def same_layout(wave, field, order, sweeps):
+    level, stride, sites, bounds, ends = reference_layout(field, order, sweeps)
     assert wave.level.tolist() == level
     assert (wave.depth, wave.stride) == (len(ends), stride)
     assert wave.sites.tolist() == sites
     assert (wave.bounds, wave.ends) == (bounds, ends)
+    if sweeps == 1:  # one sweep in flight: the levels come in order
+        assert wave.stride == wave.depth
+        assert wave.ends == wave.bounds[1:]
     for a, b in zip(wave.bounds, wave.ends):
         assert np.all(np.diff(wave.sites[a:b]) > 0)  # ascending within a level
 
@@ -156,11 +159,11 @@ def test_wave_layout_equals_the_reference_levels(name, monkeypatch):
     n = field.num_sites
     orders = [range(n)] + [np.random.default_rng(s).permutation(n) for s in range(5)]
     for order in orders:
-        for pipelined in (False, True):
-            same_layout(_Wave(field, data, order, pipelined), field, order, pipelined)
+        for sweeps in (1, 2, 100):
+            same_layout(_Wave(field, data, order, sweeps), field, order, sweeps)
         # two sweeps' visits in flight at most: the stride widens past the pace
         monkeypatch.setattr(baselines, "_IN_FLIGHT", 2 * n)
-        same_layout(_Wave(field, data, order, True), field, order, True)
+        same_layout(_Wave(field, data, order, 100), field, order, 100)
         monkeypatch.undo()
 
 
@@ -176,8 +179,8 @@ def test_wave_layout_on_edge_cases(field):
     n = field.num_sites
     data = DataTerm(np.zeros((n, 2)))
     for order in (range(n), range(n - 1, -1, -1), np.random.default_rng(3).permutation(n)):
-        for pipelined in (False, True):
-            same_layout(_Wave(field, data, order, pipelined), field, order, pipelined)
+        for sweeps in (1, 2, 100):
+            same_layout(_Wave(field, data, order, sweeps), field, order, sweeps)
 
 
 class FixedUniform:

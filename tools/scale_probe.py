@@ -12,8 +12,8 @@ structural check on its own (``core._structure_problems``), the first
 ``Field.compiled``, ``local_hcf_run``, ``hcf_run``, and ``icm_run`` in
 scan order and in random order (seed 1), ``anneal_run`` (default
 schedule, seed 1) and ``mpm_run`` (default parameters) from the TLR
-start. No Gibbs sweep need flip a site of the clean board, so random-order
-ICM, annealing and MPM also run on a noisy board of the same size (noise
+start. No Gibbs sweep need flip a site of the clean board, so ICM in both
+orders, annealing and MPM also run on a noisy board of the same size (noise
 ``NOISY_SIGMA``, the model at the same sigma), as ``noisy_*``; so does
 ``hcf_run``, whose revisions and re-keyed neighbours show there. Next to
 each estimator it records the energy of its labeling and its iteration
@@ -98,7 +98,8 @@ def probe_layers(size: int, board: Path) -> dict:
     estimators["noisy_hcf"] = {"energy": energy(field, noisy, cfg),
                                "iterations": len(htrace.steps)}
     init = tlr(field, noisy)
-    for name, run, args in (("icm_random", icm_run, ("random", 1)),) + gibbs:
+    icm = (("icm", icm_run, ("scan", 1)), ("icm_random", icm_run, ("random", 1)))
+    for name, run, args in icm + gibbs:
         cfg, trace = _timed(layers, f"noisy_{name}_s", run, field, noisy, init, *args)
         estimators[f"noisy_{name}"] = {
             "energy": energy(field, noisy, cfg), "iterations": trace.iterations,
