@@ -65,18 +65,13 @@ The start is checked and padded by ``core``, which also scores it.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (_augmented_sum, _check_count, _check_problem, _check_runnable,
-                   _checked_labels, _local_rows)
+                   _checked_labels, _local_rows, _real)
 from .trace import RunTrace, TraceRow
-
-
-def _real(value):
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .baselines import AnnealSchedule, MpmParams, anneal_run, icm_run, mpm_run, tlr
@@ -46,20 +46,23 @@ def _parse_seeds(text: str) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Resolved run settings: defaults, overridden by file, overridden by flags."""
+    """Resolved run settings: defaults, overridden by file, overridden by flags.
+
+    The model and estimator defaults are those of the library's classes.
+    """
     estimator: str = "local-hcf"
-    mu_e: float = 128.0
-    sigma: float = 8.0
-    continuity: float = -0.5
-    turn: float = 0.3
-    parallel: float = 0.3
-    edge_prior: float = 0.4
-    t0: float = 2.0
-    alpha: float = 0.95
-    sweeps: int = 100
-    burn_in: int = 20
-    samples: int = 100
-    seed: int = 0
+    mu_e: float = EdgeModel.mu_e
+    sigma: float = EdgeModel.sigma
+    continuity: float = EdgePotentials.continuity
+    turn: float = EdgePotentials.turn
+    parallel: float = EdgePotentials.parallel
+    edge_prior: float = EdgePotentials.edge_prior
+    t0: float = AnnealSchedule.t0
+    alpha: float = AnnealSchedule.alpha
+    sweeps: int = AnnealSchedule.sweeps
+    burn_in: int = MpmParams.burn_in
+    samples: int = MpmParams.samples
+    seed: int = MpmParams.seed
     seeds: tuple[int, ...] = (1, 2, 3)
     rank_mode: str = "site-index"
     rank_seed: int | None = None
@@ -67,26 +70,9 @@ class RunConfig:
     max_iterations: int | None = None
 
 
-CONFIG_SCHEMA = {
-    "estimator": str,
-    "mu_e": float,
-    "sigma": float,
-    "continuity": float,
-    "turn": float,
-    "parallel": float,
-    "edge_prior": float,
-    "t0": float,
-    "alpha": float,
-    "sweeps": int,
-    "burn_in": int,
-    "samples": int,
-    "seed": int,
-    "seeds": _parse_seeds,
-    "rank_mode": str,
-    "rank_seed": int,
-    "threads": int,
-    "max_iterations": int,
-}
+# a config-file value is read with the type of its field's default, int for None
+CONFIG_SCHEMA = {f.name: int if f.default is None else type(f.default)
+                 for f in fields(RunConfig)} | {"seeds": _parse_seeds}
 
 
 def resolve_run_config(args) -> RunConfig:
@@ -156,18 +142,16 @@ def run_estimator(name: str, field, data, cfg: RunConfig, seed: int | None = Non
                                    threads=cfg.threads)
         return out, trace.rows, trace.iterations
     init = tlr(field, data)
+    seed = cfg.seed if seed is None else seed
     if name == "icm-scan":
         out, trace = icm_run(field, data, init, order="scan")
     elif name == "icm-random":
-        out, trace = icm_run(field, data, init, order="random",
-                             seed=cfg.seed if seed is None else seed)
+        out, trace = icm_run(field, data, init, order="random", seed=seed)
     elif name == "annealing":
         schedule = AnnealSchedule(cfg.t0, cfg.alpha, cfg.sweeps)
-        out, trace = anneal_run(field, data, init, schedule,
-                                cfg.seed if seed is None else seed)
+        out, trace = anneal_run(field, data, init, schedule, seed)
     elif name == "mpm":
-        params = MpmParams(cfg.burn_in, cfg.samples, cfg.seed if seed is None else seed)
-        out, trace = mpm_run(field, data, init, params)
+        out, trace = mpm_run(field, data, init, MpmParams(cfg.burn_in, cfg.samples, seed))
     else:
         raise UsageError(f"unknown estimator {name!r}")
     return out, trace.rows, trace.iterations
@@ -179,19 +163,14 @@ def _letters(config) -> str:
 
 def cmd_generate(args) -> int:
     parts = args.checker.lower().split("x")
-    if len(parts) != 2 or not all(p.isdigit() for p in parts):
+    if len(parts) != 2 or not all(p.isdecimal() for p in parts):
         raise UsageError(f"--checker wants WIDTHxHEIGHT, got {args.checker!r}")
-    width, height = int(parts[0]), int(parts[1])
-    if width < 1 or height < 1:
-        raise UsageError("checkerboard dimensions must be positive")
-    if args.square < 1:
-        raise UsageError("--square must be a positive integer")
-    if not 0 <= args.low < args.high <= 255:
-        raise UsageError("--low and --high must satisfy 0 <= low < high <= 255")
-    if args.noise_sigma < 0:
-        raise UsageError("--noise-sigma must be non-negative")
-    image = make_checkerboard(width, height, args.square, args.low, args.high,
-                              args.noise_sigma, args.seed)
+    width, height = map(int, parts)
+    try:
+        image = make_checkerboard(width, height, args.square, args.low, args.high,
+                                  args.noise_sigma, args.seed)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     write_pgm(args.output, image)
     print(f"wrote {args.output}")
     return 0

@@ -43,6 +43,7 @@ it unchanged, and the leading +0.0 keeps an energy of -0.0 data terms at
 
 from __future__ import annotations
 
+import numbers
 import operator
 from itertools import chain, groupby
 
@@ -57,13 +58,17 @@ class Clique:
     ``table`` has shape ``(num_labels,) * len(members)`` and is indexed by
     the members' labels in member order. Tables may be shared between
     cliques; they are treated as immutable. ``members`` holds Python ints;
-    a member that is not a Python or numpy integer raises ValueError.
+    a member that is a bool or not a Python or numpy integer raises
+    ValueError.
     """
 
     __slots__ = ("members", "table")
 
     def __init__(self, members, table):
         try:
+            members = tuple(members)
+            if any(isinstance(m, bool) for m in members):
+                raise TypeError
             self.members = tuple(map(operator.index, members))
         except TypeError:
             raise ValueError("clique members must be integers") from None
@@ -372,7 +377,8 @@ def _checked_labels(field, data, config, partial=None):
 
     Raises ValueError unless the data term fits the field and the
     configuration holds, for each site, a label or UNCOMMITTED as an
-    integer; with a message ``partial``, also when a site is uncommitted.
+    integer that is not a bool; with a message ``partial``, also when a
+    site is uncommitted.
     """
     _check_problem(field, data)
     raw = np.asarray(config)
@@ -382,7 +388,7 @@ def _checked_labels(field, data, config, partial=None):
     cfg = np.zeros(n + 1, dtype=np.int64)
     with np.errstate(invalid="ignore"):  # NaN and infinities are refused below
         cfg[:n] = raw
-    cast = cfg[:n] != raw
+    cast = (cfg[:n] != raw) | (raw.dtype == bool)  # a bool is no label
     bad = np.flatnonzero(cast | (cfg[:n] < UNCOMMITTED) | (cfg[:n] >= field.num_labels))
     if bad.size:
         s = int(bad[0])
@@ -403,6 +409,11 @@ def _checked_ranks(field, ranks):
     if arr.shape != (n,) or not np.array_equal(np.sort(arr), np.arange(n)):
         raise ValueError("ranks must be a permutation of the site indices")
     return np.append(arr.astype(np.int64), n)
+
+
+def _real(value):
+    """True for a real number that is not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _check_count(name, value, least=0, default=None):

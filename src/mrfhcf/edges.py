@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Clique, DataTerm, Field
+from .core import Clique, DataTerm, Field, _check_count, _real
 
 NON_EDGE = 0
 EDGE = 1
@@ -77,7 +77,8 @@ class EdgePotentials:
 
     def __post_init__(self):
         for name in ("continuity", "turn", "parallel", "edge_prior"):
-            if not math.isfinite(getattr(self, name)):
+            value = getattr(self, name)
+            if not (_real(value) and math.isfinite(value)):
                 raise ValueError(f"{name} must be finite")
         if self.continuity >= 0:
             warnings.warn("continuity is usually negative (it rewards collinear edges)")
@@ -98,10 +99,10 @@ class EdgeModel:
     sigma: float = 8.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.mu_e) and self.mu_e > 0):
-            raise ValueError("mu_e must be a positive real")
-        if not (math.isfinite(self.sigma) and self.sigma > 0):
-            raise ValueError("sigma must be a positive real")
+        for name in ("mu_e", "sigma"):
+            value = getattr(self, name)
+            if not (_real(value) and math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be a positive real")
 
 
 class EdgeLattice:
@@ -249,15 +250,20 @@ def make_checkerboard(width: int, height: int, square: int, low: int, high: int,
 
     The square at the origin has intensity ``low``; noise is added before
     rounding and clamping to 0..255, so the same seed always reproduces the
-    same image byte for byte.
+    same image byte for byte. Raises ValueError unless every argument but
+    ``noise_sigma`` is an integer (not a bool) in range and ``noise_sigma``
+    is a finite non-negative real.
     """
+    for name, value in (("width", width), ("height", height), ("square", square),
+                        ("low", low), ("high", high), ("seed", seed)):
+        _check_count(name, value)
     if width < 1 or height < 1:
         raise ValueError("width and height must be positive")
     if square < 1:
         raise ValueError("square must be a positive integer")
-    if not (0 <= low < high <= 255):
+    if not low < high <= 255:
         raise ValueError("need 0 <= low < high <= 255")
-    if not (math.isfinite(noise_sigma) and noise_sigma >= 0):
+    if not (_real(noise_sigma) and math.isfinite(noise_sigma) and noise_sigma >= 0):
         raise ValueError("noise_sigma must be non-negative")
     yy = np.arange(height)[:, None] // square
     xx = np.arange(width)[None, :] // square

@@ -132,36 +132,22 @@ def _chain_potentials(field, data, order):
     return site_cost, pair_cost
 
 
-def _chain_min(site_cost, pair_cost, num_labels, fixed, order):
-    """Minimum path cost with some sites pinned to a single label."""
-    domains = [range(num_labels) if fixed[site] is None else (fixed[site],)
-               for site in order]
-    f = {l: site_cost[0][l] for l in domains[0]}
-    for i in range(1, len(order)):
+def _chain_min(site_cost, pair_cost, domains):
+    """(minimum path cost, number of exact-tie optima).
+
+    Position ``i`` on the path takes its label from ``domains[i]``.
+    """
+    f = {l: (site_cost[0][l], 1) for l in domains[0]}
+    for i in range(1, len(domains)):
         nf = {}
         w = pair_cost[i - 1]
         cost = site_cost[i]
         for l2 in domains[i]:
-            best = min(f[l1] + w[l1][l2] for l1 in f)
-            nf[l2] = best + cost[l2]
+            vals = [(v + w[l1][l2], c) for l1, (v, c) in f.items()]
+            m = min(v for v, _c in vals)
+            nf[l2] = (m + cost[l2], sum(c for v, c in vals if v == m))
         f = nf
-    return min(f.values())
-
-
-def _chain_min_count(site_cost, pair_cost, num_labels, order):
-    """(minimum path cost, number of exact-tie optimal labelings)."""
-    f = {l: (site_cost[0][l], 1) for l in range(num_labels)}
-    for i in range(1, len(order)):
-        nf = {}
-        w = pair_cost[i - 1]
-        cost = site_cost[i]
-        for l2 in range(num_labels):
-            vals = [(f[l1][0] + w[l1][l2], f[l1][1]) for l1 in range(num_labels)]
-            m = min(v for v, _cnt in vals)
-            cnt = sum(c for v, c in vals if v == m)
-            nf[l2] = (m + cost[l2], cnt)
-        f = nf
-    m = min(v for v, _cnt in f.values())
+    m = min(v for v, _c in f.values())
     return m, sum(c for v, c in f.values() if v == m)
 
 
@@ -176,19 +162,18 @@ def chain_dp_map(field, data) -> OracleResult:
     """
     _check_problem(field, data)
     order = _path_order(field)
-    num_labels = field.num_labels
     site_cost, pair_cost = _chain_potentials(field, data, order)
-    optimum, count = _chain_min_count(site_cost, pair_cost, num_labels, order)
-
-    fixed = [None] * field.num_sites
-    for site in range(field.num_sites):
-        for l in range(num_labels):
-            fixed[site] = l
-            if _chain_min(site_cost, pair_cost, num_labels, fixed, order) == optimum:
+    domains = [range(field.num_labels)] * field.num_sites
+    optimum, count = _chain_min(site_cost, pair_cost, domains)
+    for i in sorted(range(field.num_sites), key=order.__getitem__):  # in site-id order
+        for l in range(field.num_labels):
+            domains[i] = (l,)
+            if _chain_min(site_cost, pair_cost, domains)[0] == optimum:
                 break
         else:
             raise AssertionError("chain selection failed to reach the optimum")
-    config = np.array(fixed, dtype=np.int64)
+    config = np.empty(field.num_sites, dtype=np.int64)
+    config[order] = [d[0] for d in domains]
     return OracleResult(config, energy(field, data, config), count)
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from mrfhcf import (EdgeModel, EdgePotentials, assign_ranks, build_edge_field, edge_llr,
                     hcf_run, llr_data_term, read_mrfl, read_pgm, write_mrfl, write_mrfllr)
-from mrfhcf.cli import main
+from mrfhcf.cli import CONFIG_SCHEMA, RunConfig, _build_parser, main, resolve_run_config
 
 
 def run(capsys, *argv):
@@ -30,6 +30,10 @@ def test_generate_rejects_bad_arguments(tmp_path, capsys):
     assert run(capsys, "generate", "--square", "0", "-o", out)[0] == 2
     assert run(capsys, "generate", "--checker", "5", "-o", out)[0] == 2
     assert run(capsys, "generate", "--low", "200", "--high", "100", "-o", out)[0] == 2
+    assert run(capsys, "generate", "--noise-sigma", "nan", "-o", out)[0] == 2
+    assert run(capsys, "generate", "--noise-sigma", "inf", "-o", out)[0] == 2
+    assert run(capsys, "generate", "--checker", "0x5", "-o", out)[0] == 2
+    assert run(capsys, "generate", "--checker", "\u00b2x5", "-o", out)[0] == 2
     with pytest.raises(SystemExit):
         main(["generate"])
     capsys.readouterr()
@@ -162,6 +166,51 @@ def test_config_file_sets_defaults_and_flags_override(tmp_path, capsys):
                           "--estimator", "local-hcf")
     assert code == 0
     assert "labeling: e n n n n n n n" in stdout
+
+
+# every setting, at a value other than its default: (flag, text)
+EVERY_SETTING = {
+    "estimator": ("--estimator", "hcf"),
+    "mu_e": ("--mu-e", "100.5"),
+    "sigma": ("--sigma", "5.25"),
+    "continuity": ("--continuity", "-1.5"),
+    "turn": ("--turn", "0.75"),
+    "parallel": ("--parallel", "0.625"),
+    "edge_prior": ("--edge-prior", "0.125"),
+    "t0": ("--t0", "3.5"),
+    "alpha": ("--alpha", "0.875"),
+    "sweeps": ("--sweeps", "7"),
+    "burn_in": ("--burn-in", "3"),
+    "samples": ("--samples", "9"),
+    "seed": ("--seed", "11"),
+    "seeds": ("--seeds", "4,5"),
+    "rank_mode": ("--ranks", "seeded-permutation"),
+    "rank_seed": ("--rank-seed", "13"),
+    "threads": ("--threads", "2"),
+    "max_iterations": ("--max-iterations", "17"),
+}
+
+
+def test_config_file_sets_every_setting_as_its_flag_does(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{key} = {text}\n" for key, (_flag, text) in EVERY_SETTING.items()))
+    flags = [arg for flag, text in EVERY_SETTING.values() for arg in (flag, text)]
+    parser = _build_parser()
+    from_file = resolve_run_config(parser.parse_args(["label", "--chain-fixture",
+                                                      "--config", str(cfg)]))
+    from_flags = resolve_run_config(parser.parse_args(["label", "--chain-fixture", *flags]))
+    assert from_file == from_flags
+    assert all(getattr(from_file, key) != value for key, value in vars(RunConfig()).items())
+
+
+def test_flags_config_keys_and_run_config_name_the_same_settings():
+    parser = _build_parser()
+    not_settings = {"command", "func", "image", "llr", "chain_fixture", "config", "output",
+                    "verify"}
+    settings = set(vars(RunConfig()))
+    assert set(CONFIG_SCHEMA) == settings == set(EVERY_SETTING)
+    for command in (["label"], ["compare", "-o", "x.csv"], ["oracle"]):
+        assert set(vars(parser.parse_args(command))) - not_settings == settings
 
 
 def test_config_file_errors(tmp_path, capsys):

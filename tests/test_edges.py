@@ -245,6 +245,21 @@ def test_checkerboard_validation():
         make_checkerboard(10, 10, 2, 64, 192, -1.0, seed=1)
     with pytest.raises(ValueError):
         make_checkerboard(0, 10, 2, 64, 192, 8.0, seed=1)
+    for args, message in [
+        ((2.5, 2, 1, 64, 192, 0, 1), "width must be an integer"),
+        ((2, 2.0, 1, 64, 192, 0, 1), "height must be an integer"),
+        ((4, 4, 2.0, 64, 192, 0, 1), "square must be an integer"),
+        ((4, 4, 2, True, 192, 0, 1), "low must be an integer"),
+        ((4, 4, 2, 64, 192.0, 0, 1), "high must be an integer"),
+        ((4, 4, 2, 64, 192, 8.0, "1"), "seed must be an integer"),
+        ((4, 4, 2, 64, 192, 8.0, -1), "seed must be non-negative"),
+        ((4, 4, 2, 64, 192, "1", 1), "noise_sigma must be non-negative"),
+        ((4, 4, 2, 64, 192, True, 1), "noise_sigma must be non-negative"),
+        ((4, 4, 2, 64, 192, float("nan"), 1), "noise_sigma must be non-negative"),
+        ((4, 4, 2, 64, 192, float("inf"), 1), "noise_sigma must be non-negative"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make_checkerboard(*args)
 
 
 def test_chain_fixture_shape(chain):
@@ -314,6 +329,19 @@ def test_edge_model_validation():
         EdgeModel(sigma=-1.0)
     with pytest.raises(ValueError):
         EdgeModel(mu_e=float("inf"))
+    with pytest.raises(ValueError, match="^sigma must be a positive real$"):
+        EdgeModel(sigma="2")
+    with pytest.raises(ValueError, match="^sigma must be a positive real$"):
+        EdgeModel(sigma=True)
+    with pytest.raises(ValueError, match="^mu_e must be a positive real$"):
+        EdgeModel(mu_e=None)
+
+
+@pytest.mark.parametrize("name", ["continuity", "turn", "parallel", "edge_prior"])
+@pytest.mark.parametrize("value", ["1", True, None, float("inf")])
+def test_edge_potentials_validation(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+        EdgePotentials(**{name: value})
 
 
 def test_image_validation():

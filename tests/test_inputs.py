@@ -42,6 +42,14 @@ def test_non_integer_labels_are_refused(chain, entry, value, shown):
 
 
 @pytest.mark.parametrize("entry", ENTRIES)
+def test_bool_labels_are_refused(chain, entry):
+    field, data = chain
+    for cfg in ([True] * 8, np.ones(8, bool)):
+        with pytest.raises(ValueError, match="^site 0: label True is not an integer$"):
+            ENTRIES[entry](field, data, cfg)
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
 def test_integer_labels_of_any_dtype_read_as_before(chain, entry):
     field, data = chain
     start = tlr(field, data)
@@ -246,6 +254,10 @@ def test_list_constructor_refuses_site_ids_that_are_not_integers():
         Clique((0, np.float64(1.0)), PAIR)
     with pytest.raises(ValueError, match="^clique members must be integers$"):
         Clique(np.array([[0, 1]]), PAIR)
+    with pytest.raises(ValueError, match="^clique members must be integers$"):
+        Clique((True, False), PAIR)
+    with pytest.raises(ValueError, match="^clique members must be integers$"):
+        Clique(np.array([True, False]), PAIR)
 
 
 def test_list_constructor_takes_site_ids_of_any_integer_type():

@@ -1,11 +1,13 @@
 """The estimator modules depend on the energy model (``core``) and the trace rows alone,
-and leave every input check to ``core``."""
+and leave every input check to ``core``; the CLI restates no library default."""
 
 import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "mrfhcf"
 ESTIMATORS = ("hcf", "local_hcf", "baselines", "oracles")
+PARAMETER_CLASSES = {"edges": ("EdgeModel", "EdgePotentials"),
+                     "baselines": ("AnnealSchedule", "MpmParams")}
 
 
 def package_imports(path):
@@ -35,6 +37,29 @@ def test_estimator_modules_define_no_input_check():
         defined = [node.name for node in ast.walk(tree)
                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
         assert not [name for name in defined if name.startswith("_check")], module
+
+
+def class_defaults(module, name):
+    """{field: default expression} of one class's annotated assignments."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    cls = next(node for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef) and node.name == name)
+    return {node.target.id: node.value for node in cls.body if isinstance(node, ast.AnnAssign)}
+
+
+def test_run_config_names_the_library_defaults():
+    # a shared setting's default is read from the class that owns it, never restated
+    run_config = class_defaults("cli", "RunConfig")
+    shared = []
+    for module, classes in PARAMETER_CLASSES.items():
+        for cls in classes:
+            for name in class_defaults(module, cls).keys() & run_config.keys():
+                default = run_config[name]
+                assert (isinstance(default, ast.Attribute) and default.attr == name
+                        and isinstance(default.value, ast.Name)
+                        and default.value.id == cls), f"RunConfig.{name}"
+                shared.append(name)
+    assert len(shared) == 12
 
 
 def test_the_import_reader_sees_every_form(tmp_path):
