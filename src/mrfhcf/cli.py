@@ -245,12 +245,10 @@ def cmd_oracle(args) -> int:
     print(f"ties: {result.optimal_count}")
     if args.verify is not None:
         _w, _h, labels = read_mrfl(args.verify)
-        if labels.size != field.num_sites:
-            raise FileFormatError(f"{args.verify}: {labels.size} labels for "
-                                  f"{field.num_sites} sites")
-        if (labels >= field.num_labels).any():
-            raise FileFormatError(f"{args.verify}: label out of range")
-        verify_energy = energy(field, data, labels)
+        try:
+            verify_energy = energy(field, data, labels)
+        except ValueError as exc:
+            raise FileFormatError(f"{args.verify}: {exc}") from None
         print(f"verify_energy: {_fmt(verify_energy)}")
         minimum = is_local_minimum(field, data, labels)
         print(f"local_minimum: {'true' if minimum else 'false'}")

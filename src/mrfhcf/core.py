@@ -20,9 +20,11 @@ cliques)`` turns hand-built lists into ``(members, table)`` blocks, which
 check runs once, over those arrays, and the list views ``Field.adjacency``
 and ``Field.cliques`` are only built when read.
 
-This module is the one home of the input contract. Every estimator and
-reader checks its field, data term, configuration and ranks here, and
-gets them back padded for the virtual site ``n`` (label 0, rank ``n``).
+This module is the one home of the input contract. Every estimator,
+oracle and reader checks its field, data term, configuration and ranks
+here, and gets them back padded for the virtual site ``n`` (label 0, rank
+``n``). All of them refuse a field that failed its structural check, and
+a size, rank, label or site that is a float, string or bool.
 
 Every reader works on one further array form of the field, compiled from
 those arrays on first use (:class:`CompiledField`). Summation order is
@@ -134,8 +136,8 @@ class Field:
         return field
 
     def _setup(self, num_sites, num_labels, indptr, indices, blocks):
-        self.num_sites = int(num_sites)
-        self.num_labels = int(num_labels)
+        self.num_sites = _checked_index(num_sites, "num_sites")
+        self.num_labels = _checked_index(num_labels, "num_labels")
         blocks = [(_site_array(m, 2, "clique members"), t) for m, t in blocks]
         blocks = [(m, t) for m, t in blocks if len(m)]
         counts = [len(m) for m, _t in blocks]
@@ -201,7 +203,8 @@ def _site_array(values, ndim, what):
     """``values``, of ``ndim`` dimensions and an integer dtype, as a new int64 array."""
     raw = np.asarray(values)
     # an empty list reads as float64, and Python ints past int64 as objects
-    if raw.ndim != ndim or (raw.size and raw.dtype.kind not in "iuO"):
+    if (raw.ndim != ndim or (raw.size and raw.dtype.kind not in "iuO")
+            or _first_bool(values, raw) >= 0):
         raise ValueError(f"{what} must be a {ndim}-D array of integers")
     try:
         return raw.astype(np.int64)
@@ -223,7 +226,7 @@ class CompiledField:
       members' labels, read as the base-``num_labels`` digits of ``r``
       (first other most significant), are all committed. The last row is
       all zero and stands for an uncommitted other: a row index of -1
-      (UNCOMMITTED) lands on it. A unary table repeats on every other row.
+      (UNCOMMITTED) lands on it. A unary table fills row 0 only.
       Table 0 is all zero and serves the padding slots.
     - ``offsets[j, s]`` and ``others[:, j, s]`` (``m`` sites, padded in
       front with ``n``) describe site ``s``'s ``j``-th incident clique in
@@ -294,10 +297,7 @@ def _arranged(table, height):
     out = []
     for pos in range(k):
         block = np.zeros((height, num_labels))
-        if k == 1:
-            block[:-1] = table
-        else:
-            block[:num_labels ** (k - 1)] = np.moveaxis(table, pos, -1).reshape(-1, num_labels)
+        block[:num_labels ** (k - 1)] = np.moveaxis(table, pos, -1).reshape(-1, num_labels)
         out.append(block)
     return out
 
@@ -348,7 +348,7 @@ class DataTerm:
 
 def new_configuration(num_sites: int) -> np.ndarray:
     """All-uncommitted configuration array."""
-    return np.full(int(num_sites), UNCOMMITTED, dtype=np.int64)
+    return np.full(_checked_index(num_sites, "num_sites"), UNCOMMITTED, dtype=np.int64)
 
 
 def fully_committed(config) -> bool:
@@ -357,19 +357,20 @@ def fully_committed(config) -> bool:
 
 
 def _check_problem(field, data):
+    """The compiled field, after checking the field and that the data term fits it."""
+    comp = field.compiled
     if data.values.shape != (field.num_sites, field.num_labels):
         raise ValueError(
             f"data term shape {data.values.shape} does not match field "
             f"({field.num_sites} sites, {field.num_labels} labels)")
+    return comp
 
 
 def _check_runnable(field, data):
     """The compiled field, after checking that an estimator can run on the problem."""
-    comp = field.compiled
     if field.num_labels < 2:
         raise ValueError("estimators need at least two labels")
-    _check_problem(field, data)
-    return comp
+    return _check_problem(field, data)
 
 
 def _checked_labels(field, data, config, partial=None):
@@ -389,11 +390,14 @@ def _checked_labels(field, data, config, partial=None):
     with np.errstate(invalid="ignore"):  # NaN and infinities are refused below
         cfg[:n] = raw
     cast = (cfg[:n] != raw) | (raw.dtype == bool)  # a bool is no label
+    if (first := _first_bool(config, raw)) >= 0:
+        cast[first] = True
     bad = np.flatnonzero(cast | (cfg[:n] < UNCOMMITTED) | (cfg[:n] >= field.num_labels))
     if bad.size:
         s = int(bad[0])
         if cast[s]:
-            raise ValueError(f"site {s}: label {raw[s].item()!r} is not an integer")
+            label = bool(raw[s]) if s == first else raw[s].item()
+            raise ValueError(f"site {s}: label {label!r} is not an integer")
         raise ValueError(f"site {s}: label {cfg[s]} out of range")
     if partial is not None and not fully_committed(cfg):
         raise ValueError(partial)
@@ -406,9 +410,19 @@ def _checked_ranks(field, ranks):
     if ranks is None:
         return np.arange(n + 1, dtype=np.int64)
     arr = np.asarray(ranks)
-    if arr.shape != (n,) or not np.array_equal(np.sort(arr), np.arange(n)):
+    if (arr.shape != (n,) or arr.dtype.kind not in "iu" or _first_bool(ranks, arr) >= 0
+            or not np.array_equal(np.sort(arr), np.arange(n))):
         raise ValueError("ranks must be a permutation of the site indices")
     return np.append(arr.astype(np.int64), n)
+
+
+def _first_bool(values, raw):
+    """Flat index of the first bool in ``values``, read as ``raw`` by ``np.asarray``, or -1."""
+    if isinstance(values, np.ndarray) or raw.dtype == bool:
+        return -1  # the dtype tells
+    # numpy reads the bools in a Python sequence of numbers as numbers
+    flags = [isinstance(v, (bool, np.bool_)) for v in np.asarray(values, dtype=object).flat]
+    return flags.index(True) if True in flags else -1
 
 
 def _real(value):

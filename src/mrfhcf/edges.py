@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Clique, DataTerm, Field, _check_count, _real
+from .core import Clique, DataTerm, Field, _check_count, _checked_index, _real
 
 NON_EDGE = 0
 EDGE = 1
@@ -114,10 +114,10 @@ class EdgeLattice:
     """
 
     def __init__(self, width: int, height: int):
-        if width < 2 or height < 2:
+        self.width = _checked_index(width, "width")
+        self.height = _checked_index(height, "height")
+        if self.width < 2 or self.height < 2:
             raise ValueError("edge lattice needs width and height of at least 2")
-        self.width = int(width)
-        self.height = int(height)
         self.num_vertical = (self.width - 1) * self.height
         self.num_horizontal = self.width * (self.height - 1)
         self.num_sites = self.num_vertical + self.num_horizontal

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .core import _checked_index, _first_bool
 from .edges import EdgeLattice, Image
 
 TRACE_HEADER = "iteration,energy,committed,changed"
@@ -128,15 +129,7 @@ def read_mrfllr(path) -> tuple[int, int, np.ndarray]:
     return width, height, np.array(values, dtype=np.float64)
 
 
-def _check_dims(width, height) -> None:
-    """Refuse dimensions that the readers would not parse back as integers."""
-    if not all(isinstance(d, (int, np.integer)) and not isinstance(d, bool)
-               for d in (width, height)):
-        raise ValueError("width and height must be integers")
-
-
 def write_mrfllr(path, width: int, height: int, llr) -> None:
-    _check_dims(width, height)
     arr = np.asarray(llr, dtype=np.float64)
     expected = EdgeLattice(width, height).num_sites
     if arr.shape != (expected,):
@@ -211,11 +204,11 @@ def write_mrfl(path, labels, width: int = 0, height: int = 0) -> None:
     arr = np.asarray(labels)
     if arr.ndim != 1 or arr.size < 1:
         raise ValueError("labels must be a non-empty flat array")
-    if arr.dtype.kind not in "iu":
+    if arr.dtype.kind not in "iu" or _first_bool(labels, arr) >= 0:
         raise ValueError("labels must be integers")
     if (arr < 0).any():
         raise ValueError("labels must be fully committed")
-    _check_dims(width, height)
+    width, height = _checked_index(width, "width"), _checked_index(height, "height")
     # 0 0 for a non-lattice field; else a lattice of at least 2x2 with one site per label
     if (width, height) != (0, 0) and (sites := EdgeLattice(width, height).num_sites) != arr.size:
         raise ValueError(f"a {width}x{height} image has {sites} sites, not {arr.size}")

@@ -139,6 +139,16 @@ def test_oracle_verifies_a_labeling(tmp_path, capsys):
     assert float(gap.split()[1]) == pytest.approx(0.5, abs=1e-9)
 
 
+@pytest.mark.parametrize("labels", [[0] * 5, [0, 0, 0, 2, 0, 0, 0, 0]], ids=["5-sites", "label-2"])
+def test_oracle_refuses_a_labeling_that_does_not_fit_the_field(tmp_path, capsys, labels):
+    probe = tmp_path / "misfit.mrfl"
+    write_mrfl(probe, labels)
+    code, stdout, stderr = run(capsys, "oracle", "--chain-fixture", "--verify", str(probe))
+    assert code == 3
+    assert stderr.startswith(f"error: {probe}: ")
+    assert "verify_energy" not in stdout
+
+
 def test_oracle_uses_brute_force_off_chains(tmp_path, capsys):
     board = tmp_path / "tiny.pgm"
     run(capsys, "generate", "--checker", "2x2", "--square", "1", "-o", str(board))

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from mrfhcf import (AnnealSchedule, Clique, DataTerm, Field, MpmParams, UNCOMMITTED,
-                    anneal_run, augmented_energy, energy, fully_committed, hcf_run,
-                    icm_run, local_energies, local_energy, local_hcf_run,
-                    mpm_run, new_configuration, validate_field)
+                    anneal_run, augmented_energy, brute_force_map, chain_dp_map, energy,
+                    fully_committed, hcf_run, icm_run, local_energies, local_energy,
+                    local_hcf_run, mpm_run, new_configuration, tlr, validate_field)
 from support import random_field
 
 ALL_N = np.zeros(8, dtype=np.int64)
@@ -43,7 +43,10 @@ def test_estimators_reject_an_invalid_field():
             lambda: hcf_run(field, data),
             lambda: icm_run(field, data, init),
             lambda: anneal_run(field, data, init, AnnealSchedule(sweeps=1), seed=0),
-            lambda: mpm_run(field, data, init, MpmParams(0, 1)))
+            lambda: mpm_run(field, data, init, MpmParams(0, 1)),
+            lambda: brute_force_map(field, data),
+            lambda: chain_dp_map(field, data),
+            lambda: tlr(field, data))
     for run in runs:
         with pytest.raises(ValueError, match="invalid field: .*asymmetric"):
             run()

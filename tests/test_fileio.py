@@ -140,6 +140,7 @@ REFUSED_WRITES = {
     "labels-float": lambda p: write_mrfl(p, [0.5, 1.0]),
     "labels-whole-floats": lambda p: write_mrfl(p, np.array([1.0, 0.0])),
     "labels-bool": lambda p: write_mrfl(p, [True, False]),
+    "labels-one-bool": lambda p: write_mrfl(p, [0, True, 1]),
     "sites-not-the-lattice's": lambda p: write_mrfl(p, [0, 1, 0], 3, 3),
     "one-dimension-zero": lambda p: write_mrfl(p, [0] * 4, 0, 2),
     "narrower-than-2": lambda p: write_mrfl(p, [0] * 4, 1, 5),

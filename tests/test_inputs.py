@@ -5,10 +5,11 @@ import re
 import numpy as np
 import pytest
 
-from mrfhcf import (UNCOMMITTED, AnnealSchedule, Clique, Field, MpmParams, anneal_run,
-                    assign_ranks, augmented_energy, best_label, energy, hcf_run, icm_run,
-                    is_local_minimum, local_energies, local_energy, local_hcf_run,
-                    local_hcf_step, mpm_run, stability, tlr, validate_field)
+from mrfhcf import (UNCOMMITTED, AnnealSchedule, Clique, DataTerm, EdgeLattice, Field,
+                    MpmParams, anneal_run, assign_ranks, augmented_energy, best_label,
+                    build_edge_field, energy, hcf_run, icm_run, is_local_minimum,
+                    local_energies, local_energy, local_hcf_run, local_hcf_step, mpm_run,
+                    new_configuration, stability, tlr, validate_field)
 from mrfhcf.cli import main
 
 # every public entry that takes a configuration or a start, on (field, data, config)
@@ -44,9 +45,11 @@ def test_non_integer_labels_are_refused(chain, entry, value, shown):
 @pytest.mark.parametrize("entry", ENTRIES)
 def test_bool_labels_are_refused(chain, entry):
     field, data = chain
-    for cfg in ([True] * 8, np.ones(8, bool)):
+    for cfg in ([True] * 8, np.ones(8, bool), [True] + [0] * 7, [np.True_] + [0.0] * 7):
         with pytest.raises(ValueError, match="^site 0: label True is not an integer$"):
             ENTRIES[entry](field, data, cfg)
+    with pytest.raises(ValueError, match="^site 2: label False is not an integer$"):
+        ENTRIES[entry](field, data, [0, 0, False, 0, 0, 0, 0, 0])
 
 
 @pytest.mark.parametrize("entry", ENTRIES)
@@ -62,7 +65,8 @@ PAIR = np.ones((2, 2))
 
 
 @pytest.mark.parametrize("members", [np.array([0, 1]), np.array(0), np.zeros((1, 1, 2), int),
-                                     [[0, 1.5]], [[0, np.nan]], [[0.0, 1.0]], [[True, False]]])
+                                     [[0, 1.5]], [[0, np.nan]], [[0.0, 1.0]], [[True, False]],
+                                     [[0, True]], [np.array([0, 1]), [1, np.False_]]])
 def test_array_constructor_refuses_member_blocks_that_are_not_2d_integers(members):
     with pytest.raises(ValueError, match="clique members must be a 2-D array of integers"):
         Field.from_arrays(2, 2, [0, 1, 2], [1, 0], [(members, PAIR)])
@@ -76,6 +80,8 @@ def test_array_constructor_refuses_member_blocks_that_are_not_2d_integers(member
     ([0, 1, 2], [1.25, 0], "adjacency"),
     ([0, 1, 2], [[1, 0]], "adjacency"),
     ([0, 1, 2], [1, np.nan], "adjacency"),
+    ([0, True, 2], [1, 0], "adjacency offsets"),
+    ([0, 1, 2], [True, 0], "adjacency"),
 ])
 def test_array_constructor_refuses_csr_arrays_that_are_not_1d_integers(indptr, indices, what):
     with pytest.raises(ValueError, match=f"^{what} must be a 1-D array of integers$"):
@@ -207,6 +213,16 @@ def test_local_minimum_check_refuses_a_nan_tolerance(chain):
         is_local_minimum(field, data, alternating, tolerance=float("nan"))
 
 
+@pytest.mark.parametrize("tolerance", ["x", None, True, np.True_, 1j])
+def test_local_minimum_check_refuses_a_tolerance_that_is_not_a_real_number(chain, tolerance):
+    field, data = chain
+    with pytest.raises(ValueError, match="^tolerance must be a real number$"):
+        is_local_minimum(field, data, [0, 1, 0, 1, 0, 1, 0, 1], tolerance=tolerance)
+    # the alternating labeling's best flip gains 5.5, so a tolerance of 6 forgives it
+    for real in (6, 6.0, np.float32(6.0), np.int64(6)):
+        assert is_local_minimum(field, data, [0, 1, 0, 1, 0, 1, 0, 1], tolerance=real)
+
+
 @pytest.mark.parametrize("read, message", [
     (lambda field, data: stability(field, data, [0] * 8, 0.5), "site 0.5"),
     (lambda field, data: best_label(field, data, [0] * 8, 1.0), "site 1.0"),
@@ -248,6 +264,8 @@ def test_one_site_readers_take_python_and_numpy_integers(chain):
 def test_list_constructor_refuses_site_ids_that_are_not_integers():
     with pytest.raises(ValueError, match="^adjacency must be a 1-D array of integers$"):
         Field(2, 2, [(1.5,), (0,)], [Clique((0, 1), PAIR)])
+    with pytest.raises(ValueError, match="^adjacency must be a 1-D array of integers$"):
+        Field(2, 2, [(True,), (0,)], [Clique((0, 1), PAIR)])
     with pytest.raises(ValueError, match="^clique members must be integers$"):
         Clique((0, 1.7), PAIR)
     with pytest.raises(ValueError, match="^clique members must be integers$"):
@@ -279,3 +297,51 @@ def test_clique_members_are_python_ints():
     field = Field(2, 2, [(1,), (0,)], [Clique(np.array([0, 1], dtype=np.int32), PAIR)])
     assert [type(m) for m in field.cliques[0].members] == [int, int]
     assert repr(field.cliques[0]) == "Clique(members=(0, 1))"
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: build_edge_field(3.7, 3), "width 3.7"),
+    (lambda: build_edge_field("3", 3), "width 3"),
+    (lambda: build_edge_field(3, np.float64(3.0)), "height 3.0"),
+    (lambda: EdgeLattice(2.5, 3), "width 2.5"),
+    (lambda: EdgeLattice(True, 3), "width True"),
+    (lambda: Field(3.7, 2, [(), (), ()], []), "num_sites 3.7"),
+    (lambda: Field(2, 2.9, [(1,), (0,)], [Clique((0, 1), PAIR)]), "num_labels 2.9"),
+    (lambda: Field.from_arrays(2.0, 2, [0, 1, 2], [1, 0], [([[0, 1]], PAIR)]), "num_sites 2.0"),
+    (lambda: new_configuration(2.5), "num_sites 2.5"),
+])
+def test_sizes_must_be_integers(make, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)} is not an integer$"):
+        make()
+
+
+def test_sizes_of_any_integer_type_build_the_same_field():
+    assert validate_field(Field(-1, 2, [], [])) == ["num_sites must be at least 1",
+                                                    "adjacency has 0 entries for -1 sites"]
+    want = build_edge_field(4, 3)
+    got = build_edge_field(np.int64(4), np.uint8(3))
+    assert (got.num_sites, got.num_labels) == (want.num_sites, want.num_labels)
+    assert all(type(n) is int for n in (got.num_sites, got.num_labels))
+    assert new_configuration(np.int32(3)).tolist() == [UNCOMMITTED] * 3
+
+
+# every entry that takes ranks, on (field, data, ranks)
+RANKED = {
+    "local_hcf_run": lambda field, data, ranks: local_hcf_run(field, data, ranks=ranks),
+    "local_hcf_step": lambda field, data, ranks: local_hcf_step(
+        field, data, [UNCOMMITTED] * field.num_sites, ranks),
+    "hcf_run": lambda field, data, ranks: hcf_run(field, data, ranks=ranks),
+}
+PAIR_FIELD = (Field(2, 2, [(1,), (0,)], [Clique((0, 1), PAIR)]), DataTerm(np.zeros((2, 2))))
+
+
+@pytest.mark.parametrize("entry", RANKED)
+def test_ranks_must_be_integers(chain, entry):
+    for (field, data), ranks in ((chain, np.arange(8.0)), (chain, [True, 0, 2, 3, 4, 5, 6, 7]),
+                                 (PAIR_FIELD, np.array([False, True])),
+                                 (PAIR_FIELD, [0.0, 1.0])):
+        with pytest.raises(ValueError, match="^ranks must be a permutation of the site indices$"):
+            RANKED[entry](field, data, ranks)
+    field, data = chain
+    for ranks in (np.arange(8, dtype=np.uint8), list(range(8))):
+        assert repr(RANKED[entry](field, data, ranks)) == repr(RANKED[entry](field, data, None))

@@ -85,6 +85,23 @@ def test_dp_rejects_non_chain_topologies():
         chain_dp_map(star, DataTerm(np.zeros((4, 2))))
 
 
+PAIR_OF_TWO = [(1,), (0,)]
+INVALID_FIELDS = {
+    "nan-table": Field(2, 2, PAIR_OF_TWO, [Clique((0, 1), np.array([[0.0, np.nan], [1.0, 0.0]]))]),
+    "3x3-table": Field(2, 2, PAIR_OF_TWO, [Clique((0, 1), np.zeros((3, 3)))]),
+    "member-out-of-range": Field(2, 2, PAIR_OF_TWO, [Clique((0, 5), np.zeros((2, 2)))]),
+    "members-not-neighbors": Field(3, 2, [(1,), (0, 2), (1,)], [Clique((0, 2), np.zeros((2, 2)))]),
+}
+
+
+@pytest.mark.parametrize("name", INVALID_FIELDS)
+@pytest.mark.parametrize("oracle", [brute_force_map, chain_dp_map])
+def test_oracles_refuse_an_invalid_field(name, oracle):
+    field = INVALID_FIELDS[name]
+    with pytest.raises(ValueError, match="^invalid field: clique 0: "):
+        oracle(field, DataTerm(np.zeros((field.num_sites, 2))))
+
+
 def test_brute_force_refuses_oversized_state_spaces():
     n = 30
     field = Field(n, 2, [() for _ in range(n)], [])
