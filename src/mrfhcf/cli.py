@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .baselines import AnnealSchedule, MpmParams, anneal_run, icm_run, mpm_run, tlr
-from .core import assign_ranks, energy
+from .core import RANK_MODES, assign_ranks, energy
 from .edges import (EdgeModel, EdgePotentials, LABEL_LETTERS, build_edge_field,
                     compute_llr, llr_data_term, make_chain_fixture,
                     make_checkerboard, render_overlay)
@@ -27,7 +27,6 @@ from .trace import TraceRow
 
 ESTIMATORS = ("tlr", "annealing", "mpm", "icm-scan", "icm-random", "hcf", "local-hcf")
 STOCHASTIC = frozenset({"annealing", "mpm", "icm-random"})
-RANK_MODES = ("site-index", "seeded-permutation")
 
 
 class UsageError(Exception):
@@ -66,13 +65,26 @@ class RunConfig:
     seeds: tuple[int, ...] = (1, 2, 3)
     rank_mode: str = "site-index"
     rank_seed: int | None = None
-    threads: int = 1
     max_iterations: int | None = None
 
 
 # a config-file value is read with the type of its field's default, int for None
 CONFIG_SCHEMA = {f.name: int if f.default is None else type(f.default)
                  for f in fields(RunConfig)} | {"seeds": _parse_seeds}
+
+# the --help text of each settings flag that has one
+SETTING_HELP = {
+    "mu_e": "expected intensity step at a true edge",
+    "sigma": "assumed pixel noise",
+    "t0": "annealing start temperature",
+    "alpha": "annealing cooling factor",
+    "sweeps": "annealing sweep count",
+    "burn_in": "marginal-sampling burn-in sweeps",
+    "samples": "marginal-sampling sweeps",
+    "seed": "seed for single stochastic runs",
+    "seeds": "comma-separated seeds for comparison runs",
+    "rank_mode": "tie-break rank assignment",
+}
 
 
 def resolve_run_config(args) -> RunConfig:
@@ -95,8 +107,6 @@ def resolve_run_config(args) -> RunConfig:
                          f"choose from {', '.join(RANK_MODES)}")
     if cfg.rank_mode == "seeded-permutation" and cfg.rank_seed is None:
         raise UsageError("rank mode seeded-permutation needs --rank-seed")
-    if cfg.threads < 1:
-        raise UsageError("threads must be at least 1")
     return cfg
 
 
@@ -138,8 +148,7 @@ def run_estimator(name: str, field, data, cfg: RunConfig, seed: int | None = Non
     if name == "local-hcf":
         ranks = assign_ranks(field, cfg.rank_mode, cfg.rank_seed)
         out, trace = local_hcf_run(field, data, ranks=ranks,
-                                   max_iterations=cfg.max_iterations,
-                                   threads=cfg.threads)
+                                   max_iterations=cfg.max_iterations)
         return out, trace.rows, trace.iterations
     init = tlr(field, data)
     seed = cfg.seed if seed is None else seed
@@ -284,29 +293,11 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", metavar="FILE",
                         help="key = value settings file; flags override it")
     params = common.add_argument_group("model and estimator settings")
-    params.add_argument("--estimator", choices=ESTIMATORS)
-    params.add_argument("--mu-e", dest="mu_e", type=float,
-                        help="expected intensity step at a true edge")
-    params.add_argument("--sigma", type=float, help="assumed pixel noise")
-    params.add_argument("--continuity", type=float)
-    params.add_argument("--turn", type=float)
-    params.add_argument("--parallel", type=float)
-    params.add_argument("--edge-prior", dest="edge_prior", type=float)
-    params.add_argument("--t0", type=float, help="annealing start temperature")
-    params.add_argument("--alpha", type=float, help="annealing cooling factor")
-    params.add_argument("--sweeps", type=int, help="annealing sweep count")
-    params.add_argument("--burn-in", dest="burn_in", type=int,
-                        help="marginal-sampling burn-in sweeps")
-    params.add_argument("--samples", type=int, help="marginal-sampling sweeps")
-    params.add_argument("--seed", type=int, help="seed for single stochastic runs")
-    params.add_argument("--seeds", type=_parse_seeds,
-                        help="comma-separated seeds for comparison runs")
-    params.add_argument("--ranks", dest="rank_mode", choices=RANK_MODES,
-                        help="tie-break rank assignment")
-    params.add_argument("--rank-seed", dest="rank_seed", type=int)
-    params.add_argument("--threads", type=int,
-                        help="accepted for local-hcf; has no effect on results")
-    params.add_argument("--max-iterations", dest="max_iterations", type=int)
+    choices = {"estimator": ESTIMATORS, "rank_mode": RANK_MODES}
+    for key, read in CONFIG_SCHEMA.items():
+        flag = "--ranks" if key == "rank_mode" else "--" + key.replace("_", "-")
+        params.add_argument(flag, dest=key, type=read, choices=choices.get(key),
+                            help=SETTING_HELP.get(key))
 
     lab = sub.add_parser("label", parents=[common],
                          help="run one estimator and write its labeling")
@@ -336,10 +327,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (FileFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, RuntimeError) as exc:

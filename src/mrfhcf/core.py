@@ -209,7 +209,7 @@ def _site_array(values, ndim, what):
     try:
         return raw.astype(np.int64)
     except OverflowError:
-        raise ValueError("site ids must fit in 64-bit integers") from None
+        raise ValueError(f"{what} must fit in 64-bit integers") from None
 
 
 class CompiledField:
@@ -441,6 +441,9 @@ def _check_count(name, value, least=0, default=None):
     return value
 
 
+RANK_MODES = ("site-index", "seeded-permutation")
+
+
 def assign_ranks(field, mode: str = "site-index", seed: int | None = None) -> np.ndarray:
     """Distinct per-site ranks used to break stability ties.
 
@@ -569,7 +572,8 @@ def _checked_index(value, what):
             return operator.index(value)
         except TypeError:
             pass
-    raise ValueError(f"{what} {value} is not an integer")
+    shown = repr(value) if isinstance(value, str) else value
+    raise ValueError(f"{what} {shown} is not an integer")
 
 
 def _site_read(field, data, config, site):

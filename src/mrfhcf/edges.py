@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Clique, DataTerm, Field, _check_count, _checked_index, _real
+from .core import (UNCOMMITTED, Clique, DataTerm, Field, _check_count, _checked_index,
+                   _real, _site_array)
 
 NON_EDGE = 0
 EDGE = 1
@@ -302,10 +303,12 @@ def render_overlay(image: Image, config) -> Image:
     """
     h, w = image.height, image.width
     lattice = EdgeLattice(w, h)
-    cfg = np.asarray(config)
+    cfg = _site_array(config, 1, "labels")
     if cfg.shape != (lattice.num_sites,):
         raise ValueError(f"configuration has {cfg.shape} entries for "
                          f"{lattice.num_sites} sites")
+    if ((cfg < UNCOMMITTED) | (cfg > EDGE)).any():
+        raise ValueError(f"labels must lie in {UNCOMMITTED}..{EDGE}")
     canvas = np.full((2 * h + 1, 2 * w + 1), 255, dtype=np.uint8)
     canvas[1::2, 1::2] = image.pixels
     edge = cfg == EDGE

@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -196,7 +199,6 @@ EVERY_SETTING = {
     "seeds": ("--seeds", "4,5"),
     "rank_mode": ("--ranks", "seeded-permutation"),
     "rank_seed": ("--rank-seed", "13"),
-    "threads": ("--threads", "2"),
     "max_iterations": ("--max-iterations", "17"),
 }
 
@@ -221,6 +223,27 @@ def test_flags_config_keys_and_run_config_name_the_same_settings():
     assert set(CONFIG_SCHEMA) == settings == set(EVERY_SETTING)
     for command in (["label"], ["compare", "-o", "x.csv"], ["oracle"]):
         assert set(vars(parser.parse_args(command))) - not_settings == settings
+
+
+def test_readme_lists_every_settings_flag():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listed = re.search(r"Estimator and model settings \((.*?)\)", readme, re.S).group(1)
+    label = _build_parser()._subparsers._group_actions[0].choices["label"]
+    group, = (g for g in label._action_groups if g.title == "model and estimator settings")
+    assert re.findall(r"`(--[\w-]+)`", listed) == [a.option_strings[0]
+                                                   for a in group._group_actions]
+
+
+def test_threads_is_no_setting(tmp_path, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["label", "--chain-fixture", "--threads", "2"])
+    assert info.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("threads = 2\n")
+    code, _, stderr = run(capsys, "label", "--chain-fixture", "--config", str(cfg))
+    assert code == 3
+    assert ":1:" in stderr and "unknown key" in stderr
 
 
 def test_config_file_errors(tmp_path, capsys):
@@ -250,8 +273,6 @@ def test_runtime_parameter_errors(capsys):
     code, _, stderr = run(capsys, "label", "--chain-fixture",
                           "--estimator", "annealing", "--t0", "-1")
     assert code == 4
-    code, _, stderr = run(capsys, "label", "--chain-fixture", "--threads", "0")
-    assert code == 2
     code, _, stderr = run(capsys, "label", "--chain-fixture",
                           "--ranks", "seeded-permutation")
     assert code == 2

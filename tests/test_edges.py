@@ -295,6 +295,14 @@ def test_render_overlay_geometry():
         render_overlay(image, np.array([1, 0, 0]))
 
 
+@pytest.mark.parametrize("labels", [np.full(12, 0.5), np.full(12, 7), np.full(12, -2),
+                                    [True] * 12, np.ones(12, bool), [True] + [0] * 11,
+                                    [2**70] * 12])
+def test_render_overlay_refuses_what_is_no_label(labels):
+    with pytest.raises(ValueError, match="^labels must "):
+        render_overlay(make_checkerboard(3, 3, 1, 64, 192, 0.0, 1), labels)
+
+
 @pytest.mark.parametrize("w, h", [(3, 2), (2, 4), (5, 3)])
 def test_render_overlay_matches_the_pixel_pairs(w, h):
     rng = np.random.default_rng(w * 10 + h)

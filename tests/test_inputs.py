@@ -228,6 +228,7 @@ def test_local_minimum_check_refuses_a_tolerance_that_is_not_a_real_number(chain
     (lambda field, data: best_label(field, data, [0] * 8, 1.0), "site 1.0"),
     (lambda field, data: stability(field, data, [0] * 8, np.float64(2.0)), "site 2.0"),
     (lambda field, data: stability(field, data, [0] * 8, None), "site None"),
+    (lambda field, data: stability(field, data, [0] * 8, "0"), "site '0'"),
     (lambda field, data: local_energy(field, data, [0] * 8, 0.5, 0), "site 0.5"),
     (lambda field, data: local_energy(field, data, [0] * 8, 0, 0.5), "label 0.5"),
     (lambda field, data: local_energy(field, data, [0] * 8, 0, np.float32(1.0)), "label 1.0"),
@@ -301,7 +302,7 @@ def test_clique_members_are_python_ints():
 
 @pytest.mark.parametrize("make, message", [
     (lambda: build_edge_field(3.7, 3), "width 3.7"),
-    (lambda: build_edge_field("3", 3), "width 3"),
+    (lambda: build_edge_field("3", 3), "width '3'"),
     (lambda: build_edge_field(3, np.float64(3.0)), "height 3.0"),
     (lambda: EdgeLattice(2.5, 3), "width 2.5"),
     (lambda: EdgeLattice(True, 3), "width True"),
