@@ -148,22 +148,22 @@ class _Wave:
         # the padding neighbour n counts as never visited
         when = np.full(n + 1, n)
         when[order] = np.arange(n)
-        before = when[comp.neighbors] < when[:n, None]
+        before = when[comp.neighbors] < when[:n]
         # a round places one level, ascending: the sites no earlier neighbour keeps waiting.
         # It counts down their later neighbours and themselves (to -1); padding n starts at -1
-        waiting = np.append(before.sum(axis=1), -1)
-        placed = np.column_stack((np.where(before, n, comp.neighbors), np.arange(n)))
+        waiting = np.append(before.sum(axis=0), -1)
+        placed = np.vstack((np.where(before, n, comp.neighbors), np.arange(n)))
         levels = []
         while (ready := (waiting == 0).nonzero()[0]).size:
             levels.append(ready)
-            np.subtract.at(waiting, placed[ready], 1)
+            np.subtract.at(waiting, placed[:, ready], 1)
         self.depth = depth = len(levels)
         sizes = np.array([len(v) for v in levels])
         self.level = level = np.empty(n, dtype=np.int64)
         level[np.concatenate(levels)] = np.repeat(np.arange(depth), sizes)
         self.stride = depth
         if sweeps > 1:
-            steps = (level[:, None] - np.append(level, 0)[comp.neighbors])[before]
+            steps = (level - np.append(level, 0)[comp.neighbors])[before]
             pace = 1 + int(steps.max(initial=0))
             flight = max(1, _IN_FLIGHT // n)
             self.stride = max(pace, -(-depth // flight))

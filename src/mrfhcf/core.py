@@ -225,9 +225,13 @@ class CompiledField:
       + 1``. Row ``r`` holds the own-label energies when the other
       members' labels, read as the base-``num_labels`` digits of ``r``
       (first other most significant), are all committed. The last row is
-      all zero and stands for an uncommitted other: a row index of -1
-      (UNCOMMITTED) lands on it. A unary table fills row 0 only.
-      Table 0 is all zero and serves the padding slots.
+      all zero and stands for an uncommitted other: a clique whose other
+      members are not all committed adds nothing. With ``m == 1`` the
+      readers use the other member's label as the row index unchanged, so
+      UNCOMMITTED's -1 reaches, from a real table's first row, the last
+      row of the table stacked before it, which is zero too. A unary
+      table fills row 0 only. Table 0 is all zero and serves the padding
+      slots; no real clique uses it, so a real table always has one before it.
     - ``offsets[j, s]`` and ``others[:, j, s]`` (``m`` sites, padded in
       front with ``n``) describe site ``s``'s ``j``-th incident clique in
       ascending clique id order, for ``D`` slots ``j``: the first row of
@@ -235,7 +239,9 @@ class CompiledField:
       other members. The slots past the site's degree hold table 0.
       Slot-major, so that each slot is one contiguous column of the
       gather. ``strides`` turns ``m`` labels into a row index.
-    - ``neighbors[s]`` lists the neighbors of ``s``, padded with ``n``.
+    - ``neighbors[j, s]`` is site ``s``'s ``j``-th neighbor in the
+      field's CSR order, for ``max_degree`` slots ``j``; the slots past
+      its degree hold ``n``. Slot-major like ``offsets``.
     - ``members[:, c]`` lists clique ``c``'s members (``m + 1`` sites,
       padded in front with ``n``; the field's own array) and
       ``clique_tids[c]`` its table arranged for its last member, which is
@@ -264,8 +270,8 @@ class CompiledField:
 
         counts = np.diff(field.indptr)
         owner = np.repeat(np.arange(n), counts)
-        self.neighbors = np.full((n, int(counts.max(initial=0))), n, dtype=np.int64)
-        self.neighbors[owner, np.arange(owner.size) - field.indptr[owner]] = field.indices
+        self.neighbors = np.full((int(counts.max(initial=0)), n), n, dtype=np.int64)
+        self.neighbors[np.arange(owner.size) - field.indptr[owner], owner] = field.indices
 
         self.strides = num_labels ** np.arange(m - 1, -1, -1, dtype=np.int64)
         self.clique_tids = base + arity - 1
@@ -485,9 +491,13 @@ def augmented_energy(field: Field, data: DataTerm, config) -> float:
 def _table_rows(comp, labs):
     """Table row for each column of other members' labels ``labs[:, ...]``.
 
-    The zero row (the last) where any of them is uncommitted.
+    Where any of them is uncommitted, a zero row: with one other member
+    its label -1 itself (the zero last row of the table before, see
+    :class:`CompiledField`), with more the table's own last row.
     """
     rows = labs[-1]  # the last stride is 1
+    if len(comp.strides) == 1:
+        return rows
     dead = rows < 0
     for j in range(len(comp.strides) - 1):
         rows = rows + labs[j] * comp.strides[j]
@@ -500,9 +510,8 @@ def _augmented_sum(comp, values, cfg):
     num_labels = values.shape[1]
     labs = cfg[comp.members]
     own = labs[-1]
-    rows = _table_rows(comp, labs[:-1])
     # an uncommitted last member also takes the zero row, at any column
-    rows[own < 0] = comp.height - 1
+    rows = np.where(own < 0, comp.height - 1, _table_rows(comp, labs[:-1]))
     cells = ((comp.clique_tids * comp.height + rows) * num_labels
              + np.maximum(own, 0))
     committed = cfg[:-1]

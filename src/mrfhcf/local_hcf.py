@@ -8,8 +8,11 @@ negative or it is uncommitted with stability exactly 0. Two neighbors can
 never change in the same iteration, so the sweep is safe to evaluate in
 parallel. The sweep runs as whole-array numpy work on the field's compiled
 arrays (read, stability, eligibility, energy), on the calling thread. The
-input checks, the padded configuration and ranks, and the per-site ranks
-of ``assign_ranks`` come from ``core``.
+eligibility test compares every site with its neighbors one slot of the
+slot-major ``neighbors`` array at a time; the rank comparisons do not
+change between sweeps, so a run makes them once. The input checks, the
+padded configuration and ranks, and the per-site ranks of
+``assign_ranks`` come from ``core``.
 """
 
 from __future__ import annotations
@@ -31,25 +34,33 @@ class StepResult:
     any_change: bool
 
 
-def _sweep(comp, values, cfg, rank):
+def _lower(comp, rank):
+    """``lower[j, s]``: site ``s`` ranks below its ``j``-th neighbor.
+
+    ``rank`` holds the ranks with ``n`` appended, so every site ranks
+    below the padding neighbor. The order is the same in every sweep of
+    a run.
+    """
+    return rank[:-1] < rank[comp.neighbors]
+
+
+def _sweep(comp, values, cfg, lower):
     """Read every site of ``cfg`` at once, then select the eligible ones.
 
     ``cfg`` is the configuration with label 0 appended for the padding
-    site and ``rank`` the ranks with ``n`` appended. Returns (g, best,
-    changed): every site's stability and best label, and the eligible
-    sites in ascending order. ``cfg`` is not modified.
+    site and ``lower`` the rank order of :func:`_lower`. Every site is
+    tested in one pass, slot by slot of ``comp.neighbors``: its (g,
+    rank) must be below each neighbor's, the padding neighbor standing at
+    (+inf, n). Returns (g, best, changed): every site's stability and
+    best label, and the eligible sites that can act, in ascending order.
+    ``cfg`` is not modified.
     """
     own = cfg[:len(values)]
     g, best = _stabilities(_local_rows(comp, comp.others, comp.offsets, values, cfg), own)
-
-    # eligible: can act, and (g, rank) below every neighbor's; the
-    # padding neighbor n stands at (+inf, n)
-    can = np.flatnonzero((g < 0) | ((g == 0) & (own == UNCOMMITTED)))
-    nbrs = comp.neighbors[can]
-    g_ext = np.append(g, np.inf)
-    gs, gn = g[can, None], g_ext[nbrs]
-    first = ((gs < gn) | ((gs == gn) & (rank[can, None] < rank[nbrs]))).all(axis=1)
-    return g, best, can[first]
+    gn = np.append(g, np.inf)[comp.neighbors]
+    first = ((g < gn) | ((g == gn) & lower)).all(axis=0)
+    can_act = (g < 0) | ((g == 0) & (own == UNCOMMITTED))
+    return g, best, np.flatnonzero(first & can_act)
 
 
 def _apply(cfg, best, changed):
@@ -72,7 +83,7 @@ def local_hcf_step(field, data, config, ranks, threads: int = 1):
     comp = _check_runnable(field, data)
     _check_count("threads", threads, least=1)
     cfg = _checked_labels(field, data, config)
-    _g, best, changed = _sweep(comp, data.values, cfg, _checked_ranks(field, ranks))
+    _g, best, changed = _sweep(comp, data.values, cfg, _lower(comp, _checked_ranks(field, ranks)))
     commits = _apply(cfg, best, changed)
     energy_after = _augmented_sum(comp, data.values, cfg)
     return cfg[:-1].copy(), StepResult(tuple(changed.tolist()), commits, energy_after,
@@ -96,6 +107,7 @@ def local_hcf_run(field, data, ranks=None, max_iterations: int | None = None,
     cap = _check_count("max_iterations", max_iterations, default=100 * n * field.num_labels)
     _check_count("threads", threads, least=1)
     values = data.values
+    lower = _lower(comp, rank)
 
     cfg = _checked_labels(field, data, new_configuration(n))
     rows = [TraceRow(0, 0.0, 0, 0)]
@@ -104,7 +116,7 @@ def local_hcf_run(field, data, ranks=None, max_iterations: int | None = None,
 
     for iteration in range(1, cap + 1):
         if fallback is None:
-            g, best, changed = _sweep(comp, values, cfg, rank)
+            g, best, changed = _sweep(comp, values, cfg, lower)
         else:
             changed, fallback = fallback, None
         if not changed.size:

@@ -142,6 +142,24 @@ def reference_augmented_energy(field, data, config):
     return total
 
 
+def reference_eligible(field, g, own, rank):
+    """The sites a synchronous sweep changes, one site at a time over ``field.adjacency``.
+
+    A site changes when it can act (stability below 0, or uncommitted at
+    exactly 0) and its (stability, rank) is below the (stability, rank)
+    of every neighbor. ``g``, ``own`` and ``rank`` hold one entry per
+    site; returns the sites in ascending order.
+    """
+    n = field.num_sites
+    g, own, rank = [float(v) for v in g[:n]], [int(v) for v in own[:n]], [int(v) for v in rank[:n]]
+    out = []
+    for s, nbrs in enumerate(field.adjacency):
+        can_act = g[s] < 0 or (g[s] == 0 and own[s] == UNCOMMITTED)
+        if can_act and all((g[s], rank[s]) < (g[r], rank[r]) for r in nbrs):
+            out.append(s)
+    return out
+
+
 def reference_structure_problems(field):
     """The structural check as a plain loop over ``field.adjacency`` and ``field.cliques``.
 

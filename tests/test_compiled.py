@@ -1,18 +1,20 @@
 """The compiled-field readers against a plain walk over ``field.cliques``, bit for bit."""
 
 import struct
+import warnings
 
 import numpy as np
 import pytest
 
-from mrfhcf import (EDGE, Clique, DataTerm, Field, augmented_energy, best_label,
-                    energy, hcf_run, is_local_minimum, llr_data_term, local_energies,
-                    local_energy, local_hcf_run, local_hcf_step, new_configuration,
-                    stability, tlr)
+from mrfhcf import (EDGE, Clique, DataTerm, EdgePotentials, Field, assign_ranks,
+                    augmented_energy, best_label, build_edge_field, energy, hcf_run,
+                    is_local_minimum, llr_data_term, local_energies, local_energy,
+                    local_hcf_run, local_hcf_step, new_configuration, stability, tlr)
 from mrfhcf.core import _checked_labels, _checked_ranks
-from mrfhcf.local_hcf import _sweep
-from support import (random_field, reference_augmented_energy, reference_local_rows,
-                     reference_row_stats, scalar_reader, triple_clique_field)
+from mrfhcf.local_hcf import _lower, _sweep
+from support import (random_field, reference_augmented_energy, reference_eligible,
+                     reference_local_rows, reference_row_stats, scalar_reader,
+                     triple_clique_field)
 
 
 def bits(x):
@@ -67,11 +69,11 @@ def test_augmented_energy_matches_the_clique_walk():
 def test_sweep_stabilities_match_the_scalar_readers():
     rng = np.random.default_rng(2)
     for field, data in cases():
-        rank = _checked_ranks(field, None)
+        lower = _lower(field.compiled, _checked_ranks(field, None))
         read = scalar_reader(field, data)
         for cfg in configurations(field, rng):
             g, best, _changed = _sweep(field.compiled, data.values,
-                                       _checked_labels(field, data, cfg), rank)
+                                       _checked_labels(field, data, cfg), lower)
             labels = cfg.tolist()
             for s in range(field.num_sites):
                 assert bits(g[s]) == bits(stability(field, data, cfg, s))
@@ -79,6 +81,98 @@ def test_sweep_stabilities_match_the_scalar_readers():
                 want_best, want_val, want_g = reference_row_stats(read(labels, s), labels[s])
                 assert bits(g[s]) == bits(want_g)
                 assert best_label(field, data, cfg, s) == (want_best, want_val)
+
+
+def zero_lattice(size):
+    """The all-zero edge lattice: every stability is exactly 0."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # zero potentials are legal, just unusual
+        field = build_edge_field(size, size, EdgePotentials(0.0, 0.0, 0.0, 0.0))
+    return field, DataTerm(np.zeros((field.num_sites, 2)))
+
+
+def selection_cases():
+    """(field, data, ranks): the random and triple-clique cases under two rank
+    orders, all-zero lattices under seeded ranks, and a site with no neighbor."""
+    for field, data in cases():
+        yield field, data, None
+        yield field, data, assign_ranks(field, "seeded-permutation", 1)
+    for size in (3, 4):
+        field, data = zero_lattice(size)
+        for seed in range(3):
+            yield field, data, assign_ranks(field, "seeded-permutation", seed)
+    yield Field(1, 2, [()], []), DataTerm([[0.5, 0.25]]), None
+
+
+def test_neighbor_slots_list_the_csr_neighbors_then_padding():
+    for field, _data, _ranks in selection_cases():
+        n, neighbors = field.num_sites, field.compiled.neighbors
+        slots = max(len(nbrs) for nbrs in field.adjacency)
+        assert neighbors.shape == (slots, n)
+        for s, nbrs in enumerate(field.adjacency):
+            assert neighbors[:, s].tolist() == list(nbrs) + [n] * (slots - len(nbrs))
+    assert Field(1, 2, [()], []).compiled.neighbors.shape == (0, 1)
+
+
+def test_sweep_selection_matches_the_per_site_rule():
+    rng = np.random.default_rng(3)
+    outcomes = set()
+    for field, data, ranks in selection_cases():
+        comp = field.compiled
+        rank = _checked_ranks(field, ranks)
+        lower = _lower(comp, rank)
+        states = list(configurations(field, rng))
+        cfg = new_configuration(field.num_sites)
+        for _ in range(field.num_sites * field.num_labels):  # the states a run passes through
+            cfg, step = local_hcf_step(field, data, cfg, rank[:-1])
+            states.append(cfg)
+            if not step.any_change:
+                break
+        for cfg in states:
+            g, _best, changed = _sweep(comp, data.values, _checked_labels(field, data, cfg), lower)
+            want = reference_eligible(field, g, cfg, rank)
+            assert changed.tolist() == want
+            can_act = np.flatnonzero((g < 0) | ((g == 0) & (cfg < 0)))
+            outcomes.add((bool(want), len(want) < can_act.size))
+    # sweeps where a neighbor blocks a site that can act, with and without
+    # a change (the second only under exact ties), and quiet local minima
+    assert outcomes >= {(True, True), (False, True), (False, False)}
+
+
+def test_an_uncommitted_other_reads_a_zero_row_before_its_table():
+    for field, _data in cases():
+        comp = field.compiled
+        flat = comp.tables.reshape(-1, field.num_labels)
+        for s in range(field.num_sites):
+            degree = sum(s in c.members for c in field.cliques)
+            assert (comp.offsets[:degree, s] > 0).all() and not comp.offsets[degree:, s].any()
+            rows = flat[comp.offsets[:degree, s] - 1]
+            assert rows.tobytes() == np.zeros_like(rows).tobytes()
+
+
+def test_uncommitted_others_in_the_first_table_and_in_triple_cliques_match_the_clique_walk():
+    # pairwise: row -1 of stacked table 1 is table 0's zero last row;
+    # triple cliques take the zero row through the `where` of the readers
+    rng = np.random.default_rng(4)
+    seen = {1: 0, 2: 0}
+    for field, data in cases():
+        comp = field.compiled
+        n = field.num_sites
+        m = len(comp.strides)
+        if m == 1:
+            slot, site = np.nonzero(comp.offsets == comp.height)
+            targets = [t for t in comp.others[0, slot, site].tolist() if t < n]
+        else:
+            targets = sorted({t for c in field.cliques if len(c.members) == 3 for t in c.members})
+        seen[m] += len(targets)
+        for uncommitted in [[t] for t in targets] + [targets]:
+            cfg = rng.integers(0, field.num_labels, n)
+            cfg[uncommitted] = -1
+            want = np.array(reference_local_rows(field, data, cfg))
+            assert local_energies(field, data, cfg).tobytes() == want.tobytes()
+            assert bits(augmented_energy(field, data, cfg)) == \
+                bits(reference_augmented_energy(field, data, cfg))
+    assert seen[1] and seen[2]
 
 
 # (local energies, own label, stability repr, best label): exact ties at
@@ -111,7 +205,7 @@ def test_hand_rows_match_the_reference_stabilities():
         assert best_label(field, data, [own], 0) == (best, row[best])
         g, sweep_best, _changed = _sweep(field.compiled, data.values,
                                          _checked_labels(field, data, [own]),
-                                         _checked_ranks(field, None))
+                                         _lower(field.compiled, _checked_ranks(field, None)))
         assert (repr(g[0].item()), sweep_best[0]) == (g_repr, best)
 
 

@@ -37,11 +37,11 @@ def test_probe_writes_every_layer_estimator_and_label_record(tmp_path, capsys):
     assert entry["size"] == 8 and entry["sites"] == 2 * 8 * 7
     assert set(entry["layers_s"]) == {
         "read_s", "llr_s", "build_edge_field_s", "check_s", "compile_s", "local_hcf_s",
-        "hcf_s", "icm_s", "icm_random_s", "anneal_s", "mpm_s",
+        "hcf_s", "icm_s", "icm_random_s", "anneal_s", "mpm_s", "noisy_local_hcf_s",
         "noisy_hcf_s", "noisy_icm_s", "noisy_icm_random_s", "noisy_anneal_s", "noisy_mpm_s"}
     assert set(entry["estimators"]) == {"local_hcf", "hcf", "icm", "icm_random", "anneal", "mpm",
-                                        "noisy_hcf", "noisy_icm", "noisy_icm_random",
-                                        "noisy_anneal", "noisy_mpm"}
+                                        "noisy_local_hcf", "noisy_hcf", "noisy_icm",
+                                        "noisy_icm_random", "noisy_anneal", "noisy_mpm"}
     # a clean board: every deterministic estimator finds the same labeling
     deterministic = [entry["estimators"][name]
                      for name in ("local_hcf", "hcf", "icm", "icm_random")]
@@ -56,6 +56,9 @@ def test_probe_writes_every_layer_estimator_and_label_record(tmp_path, capsys):
     assert all(e["flips"] > 0 and e["iterations"] > 0 for e in noisy.values())
     for name in ("noisy_icm", "noisy_icm_random"):
         assert set(entry["estimators"][name]) == {"energy", "iterations", "sweeps", "flips"}
+    for name in ("local_hcf", "noisy_local_hcf"):
+        assert set(entry["estimators"][name]) == {"energy", "iterations", "sweeps"}
+        assert entry["estimators"][name]["sweeps"] > 0
     # serial HCF steps at least once per site on the noisy board too
     assert set(entry["estimators"]["noisy_hcf"]) == {"energy", "iterations"}
     assert entry["estimators"]["noisy_hcf"]["iterations"] >= entry["sites"]

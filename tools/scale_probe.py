@@ -14,8 +14,9 @@ scan order and in random order (seed 1), ``anneal_run`` (default
 schedule, seed 1) and ``mpm_run`` (default parameters) from the TLR
 start. No Gibbs sweep need flip a site of the clean board, so ICM in both
 orders, annealing and MPM also run on a noisy board of the same size (noise
-``NOISY_SIGMA``, the model at the same sigma), as ``noisy_*``; so does
-``hcf_run``, whose revisions and re-keyed neighbours show there. Next to
+``NOISY_SIGMA``, the model at the same sigma), as ``noisy_*``; so do
+``local_hcf_run`` and ``hcf_run``, whose revisions (and for ``hcf_run``
+re-keyed neighbours) show there. Next to
 each estimator it records the energy of its labeling and its iteration
 count (for annealing and MPM also the sweep count, and on the noisy board
 the number of flips), so that a speed-up shows it kept the answer.
@@ -94,6 +95,10 @@ def probe_layers(size: int, board: Path) -> dict:
 
     noisy = compute_llr(make_checkerboard(size, size, 10, 64, 192, NOISY_SIGMA, 1),
                         EdgeModel(sigma=NOISY_SIGMA))
+    cfg, trace = _timed(layers, "noisy_local_hcf_s", local_hcf_run, field, noisy)
+    estimators["noisy_local_hcf"] = {"energy": energy(field, noisy, cfg),
+                                     "iterations": trace.iterations,
+                                     "sweeps": len(trace.rows) - 1}
     cfg, htrace = _timed(layers, "noisy_hcf_s", hcf_run, field, noisy)
     estimators["noisy_hcf"] = {"energy": energy(field, noisy, cfg),
                                "iterations": len(htrace.steps)}
