@@ -13,9 +13,14 @@ bit:
 - Gibbs sweep ``k`` draws one ``rng.random(n)``, sweep after sweep, and
   site ``s`` takes element ``s``. At temperature ``t = max(T, 1e-300)`` a
   row ``v`` weighs label ``l`` by ``math.exp(-(v[l] - min(v)) / t)``; the
-  site takes the first label whose running weight sum
-  (``np.add.accumulate`` along the row) exceeds ``u * math.fsum(weights)``,
-  else the last label;
+  site takes the first label whose running weight sum (added label by
+  label) exceeds ``u * math.fsum(weights)``, else the last label. A level
+  draws down its label columns, with one ``np.exp`` for all its weights
+  and its last running sum as the total; these may differ from the rule's
+  in the last bits. A row whose threshold ``u * total`` lies within
+  ``_MARGIN * total`` (``_MARGIN = 2**-36``) of a running sum is drawn
+  again by the rule itself, element by element, so every label is the
+  rule's;
 - the sweep traces carry the total energy, updated by each flip's exact
   local-energy difference, added in visit order onto the running total.
 
@@ -205,9 +210,9 @@ class _Wave:
 def _sweeps(wave, start, current, temperatures=None, rng=None):
     """Run the ``wave.sweeps`` sweeps of ``wave`` from the labels ``start``.
 
-    With ``temperatures``, sweep ``k`` is a Gibbs sweep at
-    ``temperatures[k]`` drawing from ``rng``; without, every site takes its
-    argmin. After each sweep, in order, yields the total energy
+    With ``temperatures`` (each at least 1e-300), sweep ``k`` is a Gibbs
+    sweep at ``temperatures[k]`` drawing from ``rng``; without, every site
+    takes its argmin. After each sweep, in order, yields the total energy
     ``current`` plus the sweep's flip deltas, the number of flips and the
     sweep's labels in site order.
 
@@ -225,20 +230,18 @@ def _sweeps(wave, start, current, temperatures=None, rng=None):
     labels = np.empty((flight, n), dtype=np.int64)
     cfg = np.zeros(n + 1, dtype=np.int64)  # laid out as `wave.sites`, then the padding site
     cfg[:n] = before = start[wave.sites]
-    home = wave.lap * n + np.arange(n)
-
-    def visits(k):
-        # where sweep k's visits, in the order of `wave.sites`, sit in the flat ring
-        return (k * n + home) % (flight * n)
+    # where sweep k's visits, in the order of `wave.sites`, sit in the flat
+    # ring: row k % flight
+    visits = (np.arange(flight)[:, None] * n + wave.lap * n + np.arange(n)) % (flight * n)
 
     done = 0
     for t, (level, others, offsets, values) in wave.spans():
         if t % stride == 0:
             # a new epoch: its sweep enters and the ring turns one slot
             epoch = t // stride
-            if temperatures is not None and epoch < wave.sweeps:
-                uniforms.reshape(-1)[visits(epoch)] = rng.random(n)[wave.sites]
             slot = epoch % flight
+            if temperatures is not None and epoch < wave.sweeps:
+                uniforms.reshape(-1)[visits[slot]] = rng.random(n)[wave.sites]
             uniforms_at, seen_at, labels_at = uniforms[slot], seen[slot], labels[slot]
         rows = _local_rows(wave.comp, others, offsets, values, cfg)
         if temperatures is None:
@@ -250,7 +253,7 @@ def _sweeps(wave, start, current, temperatures=None, rng=None):
         labels_at[level] = cfg[level] = new
         if t - done * stride == depth - 1:
             # sweep `done` has run its last level
-            at = visits(done)
+            at = visits[done % flight]
             after = labels.reshape(-1)[at]
             flips = wave.visit[(before != after)[wave.visit]]
             at = at[flips]
@@ -295,15 +298,66 @@ def icm_run(field, data, init, order: str = "scan", seed: int | None = None,
     raise RuntimeError(f"ICM exceeded its sweep cap ({cap})")
 
 
+# a drawn row whose threshold lies within this share of its total from one
+# of its running sums is drawn again by _exact_labels (see _gibbs_labels)
+_MARGIN = 2.0 ** -36
+
+
 def _gibbs_labels(rows, uniforms, temperature):
     """One label per row, drawn with probability proportional to exp(-energy / T).
 
-    Row ``i`` uses the uniform ``uniforms[i]`` and the temperature
-    ``temperature``, one for every row or ``temperature[i]``; the
-    arithmetic is that of the module docstring, element by element as
-    Python floats compute it.
+    Row ``i`` (of two or more labels) uses the uniform ``uniforms[i]`` and
+    the temperature ``temperature``, one for every row or
+    ``temperature[i]``, at least 1e-300. The labels are those that
+    :func:`_exact_labels` draws by the rule of the module docstring.
+
+    The draw runs down the label columns: their minimum, one ``np.exp``
+    over the ``(labels, rows)`` stack of ``-(v - min(v)) / t`` and running
+    sums added column by column, the last being the total. ``np.exp`` is
+    within 1 ulp of ``math.exp`` and that total within a few ulps of
+    ``math.fsum``: errors 2**16 times smaller than ``_MARGIN``. So a row
+    whose threshold ``u * total`` lies farther than ``_MARGIN * total``
+    from each running sum compares as the exact rule does; the other rows
+    are drawn again by :func:`_exact_labels`.
     """
-    t = np.where(temperature > 1e-300, temperature, 1e-300).reshape(-1, 1)
+    columns = rows.T
+    low = columns[0]
+    for column in columns[1:]:
+        low = np.minimum(low, column)
+    # low - v is -(v - low) bit for bit but for the sign of a zero, which
+    # exp ignores; C order keeps each label's weights contiguous. A
+    # difference or quotient past the float range is -inf and weighs 0,
+    # as in Python
+    with np.errstate(over="ignore"):
+        weights = np.subtract(low, columns, order="C")
+        np.divide(weights, temperature, out=weights)
+    np.exp(weights, out=weights)
+    sums = [weights[0]]
+    for w in weights[1:]:
+        sums.append(sums[-1] + w)
+    total = sums.pop()
+    threshold = uniforms * total
+    # running sums never decrease, so a label is the number of them, the
+    # total left out, that do not exceed the threshold
+    drawn = (threshold >= sums[0]).view(np.int8)
+    gap = abs(threshold - sums[0])
+    for acc in sums[1:]:
+        drawn = np.add(drawn, threshold >= acc, dtype=np.int64)
+        gap = np.minimum(gap, abs(threshold - acc))
+    near = (gap <= _MARGIN * total).nonzero()[0]
+    if near.size:
+        drawn[near] = _exact_labels(rows[near], uniforms[near],
+                                    np.broadcast_to(temperature, uniforms.shape)[near])
+    return drawn
+
+
+def _exact_labels(rows, uniforms, temperature):
+    """The draw of :func:`_gibbs_labels` element by element, as Python floats compute it.
+
+    One ``math.exp`` per weight, ``np.add.accumulate`` along each row and
+    ``math.fsum`` for the total: the rule of the module docstring.
+    """
+    t = np.reshape(temperature, (-1, 1))
     # the shift by the row minimum keeps the exponentials in range; a
     # quotient past the float range is -inf and weighs 0, as in Python
     with np.errstate(over="ignore"):
@@ -337,7 +391,8 @@ def _gibbs_run(field, data, init, temperatures, seed):
     rows = [TraceRow(0, current, n, 0)]
     yield rows, cfg[:n].copy()
     wave = _Wave(field, data, range(n), len(temperatures))
-    sweeps = _sweeps(wave, cfg, current, temperatures, np.random.default_rng(seed))
+    sweeps = _sweeps(wave, cfg, current, np.maximum(temperatures, 1e-300),
+                     np.random.default_rng(seed))
     for k, (current, changes, labels) in enumerate(sweeps, 1):
         rows.append(TraceRow(k, current, n, changes))
         yield rows, labels
