@@ -36,6 +36,9 @@ fixed everywhere so repeated evaluations are reproducible bit for bit:
 - an energy is ``np.add.accumulate`` over a leading +0.0, the clique terms
   in ascending clique id order, then the data terms in ascending site id
   order, never ``np.sum`` or a dot product, whose pairwise order differs.
+  Local HCF keeps that term array across a run and rewrites only the
+  terms of the sites a sweep changed; the array, and so the sum, is the
+  one a full evaluation builds.
 
 A suppressed term (an uncommitted member, or padding) enters as +0.0. A
 running sum that starts at +0.0 never becomes -0.0, so adding +0.0 leaves
@@ -239,6 +242,10 @@ class CompiledField:
       other members. The slots past the site's degree hold table 0.
       Slot-major, so that each slot is one contiguous column of the
       gather. ``strides`` turns ``m`` labels into a row index.
+    - ``cliques_at[j, s]`` is the id of that ``j``-th incident clique,
+      so site ``s``'s clique ids in ascending order; the slots past its
+      degree hold -1, which points the energy terms' rewrite (entry ``1 +
+      c``) at their leading +0.0. Slot-major like ``offsets``.
     - ``neighbors[j, s]`` is site ``s``'s ``j``-th neighbor in the
       field's CSR order, for ``max_degree`` slots ``j``; the slots past
       its degree hold ``n``. Slot-major like ``offsets``.
@@ -258,12 +265,15 @@ class CompiledField:
         self.height = num_labels ** m + 1
         self.tables, base = _stacked_tables(field.tables, field.table_ids, self.height,
                                             num_labels)
-        site, tid, oth = _incidences(self.members, arity, base)
+        site, tid, oth, cid = _incidences(self.members, arity, base)
 
         degree = np.bincount(site, minlength=n)
         start = np.cumsum(degree) - degree
         slot = np.arange(site.size) - start[site]
-        self.offsets = np.zeros((int(degree.max(initial=0)), n), dtype=np.int64)
+        self.cliques_at = np.full((int(degree.max(initial=0)), n), -1, dtype=np.int64)
+        self.cliques_at[slot, site] = cid
+        del cid  # so that the compile's peak below grows by cliques_at alone
+        self.offsets = np.zeros(self.cliques_at.shape, dtype=np.int64)
         self.offsets[slot, site] = tid * self.height
         self.others = np.full((m,) + self.offsets.shape, n, dtype=np.int64)
         self.others[:, slot, site] = oth
@@ -276,8 +286,8 @@ class CompiledField:
         self.strides = num_labels ** np.arange(m - 1, -1, -1, dtype=np.int64)
         self.clique_tids = base + arity - 1
         self.sites = np.arange(n)
-        for a in (self.tables, self.offsets, self.others, self.strides, self.neighbors,
-                  self.clique_tids, self.sites):
+        for a in (self.tables, self.offsets, self.others, self.cliques_at, self.strides,
+                  self.neighbors, self.clique_tids, self.sites):
             a.setflags(write=False)
 
 
@@ -309,7 +319,7 @@ def _arranged(table, height):
 
 
 def _incidences(members, arity, base):
-    """One incidence per (clique, member): its site, table id and other members.
+    """One incidence per (clique, member): its site, table id, other members and clique id.
 
     The other members form an ``(m, incidences)`` array, padded in front
     like ``members``. Incidences are ordered by site and, within a site,
@@ -321,7 +331,7 @@ def _incidences(members, arity, base):
     order = np.argsort(members[col, cid], kind="stable")
     cid, col = cid[order], col[order]
     oth = np.stack([members[q + (q >= col), cid] for q in range(k - 1)])
-    return members[col, cid], base[cid] + col - first[cid], oth
+    return members[col, cid], base[cid] + col - first[cid], oth, cid
 
 
 class DataTerm:
@@ -505,8 +515,13 @@ def _table_rows(comp, labs):
     return np.where(dead, comp.height - 1, rows)
 
 
-def _augmented_sum(comp, values, cfg):
-    """Augmented energy of an extended configuration, as a Python float."""
+def _energy_terms(comp, values, cfg):
+    """The augmented energy's terms under an extended configuration, in summation order.
+
+    A leading +0.0, then one term per clique in clique id order (entry
+    ``1 + c``), then one data term per site in site order (entry ``1 +
+    cliques + s``); a suppressed term is +0.0.
+    """
     num_labels = values.shape[1]
     labs = cfg[comp.members]
     own = labs[-1]
@@ -515,11 +530,39 @@ def _augmented_sum(comp, values, cfg):
     cells = ((comp.clique_tids * comp.height + rows) * num_labels
              + np.maximum(own, 0))
     committed = cfg[:-1]
-    terms = np.concatenate((
+    return np.concatenate((
         [0.0],
         np.take(comp.tables, cells),
         np.where(committed >= 0, values[comp.sites, committed], 0.0)))
+
+
+def _total(terms):
+    """The sum of :func:`_energy_terms`' array in its order, as a Python float."""
     return float(np.add.accumulate(terms)[-1])
+
+
+def _augmented_sum(comp, values, cfg):
+    """Augmented energy of an extended configuration, as a Python float."""
+    return _total(_energy_terms(comp, values, cfg))
+
+
+def _rescore(comp, values, cfg, terms, sites):
+    """Rewrite, in place, the terms of ``sites``' cliques and data rows for ``cfg``.
+
+    ``terms`` holds :func:`_energy_terms` of a configuration that differs
+    from ``cfg`` only at ``sites``, which ``cfg`` commits and no two of
+    which share a clique; afterwards it holds those of ``cfg``. A clique
+    term is read from the changed member's own arrangement of the table,
+    which holds the same floats as the last member's that
+    :func:`_energy_terms` reads, and a padding slot writes table 0's +0.0
+    over the leading +0.0.
+    """
+    own = cfg[sites]
+    rows = (comp.offsets.take(sites, axis=1)
+            + _table_rows(comp, cfg[comp.others.take(sites, axis=2)]))
+    terms[1 + comp.cliques_at.take(sites, axis=1)] = np.take(comp.tables,
+                                                             rows * values.shape[1] + own)
+    terms[1 + len(comp.clique_tids) + sites] = values[sites, own]
 
 
 def _local_rows(comp, others, offsets, values, cfg):

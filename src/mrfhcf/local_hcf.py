@@ -7,7 +7,12 @@ ordered stability over all of its neighbors, and either its stability is
 negative or it is uncommitted with stability exactly 0. Two neighbors can
 never change in the same iteration, so the sweep is safe to evaluate in
 parallel. The sweep runs as whole-array numpy work on the field's compiled
-arrays (read, stability, eligibility, energy), on the calling thread. The
+arrays (read, stability, eligibility, energy), on the calling thread. A
+run keeps the augmented energy's term array and, after each sweep,
+rewrites only the changed sites' clique terms (through
+``CompiledField.cliques_at``) and data terms before summing it in the
+fixed order, so every trace energy has the bits of a full evaluation;
+``local_hcf_step`` evaluates the energy in full. The
 eligibility test compares every site with its neighbors one slot of the
 slot-major ``neighbors`` array at a time; the rank comparisons do not
 change between sweeps, so a run makes them once. The input checks, the
@@ -22,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (UNCOMMITTED, _augmented_sum, _check_count, _check_runnable, _checked_labels,
-                   _checked_ranks, _local_rows, _stabilities, new_configuration)
+                   _checked_ranks, _local_rows, _rescore, _stabilities, _total,
+                   new_configuration)
 from .trace import RunTrace, TraceRow
 
 
@@ -110,6 +116,7 @@ def local_hcf_run(field, data, ranks=None, max_iterations: int | None = None,
     lower = _lower(comp, rank)
 
     cfg = _checked_labels(field, data, new_configuration(n))
+    terms = np.zeros(1 + len(comp.clique_tids) + n)  # the energy terms of cfg: all +0.0
     rows = [TraceRow(0, 0.0, 0, 0)]
     committed = 0
     fallback = None  # the site the tie fallback commits in the next iteration
@@ -134,7 +141,7 @@ def local_hcf_run(field, data, ranks=None, max_iterations: int | None = None,
             fallback = tied[[np.argmin(rank[tied])]]
             continue
         committed += _apply(cfg, best, changed)
-        rows.append(TraceRow(iteration, _augmented_sum(comp, values, cfg), committed,
-                             int(changed.size)))
+        _rescore(comp, values, cfg, terms, changed)
+        rows.append(TraceRow(iteration, _total(terms), committed, int(changed.size)))
     raise RuntimeError(f"local HCF exceeded its iteration cap ({cap}); "
                        "check the inputs for pathological values")

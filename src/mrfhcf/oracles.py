@@ -174,12 +174,15 @@ def is_local_minimum(field, data, config, tolerance: float = 1e-12) -> bool:
     For a fully committed configuration the energy change of one flip
     equals the local energy difference at that site, so the check runs on
     per-site local energies. A flip must be more than ``tolerance`` below
-    the current label to disqualify; it must be a real number, not NaN.
+    the current label to disqualify; it must be a real number, not NaN
+    and not negative (the current label itself would then disqualify).
     """
     if not _real(tolerance):
         raise ValueError("tolerance must be a real number")
     if np.isnan(tolerance):
         raise ValueError("tolerance must not be NaN")
+    if tolerance < 0:
+        raise ValueError("tolerance must not be negative")
     cfg = _checked_labels(field, data, config,
                           "local minimum check needs a fully committed configuration")
     comp = field.compiled

@@ -2,6 +2,7 @@
 
 import heapq
 import math
+import warnings
 
 import numpy as np
 
@@ -235,6 +236,14 @@ def noisy_board(size, seed=7):
     image = make_checkerboard(size, size, 10, 64, 192, 40.0, seed)
     return (build_edge_field(size, size, EdgePotentials()),
             compute_llr(image, EdgeModel(128.0, 40.0)))
+
+
+def zero_lattice(size):
+    """The all-zero edge lattice: every stability is exactly 0."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # zero potentials are legal, just unusual
+        field = build_edge_field(size, size, EdgePotentials(0.0, 0.0, 0.0, 0.0))
+    return field, DataTerm(np.zeros((field.num_sites, 2)))
 
 
 def triple_clique_field(seed, num_labels):

@@ -1,7 +1,6 @@
 """The compiled-field readers against a plain walk over ``field.cliques``, bit for bit."""
 
 import struct
-import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +13,7 @@ from mrfhcf.core import _checked_labels, _checked_ranks
 from mrfhcf.local_hcf import _lower, _sweep
 from support import (random_field, reference_augmented_energy, reference_eligible,
                      reference_local_rows, reference_row_stats, scalar_reader,
-                     triple_clique_field)
+                     triple_clique_field, zero_lattice)
 
 
 def bits(x):
@@ -83,14 +82,6 @@ def test_sweep_stabilities_match_the_scalar_readers():
                 assert best_label(field, data, cfg, s) == (want_best, want_val)
 
 
-def zero_lattice(size):
-    """The all-zero edge lattice: every stability is exactly 0."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # zero potentials are legal, just unusual
-        field = build_edge_field(size, size, EdgePotentials(0.0, 0.0, 0.0, 0.0))
-    return field, DataTerm(np.zeros((field.num_sites, 2)))
-
-
 def selection_cases():
     """(field, data, ranks): the random and triple-clique cases under two rank
     orders, all-zero lattices under seeded ranks, and a site with no neighbor."""
@@ -112,6 +103,22 @@ def test_neighbor_slots_list_the_csr_neighbors_then_padding():
         for s, nbrs in enumerate(field.adjacency):
             assert neighbors[:, s].tolist() == list(nbrs) + [n] * (slots - len(nbrs))
     assert Field(1, 2, [()], []).compiled.neighbors.shape == (0, 1)
+
+
+def test_clique_slots_list_each_sites_cliques_in_id_order_then_padding():
+    fields = [field for field, _data in cases()]  # unary, pair and triple cliques
+    fields.append(build_edge_field(5, 4, EdgePotentials()))
+    for field in fields:
+        incident = [[] for _ in range(field.num_sites)]
+        for cid, clique in enumerate(field.cliques):
+            for s in clique.members:
+                incident[s].append(cid)
+        cliques_at = field.compiled.cliques_at
+        slots = max(len(ids) for ids in incident)
+        assert cliques_at.shape == field.compiled.offsets.shape == (slots, field.num_sites)
+        for s, ids in enumerate(incident):
+            assert cliques_at[:, s].tolist() == ids + [-1] * (slots - len(ids))
+    assert Field(1, 2, [()], []).compiled.cliques_at.shape == (0, 1)
 
 
 def test_sweep_selection_matches_the_per_site_rule():
@@ -275,8 +282,8 @@ def test_compiled_arrays_are_built_lazily_once_and_frozen():
     assert comp is not None
     local_hcf_run(field, data)
     assert field.compiled is comp
-    for name in ("tables", "offsets", "others", "strides", "neighbors", "members",
-                 "clique_tids", "sites"):
+    for name in ("tables", "offsets", "others", "cliques_at", "strides", "neighbors",
+                 "members", "clique_tids", "sites"):
         assert not getattr(comp, name).flags.writeable, name
 
 

@@ -213,6 +213,17 @@ def test_local_minimum_check_refuses_a_nan_tolerance(chain):
         is_local_minimum(field, data, alternating, tolerance=float("nan"))
 
 
+def test_local_minimum_check_refuses_a_negative_tolerance(chain):
+    # below 0 the current label would count as a lowering flip of itself,
+    # so every configuration would read as no local minimum
+    field, data = chain
+    config, _trace = local_hcf_run(field, data)
+    assert is_local_minimum(field, data, config, tolerance=0.0)
+    for tolerance in (-1e-9, -1, np.float64(-0.5), -np.inf):
+        with pytest.raises(ValueError, match="^tolerance must not be negative$"):
+            is_local_minimum(field, data, config, tolerance=tolerance)
+
+
 @pytest.mark.parametrize("tolerance", ["x", None, True, np.True_, 1j])
 def test_local_minimum_check_refuses_a_tolerance_that_is_not_a_real_number(chain, tolerance):
     field, data = chain

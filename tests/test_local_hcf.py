@@ -8,7 +8,7 @@ from mrfhcf import (Clique, DataTerm, EdgePotentials, Field, TraceRow, UNCOMMITT
                     assign_ranks, augmented_energy, best_label, build_edge_field,
                     energy, is_local_minimum, local_hcf_run, local_hcf_step,
                     new_configuration, stability)
-from support import random_field
+from support import noisy_board, random_field, triple_clique_field, zero_lattice
 
 
 def drive(field, data, checks=None):
@@ -224,40 +224,71 @@ def test_threads_start_no_os_thread(monkeypatch):
     assert (cfg == base_cfg).all() and result == base_result
 
 
+def stepped_run(field, data, ranks):
+    """An outside ``local_hcf_step`` loop that commits a tie-fallback site after
+    a quiet sweep as ``local_hcf_run`` does: its trace rows, the configuration
+    after each row, and the number of fallback commits."""
+    n = field.num_sites
+    cfg = new_configuration(n)
+    rows, states = [TraceRow(0, 0.0, 0, 0)], [cfg]
+    committed = fallbacks = 0
+    while True:
+        cfg, result = local_hcf_step(field, data, cfg, ranks)
+        committed += result.new_commits
+        rows.append(TraceRow(len(rows), result.energy_after, committed,
+                             len(result.changed_sites)))
+        states.append(cfg)
+        if result.any_change:
+            continue
+        leftovers = [s for s in range(n) if cfg[s] == UNCOMMITTED]
+        if not leftovers:
+            return rows, states, fallbacks
+        s = min(leftovers, key=lambda t: (stability(field, data, cfg, t), ranks[t]))
+        cfg = cfg.copy()
+        cfg[s] = best_label(field, data, cfg, s)[0]
+        committed += 1
+        fallbacks += 1
+        rows.append(TraceRow(len(rows), augmented_energy(field, data, cfg), committed, 1))
+        states.append(cfg)
+
+
 def test_tie_fallback_commits_the_lowest_ordered_leftover():
     # every stability is exactly 0, and data rows of 2**s make each row's
     # augmented energy the bit mask of the committed sites
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        field = build_edge_field(4, 4, EdgePotentials(0.0, 0.0, 0.0, 0.0))
-    n = field.num_sites
-    data = DataTerm([[2.0 ** s, 2.0 ** s] for s in range(n)])
+    field, _zeros = zero_lattice(4)
+    data = DataTerm([[2.0 ** s, 2.0 ** s] for s in range(field.num_sites)])
     for seed in range(1, 9):
         ranks = assign_ranks(field, "seeded-permutation", seed)
-        cfg = new_configuration(n)
-        rows = [TraceRow(0, 0.0, 0, 0)]
-        committed = 0
-        fallbacks = 0
-        while True:
-            cfg, result = local_hcf_step(field, data, cfg, ranks)
-            committed += result.new_commits
-            rows.append(TraceRow(len(rows), result.energy_after, committed,
-                                 len(result.changed_sites)))
-            if result.any_change:
-                continue
-            leftovers = [s for s in range(n) if cfg[s] == UNCOMMITTED]
-            if not leftovers:
-                break
-            s = min(leftovers, key=lambda t: (stability(field, data, cfg, t), ranks[t]))
-            cfg = cfg.copy()
-            cfg[s] = best_label(field, data, cfg, s)[0]
-            committed += 1
-            fallbacks += 1
-            rows.append(TraceRow(len(rows), augmented_energy(field, data, cfg), committed, 1))
+        rows, states, fallbacks = stepped_run(field, data, ranks)
         assert fallbacks > 0
         run_cfg, trace = local_hcf_run(field, data, ranks=ranks)
         assert trace.rows == tuple(rows)
-        assert run_cfg.tolist() == cfg.tolist()
+        assert run_cfg.tolist() == states[-1].tolist()
+
+
+def test_every_run_energy_has_the_bits_of_a_full_evaluation():
+    # the run rewrites only the changed sites' energy terms after a sweep;
+    # each trace energy must still be the full evaluation's, bit for bit
+    problems = [("random", *random_field(seed, labels=labels), None)
+                for seed in range(8) for labels in (2, 3)]
+    problems += [("triple", *triple_clique_field(seed, labels), None)
+                 for seed in range(3) for labels in (2, 3)]
+    problems += [("noisy", *noisy_board(size, seed), None) for size, seed in ((12, 7), (20, 1))]
+    field, data = zero_lattice(4)
+    problems += [("zero", field, data, assign_ranks(field, "seeded-permutation", seed))
+                 for seed in range(3)]
+    revisions, fallbacks = {}, {}
+    for kind, field, data, ranks in problems:
+        ranks = assign_ranks(field) if ranks is None else ranks
+        rows, states, fell_back = stepped_run(field, data, ranks)
+        config, trace = local_hcf_run(field, data, ranks=ranks)
+        assert len(trace.rows) == len(states) and config.tolist() == states[-1].tolist()
+        assert [r.energy.hex() for r in trace.rows] == \
+            [augmented_energy(field, data, cfg).hex() for cfg in states]
+        revisions[kind] = revisions.get(kind, 0) + sum(
+            r.changed - (r.committed - q.committed) for q, r in zip(rows, rows[1:]))
+        fallbacks[kind] = fallbacks.get(kind, 0) + fell_back
+    assert revisions["noisy"] > 0 and fallbacks["zero"] > 0
 
 
 def test_step_rejects_configurations_that_do_not_fit(chain):

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -57,8 +58,13 @@ def test_probe_writes_every_layer_estimator_and_label_record(tmp_path, capsys):
     for name in ("noisy_icm", "noisy_icm_random"):
         assert set(entry["estimators"][name]) == {"energy", "iterations", "sweeps", "flips"}
     for name in ("local_hcf", "noisy_local_hcf"):
-        assert set(entry["estimators"][name]) == {"energy", "iterations", "sweeps"}
+        assert set(entry["estimators"][name]) == {"energy", "iterations", "sweeps",
+                                                  "trace_digest"}
         assert entry["estimators"][name]["sweeps"] > 0
+        assert re.fullmatch("[0-9a-f]{16}", entry["estimators"][name]["trace_digest"])
+    # the two boards descend differently
+    assert (entry["estimators"]["local_hcf"]["trace_digest"]
+            != entry["estimators"]["noisy_local_hcf"]["trace_digest"])
     # serial HCF steps at least once per site on the noisy board too
     assert set(entry["estimators"]["noisy_hcf"]) == {"energy", "iterations"}
     assert entry["estimators"]["noisy_hcf"]["iterations"] >= entry["sites"]

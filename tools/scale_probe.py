@@ -2,8 +2,8 @@
 
 Usage, from the root of a checkout::
 
-    python3 tools/scale_probe.py --size 200 --entry change -o BENCH_11.json
-    python3 tools/scale_probe.py --size 200 --entry parent --src OTHER/src -o BENCH_11.json
+    python3 tools/scale_probe.py --size 200 --entry change -o BENCH_19.json
+    python3 tools/scale_probe.py --size 200 --entry parent --src OTHER/src -o BENCH_19.json
 
 On a clean ``size`` x ``size`` checkerboard (squares of 10, intensities
 64/192, noise 8, seed 1; default model and potentials) it times, in
@@ -19,7 +19,9 @@ orders, annealing and MPM also run on a noisy board of the same size (noise
 re-keyed neighbours) show there. Next to
 each estimator it records the energy of its labeling and its iteration
 count (for annealing and MPM also the sweep count, and on the noisy board
-the number of flips), so that a speed-up shows it kept the answer.
+the number of flips), so that a speed-up shows it kept the answer. For
+Local HCF it also records ``trace_digest``, a short hash of every trace
+energy's exact bits, so that the whole descent shows unchanged.
 Before that, it runs ``python -m mrfhcf label`` on the same board
 ``LABEL_RUNS`` times and records each child's wall time and peak RSS,
 and the medians against the targets of at most ``TARGET_LABEL_S``
@@ -36,6 +38,7 @@ expect noise of tens of percent between runs.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -60,6 +63,12 @@ def _timed(layers, name, call, *args, **kwargs):
     return out
 
 
+def trace_digest(trace) -> str:
+    """The first 16 hex digits of SHA-256 over the trace energies' ``float.hex``."""
+    text = ",".join(row.energy.hex() for row in trace.rows)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
 def probe_layers(size: int, board: Path) -> dict:
     """In-process layer times and estimator results on the board file."""
     from mrfhcf import (AnnealSchedule, EdgeModel, MpmParams, anneal_run, build_edge_field,
@@ -79,7 +88,8 @@ def probe_layers(size: int, board: Path) -> dict:
     cfg, trace = _timed(layers, "local_hcf_s", local_hcf_run, field, data)
     estimators = {"local_hcf": {"energy": energy(field, data, cfg),
                                 "iterations": trace.iterations,
-                                "sweeps": len(trace.rows) - 1}}
+                                "sweeps": len(trace.rows) - 1,
+                                "trace_digest": trace_digest(trace)}}
     cfg, htrace = _timed(layers, "hcf_s", hcf_run, field, data)
     estimators["hcf"] = {"energy": energy(field, data, cfg), "iterations": len(htrace.steps)}
     init = tlr(field, data)
@@ -98,7 +108,8 @@ def probe_layers(size: int, board: Path) -> dict:
     cfg, trace = _timed(layers, "noisy_local_hcf_s", local_hcf_run, field, noisy)
     estimators["noisy_local_hcf"] = {"energy": energy(field, noisy, cfg),
                                      "iterations": trace.iterations,
-                                     "sweeps": len(trace.rows) - 1}
+                                     "sweeps": len(trace.rows) - 1,
+                                     "trace_digest": trace_digest(trace)}
     cfg, htrace = _timed(layers, "noisy_hcf_s", hcf_run, field, noisy)
     estimators["noisy_hcf"] = {"energy": energy(field, noisy, cfg),
                                "iterations": len(htrace.steps)}
