@@ -364,12 +364,7 @@ def _exact_labels(rows, uniforms, temperature):
         x = -(rows - rows.min(axis=1, keepdims=True)) / t
     weights = np.fromiter(map(math.exp, x.ravel().tolist()), float, x.size).reshape(x.shape)
     acc = np.add.accumulate(weights, axis=1)
-    if acc.shape[1] == 2:
-        # one IEEE addition of two floats is their correctly rounded sum,
-        # which is what math.fsum returns
-        total = acc[:, 1]
-    else:
-        total = np.fromiter(map(math.fsum, weights.tolist()), float, len(weights))
+    total = np.fromiter(map(math.fsum, weights.tolist()), float, len(weights))
     # running sums never decrease, so the labels before the last whose sum
     # exceeds u * total form a suffix, and the first of them is found by
     # counting; when there are none, the last label is taken

@@ -84,6 +84,7 @@ SETTING_HELP = {
     "seed": "seed for single stochastic runs",
     "seeds": "comma-separated seeds for comparison runs",
     "rank_mode": "tie-break rank assignment",
+    "max_iterations": "cap on Local HCF sweeps (local-hcf only)",
 }
 
 

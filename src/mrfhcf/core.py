@@ -36,9 +36,11 @@ fixed everywhere so repeated evaluations are reproducible bit for bit:
 - an energy is ``np.add.accumulate`` over a leading +0.0, the clique terms
   in ascending clique id order, then the data terms in ascending site id
   order, never ``np.sum`` or a dot product, whose pairwise order differs.
-  Local HCF keeps that term array across a run and rewrites only the
-  terms of the sites a sweep changed; the array, and so the sum, is the
-  one a full evaluation builds.
+  The terms are written through the same per-site clique slots: every
+  committed site writes its cliques' terms and its data term into an
+  all-+0.0 array. Local HCF keeps that array across a run and rewrites
+  only the terms of the sites a sweep changed; the array, and so the sum,
+  is the one a full evaluation builds.
 
 A suppressed term (an uncommitted member, or padding) enters as +0.0. A
 running sum that starts at +0.0 never becomes -0.0, so adding +0.0 leaves
@@ -249,23 +251,24 @@ class CompiledField:
     - ``neighbors[j, s]`` is site ``s``'s ``j``-th neighbor in the
       field's CSR order, for ``max_degree`` slots ``j``; the slots past
       its degree hold ``n``. Slot-major like ``offsets``.
-    - ``members[:, c]`` lists clique ``c``'s members (``m + 1`` sites,
-      padded in front with ``n``; the field's own array) and
-      ``clique_tids[c]`` its table arranged for its last member, which is
-      the table as given.
+    - ``num_cliques`` counts the cliques, which fixes the layout of the
+      energy terms (:func:`_no_terms`).
 
-    Built from the field's arrays alone, without a walk over its cliques.
-    The arrays are read-only.
+    These per-site slots are the one clique layout: local energies read
+    them, and energies write their clique terms through them. Built from
+    the field's arrays alone, without a walk over its cliques. The arrays
+    are read-only.
     """
 
     def __init__(self, field):
         n, num_labels = field.num_sites, field.num_labels
-        self.members, arity = field.members, field.arity
-        m = len(self.members) - 1
+        members, arity = field.members, field.arity
+        m = len(members) - 1
         self.height = num_labels ** m + 1
+        self.num_cliques = arity.size
         self.tables, base = _stacked_tables(field.tables, field.table_ids, self.height,
                                             num_labels)
-        site, tid, oth, cid = _incidences(self.members, arity, base)
+        site, tid, oth, cid = _incidences(members, arity, base)
 
         degree = np.bincount(site, minlength=n)
         start = np.cumsum(degree) - degree
@@ -284,10 +287,9 @@ class CompiledField:
         self.neighbors[np.arange(owner.size) - field.indptr[owner], owner] = field.indices
 
         self.strides = num_labels ** np.arange(m - 1, -1, -1, dtype=np.int64)
-        self.clique_tids = base + arity - 1
         self.sites = np.arange(n)
         for a in (self.tables, self.offsets, self.others, self.cliques_at, self.strides,
-                  self.neighbors, self.clique_tids, self.sites):
+                  self.neighbors, self.sites):
             a.setflags(write=False)
 
 
@@ -515,54 +517,49 @@ def _table_rows(comp, labs):
     return np.where(dead, comp.height - 1, rows)
 
 
-def _energy_terms(comp, values, cfg):
-    """The augmented energy's terms under an extended configuration, in summation order.
+def _no_terms(comp):
+    """The augmented energy's terms under the all-uncommitted configuration: all +0.0.
 
-    A leading +0.0, then one term per clique in clique id order (entry
-    ``1 + c``), then one data term per site in site order (entry ``1 +
-    cliques + s``); a suppressed term is +0.0.
+    In summation order: a leading +0.0, then one term per clique in clique
+    id order (entry ``1 + c``), then one data term per site in site order
+    (entry ``1 + num_cliques + s``). A suppressed term is +0.0.
     """
-    num_labels = values.shape[1]
-    labs = cfg[comp.members]
-    own = labs[-1]
-    # an uncommitted last member also takes the zero row, at any column
-    rows = np.where(own < 0, comp.height - 1, _table_rows(comp, labs[:-1]))
-    cells = ((comp.clique_tids * comp.height + rows) * num_labels
-             + np.maximum(own, 0))
-    committed = cfg[:-1]
-    return np.concatenate((
-        [0.0],
-        np.take(comp.tables, cells),
-        np.where(committed >= 0, values[comp.sites, committed], 0.0)))
+    return np.zeros(1 + comp.num_cliques + len(comp.sites))
 
 
 def _total(terms):
-    """The sum of :func:`_energy_terms`' array in its order, as a Python float."""
+    """The sum of an energy's term array in its order, as a Python float."""
     return float(np.add.accumulate(terms)[-1])
 
 
 def _augmented_sum(comp, values, cfg):
-    """Augmented energy of an extended configuration, as a Python float."""
-    return _total(_energy_terms(comp, values, cfg))
+    """Augmented energy of an extended configuration, as a Python float.
+
+    Every committed site writes its terms into :func:`_no_terms`, and the
+    uncommitted ones keep their +0.0.
+    """
+    terms = _no_terms(comp)
+    _rescore(comp, values, cfg, terms, np.flatnonzero(cfg[:-1] >= 0))
+    return _total(terms)
 
 
 def _rescore(comp, values, cfg, terms, sites):
     """Rewrite, in place, the terms of ``sites``' cliques and data rows for ``cfg``.
 
-    ``terms`` holds :func:`_energy_terms` of a configuration that differs
-    from ``cfg`` only at ``sites``, which ``cfg`` commits and no two of
-    which share a clique; afterwards it holds those of ``cfg``. A clique
-    term is read from the changed member's own arrangement of the table,
-    which holds the same floats as the last member's that
-    :func:`_energy_terms` reads, and a padding slot writes table 0's +0.0
-    over the leading +0.0.
+    ``terms`` holds the terms of a configuration that differs from ``cfg``
+    only at ``sites``, all of which ``cfg`` commits; afterwards it holds
+    those of ``cfg``. A clique term is read from each listed member's own
+    arrangement of the table. Sites that share a clique therefore write
+    the same float to it, since every arrangement holds the table's
+    entries, and a clique with an uncommitted member reads a zero row
+    (+0.0). A padding slot writes table 0's +0.0 over the leading +0.0.
     """
     own = cfg[sites]
     rows = (comp.offsets.take(sites, axis=1)
             + _table_rows(comp, cfg[comp.others.take(sites, axis=2)]))
     terms[1 + comp.cliques_at.take(sites, axis=1)] = np.take(comp.tables,
                                                              rows * values.shape[1] + own)
-    terms[1 + len(comp.clique_tids) + sites] = values[sites, own]
+    terms[1 + comp.num_cliques + sites] = values[sites, own]
 
 
 def _local_rows(comp, others, offsets, values, cfg):

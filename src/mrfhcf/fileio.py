@@ -174,6 +174,10 @@ def read_mrfl(path) -> tuple[int, int, np.ndarray]:
         raise FileFormatError(f"{path}:2: a {width}x{height} image has "
                               f"{EdgeLattice(width, height).num_sites} sites, "
                               f"not {num_sites}")
+    # a body line holds at most one label: refuse the count before allocating for it
+    listed = sum(1 for raw in lines[2:] if raw.strip())
+    if listed < num_sites:
+        raise FileFormatError(f"{path}: {num_sites - listed} sites missing a label")
     labels = np.full(num_sites, -1, dtype=np.int64)
     seen = 0
     for lineno, raw in enumerate(lines[2:], start=3):

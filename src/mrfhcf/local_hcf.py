@@ -7,17 +7,17 @@ ordered stability over all of its neighbors, and either its stability is
 negative or it is uncommitted with stability exactly 0. Two neighbors can
 never change in the same iteration, so the sweep is safe to evaluate in
 parallel. The sweep runs as whole-array numpy work on the field's compiled
-arrays (read, stability, eligibility, energy), on the calling thread. A
-run keeps the augmented energy's term array and, after each sweep,
-rewrites only the changed sites' clique terms (through
-``CompiledField.cliques_at``) and data terms before summing it in the
-fixed order, so every trace energy has the bits of a full evaluation;
-``local_hcf_step`` evaluates the energy in full. The
-eligibility test compares every site with its neighbors one slot of the
-slot-major ``neighbors`` array at a time; the rank comparisons do not
-change between sweeps, so a run makes them once. The input checks, the
-padded configuration and ranks, and the per-site ranks of
-``assign_ranks`` come from ``core``.
+arrays (read, stability, eligibility, energy), on the calling thread.
+``local_hcf_step`` scores its result in full: every committed site
+writes its clique terms (through ``CompiledField.cliques_at``) and its
+data term into an all-+0.0 term array, which is summed in the fixed
+order. A run keeps that array and, after each sweep, only the changed
+sites write their terms again, so every trace energy has the bits of a
+full evaluation. The eligibility test compares every site with its
+neighbors one slot of the slot-major ``neighbors`` array at a time; the
+rank comparisons do not change between sweeps, so a run makes them
+once. The input checks, the padded configuration and ranks, and the
+per-site ranks of ``assign_ranks`` come from ``core``.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (UNCOMMITTED, _augmented_sum, _check_count, _check_runnable, _checked_labels,
-                   _checked_ranks, _local_rows, _rescore, _stabilities, _total,
+                   _checked_ranks, _local_rows, _no_terms, _rescore, _stabilities, _total,
                    new_configuration)
 from .trace import RunTrace, TraceRow
 
@@ -76,18 +76,16 @@ def _apply(cfg, best, changed):
     return commits
 
 
-def local_hcf_step(field, data, config, ranks, threads: int = 1):
+def local_hcf_step(field, data, config, ranks):
     """One synchronous iteration; returns (new configuration, StepResult).
 
     Reads all stabilities and best labels from ``config``, then writes the
     changes of every eligible site. The input configuration is not
     modified. ``energy_after`` is the augmented energy of the returned
-    configuration. ``threads`` must be a positive integer and has no
-    effect on results; the sweep runs on the calling thread and starts no
+    configuration. The sweep runs on the calling thread and starts no
     other.
     """
     comp = _check_runnable(field, data)
-    _check_count("threads", threads, least=1)
     cfg = _checked_labels(field, data, config)
     _g, best, changed = _sweep(comp, data.values, cfg, _lower(comp, _checked_ranks(field, ranks)))
     commits = _apply(cfg, best, changed)
@@ -116,7 +114,7 @@ def local_hcf_run(field, data, ranks=None, max_iterations: int | None = None,
     lower = _lower(comp, rank)
 
     cfg = _checked_labels(field, data, new_configuration(n))
-    terms = np.zeros(1 + len(comp.clique_tids) + n)  # the energy terms of cfg: all +0.0
+    terms = _no_terms(comp)  # the energy terms of cfg
     rows = [TraceRow(0, 0.0, 0, 0)]
     committed = 0
     fallback = None  # the site the tie fallback commits in the next iteration

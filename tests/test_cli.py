@@ -152,6 +152,15 @@ def test_oracle_refuses_a_labeling_that_does_not_fit_the_field(tmp_path, capsys,
     assert "verify_energy" not in stdout
 
 
+def test_oracle_refuses_a_labeling_whose_site_count_exceeds_its_body(tmp_path, capsys):
+    probe = tmp_path / "huge.mrfl"
+    probe.write_text("MRFL 1\n0 0 1000000000000\n0 0\n")
+    code, stdout, stderr = run(capsys, "oracle", "--chain-fixture", "--verify", str(probe))
+    assert code == 3
+    assert stderr == f"error: {probe}: 999999999999 sites missing a label\n"
+    assert "verify_energy" not in stdout
+
+
 def test_oracle_uses_brute_force_off_chains(tmp_path, capsys):
     board = tmp_path / "tiny.pgm"
     run(capsys, "generate", "--checker", "2x2", "--square", "1", "-o", str(board))
@@ -232,6 +241,13 @@ def test_readme_lists_every_settings_flag():
     group, = (g for g in label._action_groups if g.title == "model and estimator settings")
     assert re.findall(r"`(--[\w-]+)`", listed) == [a.option_strings[0]
                                                    for a in group._group_actions]
+
+
+def test_max_iterations_help_says_it_caps_local_hcf_only(capsys):
+    with pytest.raises(SystemExit):
+        main(["label", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert "--max-iterations MAX_ITERATIONS cap on Local HCF sweeps (local-hcf only)" in text
 
 
 def test_threads_is_no_setting(tmp_path, capsys):

@@ -282,8 +282,7 @@ def test_compiled_arrays_are_built_lazily_once_and_frozen():
     assert comp is not None
     local_hcf_run(field, data)
     assert field.compiled is comp
-    for name in ("tables", "offsets", "others", "cliques_at", "strides", "neighbors",
-                 "members", "clique_tids", "sites"):
+    for name in ("tables", "offsets", "others", "cliques_at", "strides", "neighbors", "sites"):
         assert not getattr(comp, name).flags.writeable, name
 
 

@@ -104,7 +104,7 @@ def test_array_constructor_numbers_cliques_block_by_block():
     assert field.adjacency == ((1,), (0, 2), (1,))
 
 
-COMPILED = ("tables", "offsets", "others", "neighbors", "members", "clique_tids")
+COMPILED = ("tables", "offsets", "others", "cliques_at", "neighbors", "sites")
 
 
 @pytest.mark.parametrize("size", [(w, h) for w in range(2, 13) for h in range(2, 13)]

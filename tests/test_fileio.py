@@ -122,6 +122,14 @@ def test_mrfl_rejects_inconsistent_site_lists(tmp_path):
         read_mrfl(path)
 
 
+def test_mrfl_refuses_a_site_count_past_its_body_before_allocating(tmp_path):
+    # 10**12 labels would take 8 TB; the two body lines can hold at most two
+    path = tmp_path / "huge.mrfl"
+    path.write_text("MRFL 1\n0 0 1000000000000\n0 0\n\n")
+    with pytest.raises(FileFormatError, match=f"^{path}: 999999999999 sites missing a label$"):
+        read_mrfl(path)
+
+
 def test_mrfl_lattice_dims_round_trip(tmp_path):
     path = tmp_path / "lat.mrfl"
     labels = np.zeros(4, dtype=np.int64)

@@ -185,8 +185,6 @@ def test_seeds_must_be_non_negative_integers(chain, entry, seed, message):
 # every entry that takes a thread count, on (field, data, threads)
 THREADS = {
     "local_hcf_run": lambda field, data, threads: local_hcf_run(field, data, threads=threads),
-    "local_hcf_step": lambda field, data, threads: local_hcf_step(
-        field, data, [UNCOMMITTED] * field.num_sites, None, threads=threads),
 }
 
 
@@ -198,6 +196,12 @@ def test_thread_counts_must_be_positive_integers(chain, entry, threads, message)
     with pytest.raises(ValueError, match=f"^threads must be {message}$"):
         THREADS[entry](field, data, threads)
     assert repr(THREADS[entry](field, data, np.int64(2))) == repr(THREADS[entry](field, data, 1))
+
+
+def test_local_hcf_step_takes_no_thread_count(chain):
+    field, data = chain
+    with pytest.raises(TypeError, match="threads"):
+        local_hcf_step(field, data, [UNCOMMITTED] * field.num_sites, None, threads=1)
 
 
 def test_a_bad_cap_exits_as_a_runtime_parameter_error(capsys):

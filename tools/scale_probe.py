@@ -2,26 +2,26 @@
 
 Usage, from the root of a checkout::
 
-    python3 tools/scale_probe.py --size 200 --entry change -o BENCH_19.json
-    python3 tools/scale_probe.py --size 200 --entry parent --src OTHER/src -o BENCH_19.json
+    python3 tools/scale_probe.py --size 200 --entry change -o BENCH_20.json
+    python3 tools/scale_probe.py --size 200 --entry parent --src OTHER/src -o BENCH_20.json
 
 On a clean ``size`` x ``size`` checkerboard (squares of 10, intensities
 64/192, noise 8, seed 1; default model and potentials) it times, in
 process and once each: the PGM read, the LLR, ``build_edge_field``, the
-structural check on its own (``core._structure_problems``), the first
-``Field.compiled``, ``local_hcf_run``, ``hcf_run``, and ``icm_run`` in
-scan order and in random order (seed 1), ``anneal_run`` (default
-schedule, seed 1) and ``mpm_run`` (default parameters) from the TLR
-start. No Gibbs sweep need flip a site of the clean board, so ICM in both
-orders, annealing and MPM also run on a noisy board of the same size (noise
-``NOISY_SIGMA``, the model at the same sigma), as ``noisy_*``; so do
-``local_hcf_run`` and ``hcf_run``, whose revisions (and for ``hcf_run``
-re-keyed neighbours) show there. Next to
-each estimator it records the energy of its labeling and its iteration
-count (for annealing and MPM also the sweep count, and on the noisy board
-the number of flips), so that a speed-up shows it kept the answer. For
-Local HCF it also records ``trace_digest``, a short hash of every trace
-energy's exact bits, so that the whole descent shows unchanged.
+structural check on its own (``core._structure_problems``) and the first
+``Field.compiled``. It then runs every estimator once on that board and
+once on a noisy board of the same size (noise ``NOISY_SIGMA``, the model
+at the same sigma; entries ``noisy_*``), where the Gibbs sweeps flip
+sites and the HCF drivers revise them: ``local_hcf_run``, ``hcf_run``,
+and from the TLR start ``icm_run`` in scan order and in random order
+(seed 1), ``anneal_run`` (default schedule, seed 1) and ``mpm_run``
+(default parameters). Next to each run it records the energy of its
+labeling and its iteration count (``RunTrace.iterations``, or the steps
+of ``hcf_run``), so that a speed-up shows it kept the answer; for ICM,
+annealing and MPM also the sweep count and the number of flips. For
+Local HCF it records the sweep count and ``trace_digest``, a short hash of
+every trace energy's exact bits, so that the whole descent shows
+unchanged.
 Before that, it runs ``python -m mrfhcf label`` on the same board
 ``LABEL_RUNS`` times and records each child's wall time and peak RSS,
 and the medians against the targets of at most ``TARGET_LABEL_S``
@@ -85,41 +85,28 @@ def probe_layers(size: int, board: Path) -> dict:
     if problems:
         raise RuntimeError(f"invalid field: {problems[:3]}")
     _timed(layers, "compile_s", lambda: field.compiled)
-    cfg, trace = _timed(layers, "local_hcf_s", local_hcf_run, field, data)
-    estimators = {"local_hcf": {"energy": energy(field, data, cfg),
-                                "iterations": trace.iterations,
-                                "sweeps": len(trace.rows) - 1,
-                                "trace_digest": trace_digest(trace)}}
-    cfg, htrace = _timed(layers, "hcf_s", hcf_run, field, data)
-    estimators["hcf"] = {"energy": energy(field, data, cfg), "iterations": len(htrace.steps)}
-    init = tlr(field, data)
-    for name, order in (("icm", "scan"), ("icm_random", "random")):
-        cfg, itrace = _timed(layers, f"{name}_s", icm_run, field, data, init, order, 1)
-        estimators[name] = {"energy": energy(field, data, cfg),
-                            "iterations": len(itrace.rows) - 1}
-    gibbs = (("anneal", anneal_run, (AnnealSchedule(), 1)), ("mpm", mpm_run, (MpmParams(),)))
-    for name, run, args in gibbs:
-        cfg, gtrace = _timed(layers, f"{name}_s", run, field, data, init, *args)
-        estimators[name] = {"energy": energy(field, data, cfg), "iterations": gtrace.iterations,
-                            "sweeps": len(gtrace.rows) - 1}
 
     noisy = compute_llr(make_checkerboard(size, size, 10, 64, 192, NOISY_SIGMA, 1),
                         EdgeModel(sigma=NOISY_SIGMA))
-    cfg, trace = _timed(layers, "noisy_local_hcf_s", local_hcf_run, field, noisy)
-    estimators["noisy_local_hcf"] = {"energy": energy(field, noisy, cfg),
-                                     "iterations": trace.iterations,
-                                     "sweeps": len(trace.rows) - 1,
-                                     "trace_digest": trace_digest(trace)}
-    cfg, htrace = _timed(layers, "noisy_hcf_s", hcf_run, field, noisy)
-    estimators["noisy_hcf"] = {"energy": energy(field, noisy, cfg),
-                               "iterations": len(htrace.steps)}
-    init = tlr(field, noisy)
-    icm = (("icm", icm_run, ("scan", 1)), ("icm_random", icm_run, ("random", 1)))
-    for name, run, args in icm + gibbs:
-        cfg, trace = _timed(layers, f"noisy_{name}_s", run, field, noisy, init, *args)
-        estimators[f"noisy_{name}"] = {
-            "energy": energy(field, noisy, cfg), "iterations": trace.iterations,
-            "sweeps": len(trace.rows) - 1, "flips": sum(r.changed for r in trace.rows)}
+    waves = (("icm", icm_run, ("scan", 1)), ("icm_random", icm_run, ("random", 1)),
+             ("anneal", anneal_run, (AnnealSchedule(), 1)), ("mpm", mpm_run, (MpmParams(),)))
+    estimators = {}
+    for prefix, llr in (("", data), ("noisy_", noisy)):
+        def run(name, call, *args):
+            cfg, trace = _timed(layers, f"{prefix}{name}_s", call, field, llr, *args)
+            estimators[prefix + name] = {"energy": energy(field, llr, cfg)}
+            return estimators[prefix + name], trace
+
+        entry, trace = run("local_hcf", local_hcf_run)
+        entry.update(iterations=trace.iterations, sweeps=len(trace.rows) - 1,
+                     trace_digest=trace_digest(trace))
+        entry, trace = run("hcf", hcf_run)
+        entry["iterations"] = len(trace.steps)
+        init = tlr(field, llr)
+        for name, call, args in waves:
+            entry, trace = run(name, call, init, *args)
+            entry.update(iterations=trace.iterations, sweeps=len(trace.rows) - 1,
+                         flips=sum(r.changed for r in trace.rows))
     return {"sites": field.num_sites, "layers_s": layers, "estimators": estimators}
 
 
