@@ -104,6 +104,13 @@ class EdgeModel:
             value = getattr(self, name)
             if not (_real(value) and math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be a positive real")
+        # the ratio is monotone in the pixel step, so steps 0 and 255 bound every
+        # intermediate of edge_llr: if they compute cleanly, every image does
+        try:
+            with np.errstate(all="raise", under="ignore"):
+                _llr(np.array([0.0, 255.0]), self.mu_e, self.sigma)
+        except ArithmeticError:
+            raise ValueError("mu_e and sigma give non-finite log likelihood ratios") from None
 
 
 class EdgeLattice:
@@ -225,7 +232,12 @@ def edge_llr(image: Image, model: EdgeModel) -> np.ndarray:
     dv = np.abs(np.diff(img, axis=1)).ravel()
     dh = np.abs(np.diff(img, axis=0)).ravel()
     d = np.concatenate([dv, dh]).astype(np.float64)
-    return model.mu_e * (2.0 * d - model.mu_e) / (2.0 * model.sigma ** 2)
+    return _llr(d, model.mu_e, model.sigma)
+
+
+def _llr(d, mu_e, sigma):
+    """``edge_llr``'s ratio at pixel steps ``d``, the one formula ``EdgeModel`` checks."""
+    return mu_e * (2.0 * d - mu_e) / (2.0 * sigma ** 2)
 
 
 def llr_data_term(llr) -> DataTerm:

@@ -89,32 +89,49 @@ def _read_text_lines(path):
     return path, text.splitlines()
 
 
+def _read_records(path, magic: str, names: tuple[str, ...]):
+    """(path, dimensions, body) of a record file: the one parser of its first two lines.
+
+    Line 1 must be ``magic`` and line 2 one integer per entry of ``names``;
+    their errors carry ``:1:`` and ``:2:``. The body is every non-blank line
+    after them as (line number, stripped text), so a reader's own errors can
+    name the line.
+    """
+    path, lines = _read_text_lines(path)
+    if not lines or lines[0].strip() != magic:
+        raise FileFormatError(f"{path}:1: expected header '{magic}'")
+    if len(lines) < 2:
+        raise FileFormatError(f"{path}:2: missing dimensions line")
+    try:
+        dims = [int(p) for p in lines[1].split()]
+    except ValueError:
+        dims = []
+    if len(dims) != len(names):
+        raise FileFormatError(f"{path}:2: expected '{' '.join(names)}'")
+    body = [(lineno, text) for lineno, raw in enumerate(lines[2:], start=3)
+            if (text := raw.strip())]
+    return path, dims, body
+
+
+def _write_lines(path, lines) -> None:
+    """Write each line and a plain "\n" in one call; no other function opens a file."""
+    text = "".join(f"{line}\n" for line in lines)
+    with open(path, "w", newline="\n") as f:
+        f.write(text)
+
+
 def read_mrfllr(path) -> tuple[int, int, np.ndarray]:
     """Read a likelihood file: (width, height, per-site LLR array).
 
     Format: header line ``MRFLLR 1``, then ``width height``, then one
     decimal LLR per line in edge-site-id order.
     """
-    path, lines = _read_text_lines(path)
-    if not lines or lines[0].strip() != "MRFLLR 1":
-        raise FileFormatError(f"{path}:1: expected header 'MRFLLR 1'")
-    if len(lines) < 2:
-        raise FileFormatError(f"{path}:2: missing dimensions line")
-    parts = lines[1].split()
-    if len(parts) != 2:
-        raise FileFormatError(f"{path}:2: expected 'width height'")
-    try:
-        width, height = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise FileFormatError(f"{path}:2: expected 'width height'") from None
+    path, (width, height), body = _read_records(path, "MRFLLR 1", ("width", "height"))
     if width < 2 or height < 2:
         raise FileFormatError(f"{path}:2: dimensions must be at least 2x2")
     expected = EdgeLattice(width, height).num_sites
     values = []
-    for lineno, raw in enumerate(lines[2:], start=3):
-        text = raw.strip()
-        if not text:
-            continue
+    for lineno, text in body:
         try:
             v = float(text)
         except ValueError:
@@ -136,11 +153,7 @@ def write_mrfllr(path, width: int, height: int, llr) -> None:
         raise ValueError(f"expected {expected} values for a {width}x{height} image")
     if not np.isfinite(arr).all():
         raise ValueError("LLR values must be finite")
-    with open(path, "w", newline="\n") as f:
-        f.write("MRFLLR 1\n")
-        f.write(f"{width} {height}\n")
-        for v in arr:
-            f.write(_fmt(v) + "\n")
+    _write_lines(path, ["MRFLLR 1", f"{width} {height}", *map(_fmt, arr.tolist())])
 
 
 def read_mrfl(path) -> tuple[int, int, np.ndarray]:
@@ -151,18 +164,8 @@ def read_mrfl(path) -> tuple[int, int, np.ndarray]:
     of non-lattice fields. Sites may appear in any order but each exactly
     once.
     """
-    path, lines = _read_text_lines(path)
-    if not lines or lines[0].strip() != "MRFL 1":
-        raise FileFormatError(f"{path}:1: expected header 'MRFL 1'")
-    if len(lines) < 2:
-        raise FileFormatError(f"{path}:2: missing dimensions line")
-    parts = lines[1].split()
-    if len(parts) != 3:
-        raise FileFormatError(f"{path}:2: expected 'width height num_sites'")
-    try:
-        width, height, num_sites = (int(p) for p in parts)
-    except ValueError:
-        raise FileFormatError(f"{path}:2: expected 'width height num_sites'") from None
+    path, (width, height, num_sites), body = _read_records(
+        path, "MRFL 1", ("width", "height", "num_sites"))
     if num_sites < 1:
         raise FileFormatError(f"{path}:2: num_sites must be positive")
     if width == 0 and height == 0:
@@ -175,15 +178,12 @@ def read_mrfl(path) -> tuple[int, int, np.ndarray]:
                               f"{EdgeLattice(width, height).num_sites} sites, "
                               f"not {num_sites}")
     # a body line holds at most one label: refuse the count before allocating for it
-    listed = sum(1 for raw in lines[2:] if raw.strip())
-    if listed < num_sites:
-        raise FileFormatError(f"{path}: {num_sites - listed} sites missing a label")
+    if len(body) < num_sites:
+        raise FileFormatError(f"{path}: {num_sites - len(body)} sites missing a label")
+    # every line below labels a new in-range site or raises, so a full pass
+    # over at least num_sites lines labels every site
     labels = np.full(num_sites, -1, dtype=np.int64)
-    seen = 0
-    for lineno, raw in enumerate(lines[2:], start=3):
-        text = raw.strip()
-        if not text:
-            continue
+    for lineno, text in body:
         parts = text.split()
         if len(parts) != 2:
             raise FileFormatError(f"{path}:{lineno}: expected 'site_id label'")
@@ -198,9 +198,6 @@ def read_mrfl(path) -> tuple[int, int, np.ndarray]:
         if labels[site] != -1:
             raise FileFormatError(f"{path}:{lineno}: site {site} listed twice")
         labels[site] = label
-        seen += 1
-    if seen != num_sites:
-        raise FileFormatError(f"{path}: {num_sites - seen} sites missing a label")
     return width, height, labels
 
 
@@ -216,27 +213,21 @@ def write_mrfl(path, labels, width: int = 0, height: int = 0) -> None:
     # 0 0 for a non-lattice field; else a lattice of at least 2x2 with one site per label
     if (width, height) != (0, 0) and (sites := EdgeLattice(width, height).num_sites) != arr.size:
         raise ValueError(f"a {width}x{height} image has {sites} sites, not {arr.size}")
-    with open(path, "w", newline="\n") as f:
-        f.write("MRFL 1\n")
-        f.write(f"{width} {height} {arr.size}\n")
-        for site, label in enumerate(arr.tolist()):
-            f.write(f"{site} {label}\n")
+    lines = (f"{site} {label}" for site, label in enumerate(arr.tolist()))
+    _write_lines(path, ["MRFL 1", f"{width} {height} {arr.size}", *lines])
 
 
 def write_trace_csv(path, rows) -> None:
     """Write trace rows with the exact header iteration,energy,committed,changed."""
-    with open(path, "w", newline="\n") as f:
-        f.write(TRACE_HEADER + "\n")
-        for r in rows:
-            f.write(f"{r.iteration},{_fmt(r.energy)},{r.committed},{r.changed}\n")
+    lines = (f"{r.iteration},{_fmt(r.energy)},{r.committed},{r.changed}" for r in rows)
+    _write_lines(path, [TRACE_HEADER, *lines])
 
 
 def write_compare_csv(path, rows) -> None:
     """Write (method, energy_mean, energy_best, runs, iterations_mean) rows."""
-    with open(path, "w", newline="\n") as f:
-        f.write(COMPARE_HEADER + "\n")
-        for method, mean, best, runs, iters in rows:
-            f.write(f"{method},{_fmt(mean)},{_fmt(best)},{runs},{_fmt(iters)}\n")
+    lines = (f"{method},{_fmt(mean)},{_fmt(best)},{runs},{_fmt(iters)}"
+             for method, mean, best, runs, iters in rows)
+    _write_lines(path, [COMPARE_HEADER, *lines])
 
 
 def parse_config(path, schema: dict) -> dict:

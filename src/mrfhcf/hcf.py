@@ -77,11 +77,9 @@ def hcf_run(field, data, ranks=None, max_steps: int | None = None):
     nbrs, ptr = field.indices.tolist(), field.indptr.tolist()
 
     cfg = _checked_labels(field, data, new_configuration(n))
-    # every site's local energies and best label, kept current: a move
-    # changes only the rows of its neighbours, and a site's own label
-    # never enters its own row
-    e = _local_rows(comp, comp.others, comp.offsets, values, cfg)
-    g, best = _stabilities(e, cfg[:n])
+    # every site's best label, kept current: a move changes only the rows
+    # of its neighbours, and a site's own label never enters its own row
+    g, best = _stabilities(_local_rows(comp, comp.others, comp.offsets, values, cfg), cfg[:n])
     # each site's queued stability, None when it cannot act; the queue
     # holds (stability, rank, site) entries
     key = g.tolist()
@@ -118,13 +116,16 @@ def hcf_run(field, data, ranks=None, max_steps: int | None = None):
         # move every candidate, then re-read all their closed neighbourhoods
         # at once: at distance 3 or more no block reads another's move
         at = np.array(cands)
-        rows, prev = e[at].tolist(), cfg[at].tolist()
+        prev = cfg[at].tolist()
         cfg[at] = moves = best[at]
         sites = np.array(block)
         own = cfg[sites]
         block_e = _rows_at(comp, values, cfg, sites)
         g, block_best = _stabilities(block_e, own)
         g, own = g.tolist(), own.tolist()
+        # a candidate's row before its move opens its block: neither its own
+        # label nor another candidate's (at distance 3 or more) enters it
+        rows = block_e[[0, *bounds[:-1]]].tolist()
         # keep the prefix serial HCF would take; low is the least entry
         # queued by the steps kept so far
         low, start = (np.inf,), 0
@@ -152,7 +153,6 @@ def hcf_run(field, data, ranks=None, max_steps: int | None = None):
                             low = entry
             steps.append(HCFStep(len(steps), s, b, k, aug, committed))
             start = end
-        e[sites[:start]] = block_e[:start]
         best[sites[:start]] = block_best[:start]
 
     return cfg[:n].copy(), HCFTrace(tuple(steps))

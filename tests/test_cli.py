@@ -1,4 +1,5 @@
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -293,6 +294,19 @@ def test_runtime_parameter_errors(capsys):
                           "--ranks", "seeded-permutation")
     assert code == 2
     assert "rank-seed" in stderr
+
+
+@pytest.mark.parametrize("flag, value", [("--sigma", "1e200"), ("--sigma", "1e-200"),
+                                         ("--mu-e", "1e200")])
+def test_model_values_past_the_float_range_exit_4_without_a_warning(tmp_path, capsys,
+                                                                    flag, value):
+    board = tmp_path / "board.pgm"
+    run(capsys, "generate", "--checker", "8x8", "--square", "2", "-o", str(board))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, stdout, stderr = run(capsys, "label", "--in", str(board), flag, value)
+    assert (code, stdout) == (4, "")
+    assert stderr == "error: mu_e and sigma give non-finite log likelihood ratios\n"
 
 
 def test_bad_flags_exit_through_argparse(capsys):

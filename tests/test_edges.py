@@ -345,6 +345,37 @@ def test_edge_model_validation():
         EdgeModel(mu_e=None)
 
 
+# (mu_e, sigma) pairs whose ratio leaves the float range for some pixel step
+NON_FINITE_MODELS = [(128.0, 1e200), (128.0, 1e-200), (1e200, 8.0), (1e154, 1e-154),
+                     (1e-300, 1e-300), (128.0, np.float64(1e200)), (np.float64(1e200), 8.0),
+                     (128.0, np.float64(1.2e154)),
+                     pytest.param(10**200, 8, id="int-mu_e"),
+                     pytest.param(128, 10**200, id="int-sigma")]
+
+
+@pytest.mark.parametrize("mu_e, sigma", NON_FINITE_MODELS)
+def test_edge_model_refuses_non_finite_ratios_without_a_warning(mu_e, sigma):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError,
+                           match="^mu_e and sigma give non-finite log likelihood ratios$"):
+            EdgeModel(mu_e, sigma)
+
+
+@pytest.mark.parametrize("mu_e, sigma", [(128.0, 8.0), (100.5, 5.25), (0.5, 1e-150),
+                                         (1e150, 1e150), (128.0, 1.2e154), (1e-300, 1e-100),
+                                         (np.float64(3e150), np.float32(7.5)), (200, 3)])
+def test_edge_model_keeps_the_ratio_bits_of_every_pair_it_accepts(mu_e, sigma):
+    # the second row is black, so the horizontal sites see every step 0..255
+    image = Image(np.stack([np.arange(256), np.zeros(256, dtype=np.int64)]))
+    d = np.concatenate([np.ones(255), np.zeros(255), np.arange(256.0)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        llr = edge_llr(image, EdgeModel(mu_e, sigma))
+    assert np.isfinite(llr).all()
+    assert llr.tobytes() == (mu_e * (2.0 * d - mu_e) / (2.0 * sigma ** 2)).tobytes()
+
+
 @pytest.mark.parametrize("name", ["continuity", "turn", "parallel", "edge_prior"])
 @pytest.mark.parametrize("value", ["1", True, None, float("inf")])
 def test_edge_potentials_validation(name, value):

@@ -139,6 +139,68 @@ def test_mrfl_lattice_dims_round_trip(tmp_path):
     assert back.tolist() == [0, 0, 0, 0]
 
 
+def test_mrfllr_bytes_are_pinned(tmp_path):
+    path = tmp_path / "values.mrfllr"
+    write_mrfllr(path, 2, 2, [0.1 + 0.2, -2, 5e-324, -0.0])
+    assert path.read_bytes() == b"MRFLLR 1\n2 2\n0.30000000000000004\n-2.0\n5e-324\n-0.0\n"
+
+
+@pytest.mark.parametrize("dims, expected", [
+    ((2, 2), b"MRFL 1\n2 2 4\n0 1\n1 0\n2 0\n3 2\n"),
+    ((0, 0), b"MRFL 1\n0 0 4\n0 1\n1 0\n2 0\n3 2\n"),
+])
+def test_mrfl_bytes_are_pinned(tmp_path, dims, expected):
+    path = tmp_path / "labels.mrfl"
+    write_mrfl(path, np.array([1, 0, 0, 2]), *dims)
+    assert path.read_bytes() == expected
+
+
+# (reader, file text, message after the path) for every header and dimension-line error
+HEADER_ERRORS = [
+    (read_mrfllr, "", ":1: expected header 'MRFLLR 1'"),
+    (read_mrfllr, "MRFL 1\n2 2\n", ":1: expected header 'MRFLLR 1'"),
+    (read_mrfllr, "MRFLLR 1\n", ":2: missing dimensions line"),
+    (read_mrfllr, "MRFLLR 1\n2\n0\n", ":2: expected 'width height'"),
+    (read_mrfllr, "MRFLLR 1\n2 2 4\n0\n", ":2: expected 'width height'"),
+    (read_mrfllr, "MRFLLR 1\n2 x\n0\n", ":2: expected 'width height'"),
+    (read_mrfllr, "MRFLLR 1\n1 5\n0\n", ":2: dimensions must be at least 2x2"),
+    (read_mrfl, "", ":1: expected header 'MRFL 1'"),
+    (read_mrfl, " MRFLLR 1\n0 0 1\n0 0\n", ":1: expected header 'MRFL 1'"),
+    (read_mrfl, "MRFL 1\n", ":2: missing dimensions line"),
+    (read_mrfl, "MRFL 1\n\n0 0\n", ":2: expected 'width height num_sites'"),
+    (read_mrfl, "MRFL 1\n0 0\n0 0\n", ":2: expected 'width height num_sites'"),
+    (read_mrfl, "MRFL 1\n0 0 1.0\n0 0\n", ":2: expected 'width height num_sites'"),
+    (read_mrfl, "MRFL 1\n0 0 0\n", ":2: num_sites must be positive"),
+    (read_mrfl, "MRFL 1\n0 2 4\n0 0\n",
+     ":2: dimensions must be at least 2x2 (or 0 0 for non-lattice fields)"),
+    (read_mrfl, "MRFL 1\n2 2 5\n0 0\n", ":2: a 2x2 image has 4 sites, not 5"),
+]
+
+
+@pytest.mark.parametrize("reader, text, message", HEADER_ERRORS)
+def test_header_and_dimension_errors_are_pinned(tmp_path, reader, text, message):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    with pytest.raises(FileFormatError) as info:
+        reader(path)
+    assert str(info.value) == f"{path}{message}"
+
+
+def test_blank_body_lines_are_skipped_and_still_numbered(tmp_path):
+    path = tmp_path / "values.mrfllr"
+    path.write_text("MRFLLR 1\n2 2\n\n1.5\n  \n-1.5\n\t\n0.0\n2.5\n\n")
+    assert read_mrfllr(path)[2].tolist() == [1.5, -1.5, 0.0, 2.5]
+    path.write_text("MRFLLR 1\n2 2\n\n1.5\n  \nbogus\n0.0\n2.5\n")
+    with pytest.raises(FileFormatError, match=f"^{path}:6: "):
+        read_mrfllr(path)
+    path = tmp_path / "labels.mrfl"
+    path.write_text("MRFL 1\n0 0 3\n\n2 1\n \n0 0\n\n1 1\n\n")
+    assert read_mrfl(path)[2].tolist() == [0, 1, 1]
+    path.write_text("MRFL 1\n0 0 3\n\n2 1\n \n0 0\n\n2 1\n")
+    with pytest.raises(FileFormatError, match=f"^{path}:8: site 2 listed twice$"):
+        read_mrfl(path)
+
+
 NAN, INF = float("nan"), float("inf")
 
 REFUSED_WRITES = {

@@ -1,6 +1,6 @@
 """The estimator modules depend on the energy model (``core``) and the trace rows alone,
-every module leaves its input checks to ``core``, and the CLI restates no library
-default."""
+every module leaves its input checks to ``core``, the CLI restates no library default,
+and one function opens every file the package writes as text."""
 
 import ast
 from pathlib import Path
@@ -40,6 +40,35 @@ def test_estimator_modules_define_no_input_check():
         defined = [node.name for node in ast.walk(tree)
                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
         assert not [name for name in defined if name.startswith("_check")], path.stem
+
+
+def openers(tree, where=None):
+    """The enclosing function (None at module level) of each ``open`` or ``write_text`` call."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from openers(node, node.name)
+            continue
+        if isinstance(node, ast.Call):
+            func = node.func
+            if getattr(func, "id", getattr(func, "attr", None)) in ("open", "write_text"):
+                yield where
+        yield from openers(node, where)
+
+
+def test_only_write_lines_opens_a_file():
+    # the plain-newline rule for text files lives in one writer
+    opened = [(path.stem, where) for path in sorted(PACKAGE.glob("*.py"))
+              for where in openers(ast.parse(path.read_text()))]
+    assert opened == [("fileio", "_write_lines")]
+
+
+def test_the_opener_reader_sees_every_form():
+    tree = ast.parse("open('a')\n"
+                     "def f():\n    with io.open('b') as g:\n        pass\n"
+                     "class C:\n    def m(self):\n        def inner():\n"
+                     "            Path('c').write_text(str(open('d')))\n"
+                     "def h(path):\n    return path.read_text(), reopen(path)\n")
+    assert list(openers(tree)) == [None, "f", "inner", "inner"]
 
 
 def class_defaults(module, name):
