@@ -280,7 +280,7 @@ def icm_run(field, data, init, order: str = "scan", seed: int | None = None,
     cap = _check_count("max_sweeps", max_sweeps, default=100 * n * field.num_labels)
     current = _augmented_sum(comp, data.values, labels)
     if order == "scan":
-        wave = _Wave(field, data, range(n), 1)
+        wave = _Wave(field, data, comp.sites, 1)
     elif order == "random":
         _check_count("seed", seed)  # None too: a random order needs a seed
         rng = np.random.default_rng(seed)
@@ -385,7 +385,7 @@ def _gibbs_run(field, data, init, temperatures, seed):
     current = _augmented_sum(comp, data.values, cfg)
     rows = [TraceRow(0, current, n, 0)]
     yield rows, cfg[:n].copy()
-    wave = _Wave(field, data, range(n), len(temperatures))
+    wave = _Wave(field, data, comp.sites, len(temperatures))
     sweeps = _sweeps(wave, cfg, current, np.maximum(temperatures, 1e-300),
                      np.random.default_rng(seed))
     for k, (current, changes, labels) in enumerate(sweeps, 1):

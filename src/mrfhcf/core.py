@@ -31,8 +31,10 @@ those arrays on first use (:class:`CompiledField`). Summation order is
 fixed everywhere so repeated evaluations are reproducible bit for bit:
 
 - a site's local energies start from a +0.0 row, add the incident cliques'
-  rows one column of the padded per-site arrays at a time in ascending
-  clique id order, then add the site's data row;
+  rows in ascending clique id order, one slot of the padded per-site
+  arrays after another (one ``np.add.reduce`` along the slot axis, or a
+  slot loop for a one-element block, see :func:`_local_rows`), then add
+  the site's data row;
 - an energy is ``np.add.accumulate`` over a leading +0.0, the clique terms
   in ascending clique id order, then the data terms in ascending site id
   order, never ``np.sum`` or a dot product, whose pairwise order differs.
@@ -539,7 +541,8 @@ def _augmented_sum(comp, values, cfg):
     uncommitted ones keep their +0.0.
     """
     terms = _no_terms(comp)
-    _rescore(comp, values, cfg, terms, np.flatnonzero(cfg[:-1] >= 0))
+    committed = np.flatnonzero(cfg[:-1] >= 0)
+    _rescore(comp, values, cfg, terms, None if committed.size == len(comp.sites) else committed)
     return _total(terms)
 
 
@@ -548,17 +551,23 @@ def _rescore(comp, values, cfg, terms, sites):
 
     ``terms`` holds the terms of a configuration that differs from ``cfg``
     only at ``sites``, all of which ``cfg`` commits; afterwards it holds
-    those of ``cfg``. A clique term is read from each listed member's own
-    arrangement of the table. Sites that share a clique therefore write
-    the same float to it, since every arrangement holds the table's
-    entries, and a clique with an uncommitted member reads a zero row
-    (+0.0). A padding slot writes table 0's +0.0 over the leading +0.0.
+    those of ``cfg``. ``sites`` None stands for every site, whose slot
+    arrays are then indexed whole instead of copied. A clique term is read
+    from each listed member's own arrangement of the table. Sites that
+    share a clique therefore write the same float to it, since every
+    arrangement holds the table's entries, and a clique with an
+    uncommitted member reads a zero row (+0.0). A padding slot writes
+    table 0's +0.0 over the leading +0.0.
     """
+    if sites is None:
+        sites, offsets, others, cliques = comp.sites, comp.offsets, comp.others, comp.cliques_at
+    else:
+        offsets, others, cliques = (comp.offsets.take(sites, axis=1),
+                                    comp.others.take(sites, axis=2),
+                                    comp.cliques_at.take(sites, axis=1))
     own = cfg[sites]
-    rows = (comp.offsets.take(sites, axis=1)
-            + _table_rows(comp, cfg[comp.others.take(sites, axis=2)]))
-    terms[1 + comp.cliques_at.take(sites, axis=1)] = np.take(comp.tables,
-                                                             rows * values.shape[1] + own)
+    rows = offsets + _table_rows(comp, cfg[others])
+    terms[1 + cliques] = np.take(comp.tables, rows * values.shape[1] + own)
     terms[1 + comp.num_cliques + sites] = values[sites, own]
 
 
@@ -570,12 +579,20 @@ def _local_rows(comp, others, offsets, values, cfg):
     order; the whole arrays read every site. One gather of each incident
     clique's row, added slot by slot in clique id order onto +0.0, then
     the data rows. A site's own label in ``cfg`` does not enter its row.
+
+    The slots are added by one ``np.add.reduce`` along the slot axis,
+    which numpy runs element by element in slot order. The exception is a
+    block of one row of one label: numpy sums a one-element reduction
+    pairwise, so that block is added one slot at a time.
     """
     rows = _table_rows(comp, cfg[others])
     terms = comp.tables.reshape(-1, values.shape[1]).take(offsets + rows, axis=0)
-    e = np.zeros(values.shape)
-    for column in terms:
-        e += column
+    if values.size == 1:
+        e = np.zeros(values.shape)
+        for column in terms:
+            e += column
+    else:
+        e = np.add.reduce(terms, axis=0, initial=0.0)
     e += values
     return e
 

@@ -9,9 +9,9 @@ from mrfhcf import (EDGE, Clique, DataTerm, EdgePotentials, Field, assign_ranks,
                     augmented_energy, best_label, build_edge_field, energy, hcf_run,
                     is_local_minimum, llr_data_term, local_energies, local_energy,
                     local_hcf_run, local_hcf_step, new_configuration, stability, tlr)
-from mrfhcf.core import _checked_labels, _checked_ranks
+from mrfhcf.core import _checked_labels, _checked_ranks, _no_terms, _rescore
 from mrfhcf.local_hcf import _lower, _sweep
-from support import (random_field, reference_augmented_energy, reference_eligible,
+from support import (noisy_board, random_field, reference_augmented_energy, reference_eligible,
                      reference_local_rows, reference_row_stats, scalar_reader,
                      triple_clique_field, zero_lattice)
 
@@ -63,6 +63,78 @@ def test_augmented_energy_matches_the_clique_walk():
             assert bits(augmented_energy(field, data, cfg)) == bits(want)
             if (cfg >= 0).all():
                 assert bits(energy(field, data, cfg)) == bits(want)
+
+
+def spread(rng, shape):
+    """Signed magnitudes from 1e-8 to 1e8, a fifth -0.0: their sum depends on its order."""
+    out = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-8.0, 8.0, shape)
+    out[rng.random(shape) < 0.2] = -0.0
+    return out
+
+
+@pytest.mark.parametrize("slots", [0, 1, 2, 8, 9, 17, 33])
+def test_np_add_reduce_adds_the_slots_in_order_past_one_element(slots):
+    # core._local_rows rests on this; numpy sums a one-element output
+    # pairwise, so _local_rows adds that one slot by slot
+    rng = np.random.default_rng(slots)
+    for rows in (1, 2, 3, 7, 120):
+        for labels in (1, 2, 3, 5):
+            block = spread(rng, (slots, rows, labels))
+            if rows * labels == 1:
+                continue
+            loop = np.zeros((rows, labels))
+            for column in block:
+                loop += column
+            got = np.add.reduce(block, axis=0, initial=0.0)
+            assert got.tobytes() == loop.tobytes(), (
+                f"np.add.reduce does not add a {block.shape} block in slot order: "
+                "core._local_rows assumes it does and is to be revisited on this platform")
+
+
+@pytest.mark.parametrize("count", [9, 12, 33])
+def test_one_site_one_label_reads_add_many_cliques_in_order(count):
+    # one row of one label: the block that _local_rows adds slot by slot
+    rng = np.random.default_rng(count)
+    field = Field(1, 1, [()], [Clique((0,), [v]) for v in spread(rng, count)])
+    data = DataTerm(spread(rng, (1, 1)))
+    for cfg in ([0], [-1]):
+        want = np.array(reference_local_rows(field, data, cfg))
+        assert local_energies(field, data, cfg).tobytes() == want.tobytes()
+        assert bits(local_energy(field, data, cfg, 0, 0)) == bits(want[0, 0])
+
+
+def committed_cases():
+    for labels in (2, 3):
+        for seed in range(6):
+            yield random_field(seed, labels=labels)
+        for seed in range(3):
+            yield triple_clique_field(seed, labels)
+    yield noisy_board(8)
+
+
+def test_full_evaluation_indexes_the_slots_whole_to_the_same_terms():
+    rng = np.random.default_rng(4)
+    for field, data in committed_cases():
+        n, num_labels, comp = field.num_sites, field.num_labels, field.compiled
+        values = data.values.copy()
+        values[rng.random(values.shape) < 0.3] = -0.0
+        data = DataTerm(values)
+        for _ in range(3):
+            cfg = _checked_labels(field, data, rng.integers(0, num_labels, n))
+            whole, taken = _no_terms(comp), _no_terms(comp)
+            _rescore(comp, values, cfg, whole, None)
+            _rescore(comp, values, cfg, taken, np.arange(n))
+            assert whole.tobytes() == taken.tobytes()
+            want = reference_augmented_energy(field, data, cfg[:n])
+            assert bits(energy(field, data, cfg[:n])) == bits(want)
+            # a partial rewrite from another configuration ends at the same terms
+            before = cfg.copy()
+            changed = np.flatnonzero(rng.random(n) < 0.4)
+            before[changed] = rng.integers(-1, num_labels, changed.size)
+            terms = _no_terms(comp)
+            _rescore(comp, values, before, terms, np.flatnonzero(before[:n] >= 0))
+            _rescore(comp, values, cfg, terms, changed)
+            assert terms.tobytes() == whole.tobytes()
 
 
 def test_sweep_stabilities_match_the_scalar_readers():

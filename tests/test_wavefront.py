@@ -190,6 +190,20 @@ def test_wave_layout_on_edge_cases(field):
             same_layout(_Wave(field, data, order, sweeps), field, order, sweeps)
 
 
+@pytest.mark.parametrize("name", ["chain8", "triple1-3", "random5-2", "random17-3", "board16"])
+def test_scan_wave_from_the_site_array_equals_the_range_wave(name):
+    # icm_run and _gibbs_run pass comp.sites: numpy converts a range element by element
+    field, data = CASES[name]()
+    n = field.num_sites
+    for sweeps in (1, 100):
+        got = _Wave(field, data, field.compiled.sites, sweeps)
+        want = _Wave(field, data, range(n), sweeps)
+        for attr in ("level", "sites", "position", "visit", "lap", "others", "offsets", "values"):
+            assert np.array_equal(getattr(got, attr), getattr(want, attr)), attr
+        for attr in ("bounds", "ends", "stride", "depth"):
+            assert getattr(got, attr) == getattr(want, attr), attr
+
+
 class FixedUniform:
     def __init__(self, u):
         self.u = u
