@@ -41,8 +41,9 @@ fixed everywhere so repeated evaluations are reproducible bit for bit:
   The terms are written through the same per-site clique slots: every
   committed site writes its cliques' terms and its data term into an
   all-+0.0 array. Local HCF keeps that array across a run and rewrites
-  only the terms of the sites a sweep changed; the array, and so the sum,
-  is the one a full evaluation builds.
+  only the terms of the sites a sweep changed, from the table rows that
+  sweep's read went through; the array, and so the sum, is the one a
+  full evaluation builds.
 
 A suppressed term (an uncommitted member, or padding) enters as +0.0. A
 running sum that starts at +0.0 never becomes -0.0, so adding +0.0 leaves
@@ -258,35 +259,53 @@ class CompiledField:
 
     These per-site slots are the one clique layout: local energies read
     them, and energies write their clique terms through them. Built from
-    the field's arrays alone, without a walk over its cliques. The arrays
-    are read-only.
+    the field's arrays alone, without a walk over its cliques: one sort of
+    a unique int64 key per incidence, its site times ``members.size`` plus
+    its index in ``members.T.ravel()``, then scatters through flat ``slot
+    * n + site`` indices. The arrays are read-only.
     """
 
     def __init__(self, field):
         n, num_labels = field.num_sites, field.num_labels
         members, arity = field.members, field.arity
-        m = len(members) - 1
+        k = len(members)
+        m = k - 1
         self.height = num_labels ** m + 1
         self.num_cliques = arity.size
-        self.tables, base = _stacked_tables(field.tables, field.table_ids, self.height,
-                                            num_labels)
-        site, tid, oth, cid = _incidences(members, arity, base)
+        self.tables, first = _stacked_tables(field.tables, self.height, num_labels)
 
+        # one incidence per member, keyed by its site, then its index in the
+        # clique-major members: the keys are unique, so any sort orders the
+        # incidences by site and, within a site, by clique id
+        flat = members.T.ravel()
+        key = np.flatnonzero(flat < n)
+        key += flat[key] * flat.size
+        key.sort()
+        site, pos = np.divmod(key, flat.size, out=(None, key))
         degree = np.bincount(site, minlength=n)
-        start = np.cumsum(degree) - degree
-        slot = np.arange(site.size) - start[site]
-        self.cliques_at = np.full((int(degree.max(initial=0)), n), -1, dtype=np.int64)
-        self.cliques_at[slot, site] = cid
-        del cid  # so that the compile's peak below grows by cliques_at alone
-        self.offsets = np.zeros(self.cliques_at.shape, dtype=np.int64)
-        self.offsets[slot, site] = tid * self.height
-        self.others = np.full((m,) + self.offsets.shape, n, dtype=np.int64)
-        self.others[:, slot, site] = oth
+        # each incidence's flat index slot * n + site in the slot-major arrays
+        at = (np.arange(site.size) - (np.cumsum(degree) - degree)[site]) * n + site
+        del site
+        cid, col = np.divmod(pos, k)
+        pos -= col  # the clique's first entry in flat
+        shape = (int(degree.max(initial=0)), n)
+        self.others = np.full((m,) + shape, n, dtype=np.int64)
+        for q in range(m):
+            self.others[q].reshape(-1)[at] = flat[pos + q + (col <= q)]
+        del flat, pos
+        self.cliques_at = np.full(shape, -1, dtype=np.int64)
+        self.cliques_at.reshape(-1)[at] = cid
+        # own position p of a clique uses its table's first arrangement plus p
+        self.offsets = np.zeros(shape, dtype=np.int64)
+        self.offsets.reshape(-1)[at] = (first[field.table_ids] + arity - k)[cid] + col
+        self.offsets *= self.height
+        del at, cid, col
 
         counts = np.diff(field.indptr)
         owner = np.repeat(np.arange(n), counts)
         self.neighbors = np.full((int(counts.max(initial=0)), n), n, dtype=np.int64)
-        self.neighbors[np.arange(owner.size) - field.indptr[owner], owner] = field.indices
+        self.neighbors.reshape(-1)[(np.arange(owner.size) - field.indptr[owner]) * n + owner] = \
+            field.indices
 
         self.strides = num_labels ** np.arange(m - 1, -1, -1, dtype=np.int64)
         self.sites = np.arange(n)
@@ -295,47 +314,21 @@ class CompiledField:
             a.setflags(write=False)
 
 
-def _stacked_tables(tables, table_ids, height, num_labels):
-    """The stacked tables, and each clique's table id for its member at position 0.
+def _stacked_tables(tables, height, num_labels):
+    """The stacked tables, and each distinct table's index in them at own position 0.
 
     One stacked table per (distinct table, own position), in the order of
-    ``tables``; position p of a clique uses its position-0 id plus p. Table
-    0 is all zero.
+    ``tables``: its first rows hold the table transposed others-then-own,
+    own position p following position 0 by p. Table 0 is all zero.
     """
-    blocks = [np.zeros((height, num_labels))]
-    first = []
-    for table in tables:
-        first.append(len(blocks))
-        blocks.extend(_arranged(table, height))
-    return np.stack(blocks), np.array(first, dtype=np.int64)[table_ids]
-
-
-def _arranged(table, height):
-    """Per own position, the clique table arranged others-then-own and stacked."""
-    k = table.ndim
-    num_labels = table.shape[-1]
-    out = []
-    for pos in range(k):
-        block = np.zeros((height, num_labels))
-        block[:num_labels ** (k - 1)] = np.moveaxis(table, pos, -1).reshape(-1, num_labels)
-        out.append(block)
-    return out
-
-
-def _incidences(members, arity, base):
-    """One incidence per (clique, member): its site, table id, other members and clique id.
-
-    The other members form an ``(m, incidences)`` array, padded in front
-    like ``members``. Incidences are ordered by site and, within a site,
-    by clique id.
-    """
-    k = len(members)
-    first = k - arity
-    cid, col = np.nonzero(np.arange(k) >= first[:, None])
-    order = np.argsort(members[col, cid], kind="stable")
-    cid, col = cid[order], col[order]
-    oth = np.stack([members[q + (q >= col), cid] for q in range(k - 1)])
-    return members[col, cid], base[cid] + col - first[cid], oth, cid
+    first = np.cumsum([1] + [t.ndim for t in tables])
+    stack = np.zeros((first[-1], height, num_labels))
+    for table, i in zip(tables, first.tolist()):
+        for pos in range(table.ndim):
+            axes = [a for a in range(table.ndim) if a != pos] + [pos]
+            stack[i + pos, :table.size // num_labels].reshape(table.shape)[...] = \
+                table.transpose(axes)
+    return stack, first[:-1]
 
 
 class DataTerm:
@@ -529,9 +522,9 @@ def _no_terms(comp):
     return np.zeros(1 + comp.num_cliques + len(comp.sites))
 
 
-def _total(terms):
-    """The sum of an energy's term array in its order, as a Python float."""
-    return float(np.add.accumulate(terms)[-1])
+def _total(terms, out=None):
+    """Sum of an energy's terms in their order, as a float; ``out`` takes the running sums."""
+    return float(np.add.accumulate(terms, out=out)[-1])
 
 
 def _augmented_sum(comp, values, cfg):
@@ -567,7 +560,11 @@ def _rescore(comp, values, cfg, terms, sites):
                                     comp.cliques_at.take(sites, axis=1))
     own = cfg[sites]
     rows = offsets + _table_rows(comp, cfg[others])
-    terms[1 + cliques] = np.take(comp.tables, rows * values.shape[1] + own)
+    rows *= values.shape[1]
+    rows += own
+    taken = np.take(comp.tables, rows)
+    del rows  # so that two (slots, sites) arrays, not three, meet at the scatter
+    terms[1 + cliques] = taken
     terms[1 + comp.num_cliques + sites] = values[sites, own]
 
 
@@ -585,8 +582,12 @@ def _local_rows(comp, others, offsets, values, cfg):
     block of one row of one label: numpy sums a one-element reduction
     pairwise, so that block is added one slot at a time.
     """
-    rows = _table_rows(comp, cfg[others])
-    terms = comp.tables.reshape(-1, values.shape[1]).take(offsets + rows, axis=0)
+    return _summed_rows(comp, offsets + _table_rows(comp, cfg[others]), values)
+
+
+def _summed_rows(comp, rows, values):
+    """:func:`_local_rows` from the block's table rows ``offsets + _table_rows(...)``."""
+    terms = comp.tables.reshape(-1, values.shape[1]).take(rows, axis=0)
     if values.size == 1:
         e = np.zeros(values.shape)
         for column in terms:

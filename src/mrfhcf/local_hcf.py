@@ -13,11 +13,13 @@ writes its clique terms (through ``CompiledField.cliques_at``) and its
 data term into an all-+0.0 term array, which is summed in the fixed
 order. A run keeps that array and, after each sweep, only the changed
 sites write their terms again, so every trace energy has the bits of a
-full evaluation. The eligibility test compares every site with its
-neighbors one slot of the slot-major ``neighbors`` array at a time; the
-rank comparisons do not change between sweeps, so a run makes them
-once. The input checks, the padded configuration and ranks, and the
-per-site ranks of ``assign_ranks`` come from ``core``.
+full evaluation. They come from the table rows the sweep read, as no
+neighbor of a changed site moved (``core._rescore`` is not called).
+The eligibility test compares every site with its neighbors one slot of
+the slot-major ``neighbors`` array at a time; the rank comparisons do
+not change between sweeps, so a run makes them once. The input checks,
+the padded configuration and ranks, and the per-site ranks of
+``assign_ranks`` come from ``core``.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (UNCOMMITTED, _augmented_sum, _check_count, _check_runnable, _checked_labels,
-                   _checked_ranks, _local_rows, _no_terms, _rescore, _stabilities, _total,
+                   _checked_ranks, _no_terms, _stabilities, _summed_rows, _table_rows, _total,
                    new_configuration)
 from .trace import RunTrace, TraceRow
 
@@ -50,23 +52,36 @@ def _lower(comp, rank):
     return rank[:-1] < rank[comp.neighbors]
 
 
-def _sweep(comp, values, cfg, lower):
+def _sweep(comp, values, cfg, lower, padded):
     """Read every site of ``cfg`` at once, then select the eligible ones.
 
     ``cfg`` is the configuration with label 0 appended for the padding
     site and ``lower`` the rank order of :func:`_lower`. Every site is
     tested in one pass, slot by slot of ``comp.neighbors``: its (g,
     rank) must be below each neighbor's, the padding neighbor standing at
-    (+inf, n). Returns (g, best, changed): every site's stability and
-    best label, and the eligible sites that can act, in ascending order.
-    ``cfg`` is not modified.
+    (+inf, n); ``padded`` holds n + 1 floats ending in +inf. Returns (g,
+    best, changed, rows): every site's stability and best label, the
+    eligible sites that can act, in ascending order, and the table rows
+    the read went through. ``cfg`` is not modified.
     """
-    own = cfg[:len(values)]
-    g, best = _stabilities(_local_rows(comp, comp.others, comp.offsets, values, cfg), own)
-    gn = np.append(g, np.inf)[comp.neighbors]
+    own = cfg[:-1]
+    rows = _table_rows(comp, cfg[comp.others])
+    rows += comp.offsets  # in place: one (slots, n) temporary fewer per sweep
+    g, best = _stabilities(_summed_rows(comp, rows, values), own)
+    padded[:-1] = g
+    gn = padded[comp.neighbors]
     first = ((g < gn) | ((g == gn) & lower)).all(axis=0)
     can_act = (g < 0) | ((g == 0) & (own == UNCOMMITTED))
-    return g, best, np.flatnonzero(first & can_act)
+    return g, best, np.flatnonzero(first & can_act), rows
+
+
+def _rewrite(comp, values, cfg, terms, rows, changed):
+    """:func:`_rescore` of ``changed`` from the ``rows`` its sweep read: no neighbor moved."""
+    moves = cfg[changed]
+    num_labels = values.shape[1]
+    terms[1 + comp.cliques_at.take(changed, axis=1)] = comp.tables.take(
+        rows.take(changed, axis=1) * num_labels + moves)
+    terms[1 + comp.num_cliques + changed] = values.take(changed * num_labels + moves)
 
 
 def _apply(cfg, best, changed):
@@ -87,7 +102,8 @@ def local_hcf_step(field, data, config, ranks):
     """
     comp = _check_runnable(field, data)
     cfg = _checked_labels(field, data, config)
-    _g, best, changed = _sweep(comp, data.values, cfg, _lower(comp, _checked_ranks(field, ranks)))
+    lower = _lower(comp, _checked_ranks(field, ranks))
+    _g, best, changed, _rows = _sweep(comp, data.values, cfg, lower, np.full(len(cfg), np.inf))
     commits = _apply(cfg, best, changed)
     energy_after = _augmented_sum(comp, data.values, cfg)
     return cfg[:-1].copy(), StepResult(tuple(changed.tolist()), commits, energy_after,
@@ -113,33 +129,36 @@ def local_hcf_run(field, data, ranks=None, max_iterations: int | None = None,
     values = data.values
     lower = _lower(comp, rank)
 
-    cfg = _checked_labels(field, data, new_configuration(n))
+    cfg = np.append(new_configuration(n), 0)  # label 0 for the padding site
     terms = _no_terms(comp)  # the energy terms of cfg
-    rows = [TraceRow(0, 0.0, 0, 0)]
+    sums = np.empty_like(terms)
+    padded = np.full(n + 1, np.inf)
+    trace = [TraceRow(0, 0.0, 0, 0)]
     committed = 0
     fallback = None  # the site the tie fallback commits in the next iteration
 
     for iteration in range(1, cap + 1):
         if fallback is None:
-            g, best, changed = _sweep(comp, values, cfg, lower)
+            g, best, changed, rows = _sweep(comp, values, cfg, lower, padded)
         else:
             changed, fallback = fallback, None
         if not changed.size:
             # a quiet sweep leaves the configuration, so its energy, as it was
-            rows.append(TraceRow(iteration, rows[-1].energy, committed, 0))
-            leftovers = np.flatnonzero(cfg[:n] == UNCOMMITTED)
-            if not leftovers.size:
-                return cfg[:-1].copy(), RunTrace(tuple(rows))
+            trace.append(TraceRow(iteration, trace[-1].energy, committed, 0))
+            left = cfg[:n] == UNCOMMITTED
+            if not left.any():
+                return cfg[:-1].copy(), RunTrace(tuple(trace))
             # Exact-tie degenerate case: a zero-stability uncommitted site
             # can be blocked forever by a committed neighbor of equal
             # stability and lower rank. The quiet sweep just read every
             # leftover on this very configuration, so the next iteration
             # commits only the lowest ordered stability among them.
-            tied = leftovers[g[leftovers] == g[leftovers].min()]
-            fallback = tied[[np.argmin(rank[tied])]]
+            g = np.where(left, g, np.inf)
+            fallback = np.argmin(np.where(g == g.min(), rank[:-1], n), keepdims=True)
             continue
         committed += _apply(cfg, best, changed)
-        _rescore(comp, values, cfg, terms, changed)
-        rows.append(TraceRow(iteration, _total(terms), committed, int(changed.size)))
+        _rewrite(comp, values, cfg, terms, rows, changed)
+        del rows  # before the next sweep reads its own
+        trace.append(TraceRow(iteration, _total(terms, sums), committed, int(changed.size)))
     raise RuntimeError(f"local HCF exceeded its iteration cap ({cap}); "
                        "check the inputs for pathological values")

@@ -143,6 +143,55 @@ def reference_augmented_energy(field, data, config):
     return total
 
 
+def reference_compiled(field):
+    """The compiled field's slot and table arrays, built the way the library once built them.
+
+    Returns a dict of ``tables``, ``offsets``, ``others``, ``cliques_at``
+    and ``neighbors``. Incidences are enumerated clique by clique, member
+    by member, and ordered by a stable ``argsort`` of their sites; the
+    slot arrays are filled through 2-D fancy indices, and each table is
+    arranged by ``np.moveaxis`` into its own block before one ``np.stack``.
+    """
+    n, num_labels = field.num_sites, field.num_labels
+    members, arity = field.members, field.arity
+    k = len(members)
+    height = num_labels ** (k - 1) + 1
+    blocks = [np.zeros((height, num_labels))]
+    first_block = []
+    for table in field.tables:
+        first_block.append(len(blocks))
+        for pos in range(table.ndim):
+            block = np.zeros((height, num_labels))
+            block[:num_labels ** (table.ndim - 1)] = \
+                np.moveaxis(table, pos, -1).reshape(-1, num_labels)
+            blocks.append(block)
+    base = np.array(first_block, dtype=np.int64)[field.table_ids]
+
+    first = k - arity
+    cid, col = np.nonzero(np.arange(k) >= first[:, None])
+    order = np.argsort(members[col, cid], kind="stable")
+    cid, col = cid[order], col[order]
+    others = np.stack([members[q + (q >= col), cid] for q in range(k - 1)])
+    site, tid = members[col, cid], base[cid] + col - first[cid]
+
+    degree = np.bincount(site, minlength=n)
+    slot = np.arange(site.size) - (np.cumsum(degree) - degree)[site]
+    shape = (int(degree.max(initial=0)), n)
+    out = {"tables": np.stack(blocks),
+           "cliques_at": np.full(shape, -1, dtype=np.int64),
+           "offsets": np.zeros(shape, dtype=np.int64),
+           "others": np.full((k - 1,) + shape, n, dtype=np.int64)}
+    out["cliques_at"][slot, site] = cid
+    out["offsets"][slot, site] = tid * height
+    out["others"][:, slot, site] = others
+
+    counts = np.diff(field.indptr)
+    owner = np.repeat(np.arange(n), counts)
+    out["neighbors"] = np.full((int(counts.max(initial=0)), n), n, dtype=np.int64)
+    out["neighbors"][np.arange(owner.size) - field.indptr[owner], owner] = field.indices
+    return out
+
+
 def reference_eligible(field, g, own, rank):
     """The sites a synchronous sweep changes, one site at a time over ``field.adjacency``.
 

@@ -1,6 +1,7 @@
 """The compiled-field readers against a plain walk over ``field.cliques``, bit for bit."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,11 +10,12 @@ from mrfhcf import (EDGE, Clique, DataTerm, EdgePotentials, Field, assign_ranks,
                     augmented_energy, best_label, build_edge_field, energy, hcf_run,
                     is_local_minimum, llr_data_term, local_energies, local_energy,
                     local_hcf_run, local_hcf_step, new_configuration, stability, tlr)
+from mrfhcf import local_hcf as local_hcf_module
 from mrfhcf.core import _checked_labels, _checked_ranks, _no_terms, _rescore
 from mrfhcf.local_hcf import _lower, _sweep
-from support import (noisy_board, random_field, reference_augmented_energy, reference_eligible,
-                     reference_local_rows, reference_row_stats, scalar_reader,
-                     triple_clique_field, zero_lattice)
+from support import (noisy_board, random_chain, random_field, reference_augmented_energy,
+                     reference_compiled, reference_eligible, reference_local_rows,
+                     reference_row_stats, scalar_reader, triple_clique_field, zero_lattice)
 
 
 def bits(x):
@@ -143,8 +145,9 @@ def test_sweep_stabilities_match_the_scalar_readers():
         lower = _lower(field.compiled, _checked_ranks(field, None))
         read = scalar_reader(field, data)
         for cfg in configurations(field, rng):
-            g, best, _changed = _sweep(field.compiled, data.values,
-                                       _checked_labels(field, data, cfg), lower)
+            g, best, _changed, _rows = _sweep(field.compiled, data.values,
+                                              _checked_labels(field, data, cfg), lower,
+                                              np.full(field.num_sites + 1, np.inf))
             labels = cfg.tolist()
             for s in range(field.num_sites):
                 assert bits(g[s]) == bits(stability(field, data, cfg, s))
@@ -193,6 +196,92 @@ def test_clique_slots_list_each_sites_cliques_in_id_order_then_padding():
     assert Field(1, 2, [()], []).compiled.cliques_at.shape == (0, 1)
 
 
+def compile_cases():
+    """Random pair fields at 2 and 3 labels, triple cliques, chains whose
+    cliques are not listed in site order, shared tables, unary cliques
+    only, and no cliques."""
+    for field, _data in cases():
+        yield field
+    for seed in range(6):
+        yield random_chain(seed)[0]  # scrambled site ids
+    yield build_edge_field(5, 4, EdgePotentials())  # blocks of cliques sharing tables
+    rng = np.random.default_rng(8)
+    pair, triple = rng.uniform(-1.0, 1.0, (3, 3)), rng.uniform(-1.0, 1.0, (3, 3, 3))
+    unary = rng.uniform(-1.0, 1.0, 3)
+    # a triangle with a tail, its cliques listed from the last site down
+    yield Field(4, 3, [(1, 2), (0, 2), (0, 1, 3), (2,)],
+                [Clique((3, 2), pair), Clique((2, 0, 1), triple), Clique((2,), unary),
+                 Clique((2, 1), pair), Clique((1, 0), pair), Clique((0, 2), pair),
+                 Clique((0,), unary), Clique((3,), unary)])
+    yield Field(3, 2, [()] * 3, [Clique((2,), [0.5, -0.5]), Clique((0,), [1.0, 2.0]),
+                                 Clique((2,), [0.25, 0.0])])
+    yield Field(3, 2, [(1,), (0,), ()], [])
+
+
+def test_compile_matches_the_argsort_construction():
+    fields = list(compile_cases())
+    assert {len(c.members) for field in fields for c in field.cliques} == {1, 2, 3}
+    assert any(not field.cliques for field in fields)
+    for field in fields:
+        comp = field.compiled
+        for name, want in reference_compiled(field).items():
+            got = getattr(comp, name)
+            assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+            assert got.tobytes() == want.tobytes(), name
+
+
+def test_a_full_evaluation_frees_its_table_rows_before_the_scatter():
+    # at the scatter of one energy() only the taken terms and their clique
+    # indices, two (slots, sites) arrays, are live beside the term array
+    field, data = noisy_board(40)
+    comp = field.compiled
+    cfg = tlr(field, data)
+    energy(field, data, cfg)
+    tracemalloc.start()
+    try:
+        energy(field, data, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    slots = comp.offsets.nbytes
+    assert peak < _no_terms(comp).nbytes + 2.75 * slots  # 3.56 with the row indices kept
+
+
+def rewrite_cases():
+    """(field, data, ranks): random and triple-clique fields at 2 and 3
+    labels, all-zero lattices, whose runs take the tie fallback, and a field
+    without cliques, whose slot arrays have no rows."""
+    for field, data in cases():
+        yield field, data, None
+    for size in (3, 4):
+        field, data = zero_lattice(size)
+        yield field, data, assign_ranks(field, "seeded-permutation", size)
+    data = DataTerm(np.random.default_rng(9).uniform(-2.0, 2.0, (6, 3)))
+    yield Field(6, 3, [()] * 6, []), data, None
+
+
+def test_run_rewrites_each_sweeps_terms_as_rescore_does(monkeypatch):
+    rewrite = local_hcf_module._rewrite
+    calls = []
+
+    def checked(comp, values, cfg, terms, rows, changed):
+        want = terms.copy()
+        _rescore(comp, values, cfg, want, changed)
+        rewrite(comp, values, cfg, terms, rows, changed)
+        assert terms.tobytes() == want.tobytes()
+        calls.append(changed.size)
+
+    monkeypatch.setattr(local_hcf_module, "_rewrite", checked)
+    fallbacks = 0
+    for field, data, ranks in rewrite_cases():
+        calls.clear()
+        _cfg, trace = local_hcf_run(field, data, ranks)
+        assert calls == [r.changed for r in trace.rows if r.changed]
+        # a quiet sweep that is not the last is followed by a tie fallback
+        fallbacks += sum(r.changed == 0 for r in trace.rows[1:-1])
+    assert fallbacks
+
+
 def test_sweep_selection_matches_the_per_site_rule():
     rng = np.random.default_rng(3)
     outcomes = set()
@@ -208,7 +297,9 @@ def test_sweep_selection_matches_the_per_site_rule():
             if not step.any_change:
                 break
         for cfg in states:
-            g, _best, changed = _sweep(comp, data.values, _checked_labels(field, data, cfg), lower)
+            g, _best, changed, _rows = _sweep(comp, data.values,
+                                              _checked_labels(field, data, cfg), lower,
+                                              np.full(field.num_sites + 1, np.inf))
             want = reference_eligible(field, g, cfg, rank)
             assert changed.tolist() == want
             can_act = np.flatnonzero((g < 0) | ((g == 0) & (cfg < 0)))
@@ -282,9 +373,9 @@ def test_hand_rows_match_the_reference_stabilities():
         data = DataTerm([row])
         assert repr(stability(field, data, [own], 0)) == g_repr
         assert best_label(field, data, [own], 0) == (best, row[best])
-        g, sweep_best, _changed = _sweep(field.compiled, data.values,
-                                         _checked_labels(field, data, [own]),
-                                         _lower(field.compiled, _checked_ranks(field, None)))
+        g, sweep_best, _changed, _rows = _sweep(
+            field.compiled, data.values, _checked_labels(field, data, [own]),
+            _lower(field.compiled, _checked_ranks(field, None)), np.array([0.0, np.inf]))
         assert (repr(g[0].item()), sweep_best[0]) == (g_repr, best)
 
 

@@ -34,7 +34,10 @@ def test_probe_writes_every_layer_estimator_and_label_record(tmp_path, capsys):
     entries = json.loads(out.read_text())["entries"]
     assert entries["parent"] == {"kept": True}
     entry = entries["change"]
-    assert set(entry) == {"size", "sites", "machine", "layers_s", "estimators", "label"}
+    assert set(entry) == {"size", "sites", "machine", "layers_s", "estimators", "label",
+                          "compile_peak_mb", "energy_peak_mb"}
+    # the compile's transients outgrow one energy() of the same field
+    assert entry["compile_peak_mb"] > entry["energy_peak_mb"] > 0
     assert entry["size"] == 8 and entry["sites"] == 2 * 8 * 7
     assert set(entry["layers_s"]) == {
         "read_s", "llr_s", "build_edge_field_s", "check_s", "compile_s", "local_hcf_s",

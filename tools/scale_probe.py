@@ -2,14 +2,18 @@
 
 Usage, from the root of a checkout::
 
-    python3 tools/scale_probe.py --size 200 --entry change -o BENCH_20.json
-    python3 tools/scale_probe.py --size 200 --entry parent --src OTHER/src -o BENCH_20.json
+    python3 tools/scale_probe.py --size 200 --entry change -o BENCH_23.json
+    python3 tools/scale_probe.py --size 200 --entry parent --src OTHER/src -o BENCH_23.json
 
 On a clean ``size`` x ``size`` checkerboard (squares of 10, intensities
 64/192, noise 8, seed 1; default model and potentials) it times, in
 process and once each: the PGM read, the LLR, ``build_edge_field``, the
 structural check on its own (``core._structure_problems``) and the first
-``Field.compiled``. It then runs every estimator once on that board and
+``Field.compiled``. On a second field built the same way it records the
+tracemalloc peak of that field's first ``Field.compiled``
+(``compile_peak_mb``), and after the runs the tracemalloc peak of one
+warm ``energy()`` of the clean board's TLR labeling (``energy_peak_mb``),
+both in MiB. It then runs every estimator once on that board and
 once on a noisy board of the same size (noise ``NOISY_SIGMA``, the model
 at the same sigma; entries ``noisy_*``), where the Gibbs sweeps flip
 sites and the HCF drivers revise them: ``local_hcf_run``, ``hcf_run``,
@@ -47,6 +51,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -61,6 +66,16 @@ def _timed(layers, name, call, *args, **kwargs):
     out = call(*args, **kwargs)
     layers[name] = time.perf_counter() - start
     return out
+
+
+def traced_peak_mb(call) -> float:
+    """The tracemalloc peak of the allocations ``call()`` makes, in MiB."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
 
 
 def trace_digest(trace) -> str:
@@ -85,6 +100,9 @@ def probe_layers(size: int, board: Path) -> dict:
     if problems:
         raise RuntimeError(f"invalid field: {problems[:3]}")
     _timed(layers, "compile_s", lambda: field.compiled)
+    fresh = build_edge_field(size, size)
+    compile_peak = traced_peak_mb(lambda: fresh.compiled)
+    del fresh
 
     noisy = compute_llr(make_checkerboard(size, size, 10, 64, 192, NOISY_SIGMA, 1),
                         EdgeModel(sigma=NOISY_SIGMA))
@@ -107,7 +125,11 @@ def probe_layers(size: int, board: Path) -> dict:
             entry, trace = run(name, call, init, *args)
             entry.update(iterations=trace.iterations, sweeps=len(trace.rows) - 1,
                          flips=sum(r.changed for r in trace.rows))
-    return {"sites": field.num_sites, "layers_s": layers, "estimators": estimators}
+    init = tlr(field, data)
+    energy(field, data, init)
+    return {"sites": field.num_sites, "layers_s": layers, "estimators": estimators,
+            "compile_peak_mb": compile_peak,
+            "energy_peak_mb": traced_peak_mb(lambda: energy(field, data, init))}
 
 
 def probe_label(src: Path, board: Path, outdir: Path) -> dict:
