@@ -75,7 +75,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (_augmented_sum, _check_count, _check_problem, _check_runnable,
-                   _checked_labels, _local_rows, _real)
+                   _checked_labels, _real, _slot_rows, _summed_rows)
 from .trace import RunTrace, TraceRow
 
 
@@ -243,7 +243,7 @@ def _sweeps(wave, start, current, temperatures=None, rng=None):
             if temperatures is not None and epoch < wave.sweeps:
                 uniforms.reshape(-1)[visits[slot]] = rng.random(n)[wave.sites]
             uniforms_at, seen_at, labels_at = uniforms[slot], seen[slot], labels[slot]
-        rows = _local_rows(wave.comp, others, offsets, values, cfg)
+        rows = _summed_rows(wave.comp, _slot_rows(wave.comp, others, offsets, cfg), values)
         if temperatures is None:
             new = rows.argmin(axis=1)  # ties go to the lowest label
         else:

@@ -27,23 +27,24 @@ here, and gets them back padded for the virtual site ``n`` (label 0, rank
 a size, rank, label or site that is a float, string or bool.
 
 Every reader works on one further array form of the field, compiled from
-those arrays on first use (:class:`CompiledField`). Summation order is
-fixed everywhere so repeated evaluations are reproducible bit for bit:
+those arrays on first use (:class:`CompiledField`), whose encoding of
+table rows and energy terms only this module knows: the row former
+:func:`_slot_rows` turns slot columns and a configuration into table
+rows, which the block reader :func:`_local_rows` sums and the term writer
+:func:`_write_terms` scatters. Summation order is fixed everywhere so
+repeated evaluations are reproducible bit for bit:
 
 - a site's local energies start from a +0.0 row, add the incident cliques'
   rows in ascending clique id order, one slot of the padded per-site
-  arrays after another (one ``np.add.reduce`` along the slot axis, or a
-  slot loop for a one-element block, see :func:`_local_rows`), then add
-  the site's data row;
+  arrays after another (see :func:`_summed_rows`), then the data row;
 - an energy is ``np.add.accumulate`` over a leading +0.0, the clique terms
   in ascending clique id order, then the data terms in ascending site id
   order, never ``np.sum`` or a dot product, whose pairwise order differs.
-  The terms are written through the same per-site clique slots: every
-  committed site writes its cliques' terms and its data term into an
-  all-+0.0 array. Local HCF keeps that array across a run and rewrites
-  only the terms of the sites a sweep changed, from the table rows that
-  sweep's read went through; the array, and so the sum, is the one a
-  full evaluation builds.
+  Every committed site writes its cliques' terms and its data term
+  through the same per-site slots into an all-+0.0 array. Local HCF
+  keeps that array across a run and rewrites only the terms of the sites
+  a sweep changed, from the rows that sweep read; the array, and so the
+  sum, is the one a full evaluation builds.
 
 A suppressed term (an uncommitted member, or padding) enters as +0.0. A
 running sum that starts at +0.0 never becomes -0.0, so adding +0.0 leaves
@@ -400,8 +401,11 @@ def _checked_labels(field, data, config, partial=None):
     if raw.shape != (n,):
         raise ValueError(f"configuration of shape {raw.shape} does not fit {n} sites")
     cfg = np.zeros(n + 1, dtype=np.int64)
+    # numpy keeps Python ints past int64 as objects: 0 stands in, and differs from them below
+    wide = raw.dtype == object and [isinstance(v, int) and not -2**63 <= v < 2**63
+                                    for v in raw.tolist()]
     with np.errstate(invalid="ignore"):  # NaN and infinities are refused below
-        cfg[:n] = raw
+        cfg[:n] = np.where(wide, 0, raw) if wide else raw
     cast = (cfg[:n] != raw) | (raw.dtype == bool)  # a bool is no label
     if (first := _first_bool(config, raw)) >= 0:
         cast[first] = True
@@ -409,7 +413,7 @@ def _checked_labels(field, data, config, partial=None):
     if bad.size:
         s = int(bad[0])
         if cast[s]:
-            label = bool(raw[s]) if s == first else raw[s].item()
+            label = bool(raw[s]) if s == first else raw.item(s)
             raise ValueError(f"site {s}: label {label!r} is not an integer")
         raise ValueError(f"site {s}: label {cfg[s]} out of range")
     if partial is not None and not fully_committed(cfg):
@@ -495,21 +499,33 @@ def augmented_energy(field: Field, data: DataTerm, config) -> float:
     return _augmented_sum(field.compiled, data.values, _checked_labels(field, data, config))
 
 
-def _table_rows(comp, labs):
-    """Table row for each column of other members' labels ``labs[:, ...]``.
+def _slot_rows(comp, others, offsets, cfg):
+    """Table row of each slot of a block of sites, the row former of every reader.
 
+    ``others`` and ``offsets`` are the block's columns of ``comp.others``
+    and ``comp.offsets``. The other members' labels in ``cfg`` are the
+    digits of a row from the slot's first row ``offsets``, added in place.
     Where any of them is uncommitted, a zero row: with one other member
     its label -1 itself (the zero last row of the table before, see
     :class:`CompiledField`), with more the table's own last row.
     """
+    labs = cfg[others]
     rows = labs[-1]  # the last stride is 1
-    if len(comp.strides) == 1:
-        return rows
-    dead = rows < 0
-    for j in range(len(comp.strides) - 1):
-        rows = rows + labs[j] * comp.strides[j]
-        dead |= labs[j] < 0
-    return np.where(dead, comp.height - 1, rows)
+    if len(comp.strides) > 1:
+        dead = rows < 0
+        for j in range(len(comp.strides) - 1):
+            rows = rows + labs[j] * comp.strides[j]
+            dead |= labs[j] < 0
+        rows = np.where(dead, comp.height - 1, rows)
+    rows += offsets
+    return rows
+
+
+def _columns(comp, sites):
+    """``comp.others`` and ``comp.offsets``: whole for ``sites`` None, else the sites' columns."""
+    if sites is None:
+        return comp.others, comp.offsets
+    return comp.others.take(sites, axis=2), comp.offsets.take(sites, axis=1)
 
 
 def _no_terms(comp):
@@ -535,58 +551,57 @@ def _augmented_sum(comp, values, cfg):
     """
     terms = _no_terms(comp)
     committed = np.flatnonzero(cfg[:-1] >= 0)
-    _rescore(comp, values, cfg, terms, None if committed.size == len(comp.sites) else committed)
+    sites = None if committed.size == len(comp.sites) else committed
+    _write_terms(comp, values, cfg, terms, _slot_rows(comp, *_columns(comp, sites), cfg), sites)
     return _total(terms)
 
 
-def _rescore(comp, values, cfg, terms, sites):
-    """Rewrite, in place, the terms of ``sites``' cliques and data rows for ``cfg``.
+def _write_terms(comp, values, cfg, terms, rows, sites):
+    """Write, in place, the terms of ``sites``' cliques and data rows for ``cfg``.
 
     ``terms`` holds the terms of a configuration that differs from ``cfg``
     only at ``sites``, all of which ``cfg`` commits; afterwards it holds
-    those of ``cfg``. ``sites`` None stands for every site, whose slot
-    arrays are then indexed whole instead of copied. A clique term is read
-    from each listed member's own arrangement of the table. Sites that
-    share a clique therefore write the same float to it, since every
-    arrangement holds the table's entries, and a clique with an
-    uncommitted member reads a zero row (+0.0). A padding slot writes
-    table 0's +0.0 over the leading +0.0.
+    those of ``cfg``. ``rows``, the sites' :func:`_slot_rows` under ``cfg``,
+    is used up. ``sites`` None stands for every site, indexed whole. Each
+    member reads a clique's term from its own arrangement of the table,
+    which holds the table's entries, so all write the same float; a clique
+    with an uncommitted member reads a zero row (+0.0), and a padding slot
+    writes table 0's +0.0 over the leading +0.0.
     """
     if sites is None:
-        sites, offsets, others, cliques = comp.sites, comp.offsets, comp.others, comp.cliques_at
+        sites, cliques = comp.sites, comp.cliques_at
     else:
-        offsets, others, cliques = (comp.offsets.take(sites, axis=1),
-                                    comp.others.take(sites, axis=2),
-                                    comp.cliques_at.take(sites, axis=1))
+        cliques = comp.cliques_at.take(sites, axis=1)
     own = cfg[sites]
-    rows = offsets + _table_rows(comp, cfg[others])
-    rows *= values.shape[1]
+    num_labels = values.shape[1]
+    rows *= num_labels
     rows += own
-    taken = np.take(comp.tables, rows)
+    taken = comp.tables.take(rows)
     del rows  # so that two (slots, sites) arrays, not three, meet at the scatter
     terms[1 + cliques] = taken
-    terms[1 + comp.num_cliques + sites] = values[sites, own]
+    terms[1 + comp.num_cliques + sites] = values.take(sites * num_labels + own)
 
 
-def _local_rows(comp, others, offsets, values, cfg):
-    """Local energies of a block of sites, every label, under an extended configuration.
+def _local_rows(comp, values, cfg, sites=None):
+    """Local energies of every site, or of ``sites`` in that order, and their slot rows.
 
-    ``others``, ``offsets`` and ``values`` are the block's columns of
-    ``comp.others`` and ``comp.offsets`` and its data rows, in any site
-    order; the whole arrays read every site. One gather of each incident
-    clique's row, added slot by slot in clique id order onto +0.0, then
-    the data rows. A site's own label in ``cfg`` does not enter its row.
-
-    The slots are added by one ``np.add.reduce`` along the slot axis,
-    which numpy runs element by element in slot order. The exception is a
-    block of one row of one label: numpy sums a one-element reduction
-    pairwise, so that block is added one slot at a time.
+    Every label of each site under the extended configuration ``cfg``; a
+    site's own label does not enter its row.
     """
-    return _summed_rows(comp, offsets + _table_rows(comp, cfg[others]), values)
+    rows = _slot_rows(comp, *_columns(comp, sites), cfg)
+    return _summed_rows(comp, rows, values if sites is None else values.take(sites, axis=0)), rows
 
 
 def _summed_rows(comp, rows, values):
-    """:func:`_local_rows` from the block's table rows ``offsets + _table_rows(...)``."""
+    """Local energies of a block from its :func:`_slot_rows` and its data rows ``values``.
+
+    One gather of each incident clique's row, added slot by slot in clique
+    id order onto +0.0, then the data rows. The slots are added by one
+    ``np.add.reduce`` along the slot axis, which numpy runs element by
+    element in slot order, except in a block of one row of one label:
+    numpy sums a one-element reduction pairwise, so it is added one slot
+    at a time.
+    """
     terms = comp.tables.reshape(-1, values.shape[1]).take(rows, axis=0)
     if values.size == 1:
         e = np.zeros(values.shape)
@@ -596,12 +611,6 @@ def _summed_rows(comp, rows, values):
         e = np.add.reduce(terms, axis=0, initial=0.0)
     e += values
     return e
-
-
-def _rows_at(comp, values, cfg, sites):
-    """:func:`_local_rows` of the sites ``sites`` (an index array or list), in that order."""
-    return _local_rows(comp, comp.others.take(sites, axis=2), comp.offsets.take(sites, axis=1),
-                       values.take(sites, axis=0), cfg)
 
 
 def _stabilities(e, own):
@@ -653,7 +662,7 @@ def _site_read(field, data, config, site):
     site = _checked_index(site, "site")
     if not 0 <= site < field.num_sites:
         raise ValueError(f"site {site} out of range")
-    return _rows_at(field.compiled, data.values, cfg, [site]), cfg[site:site + 1]
+    return _local_rows(field.compiled, data.values, cfg, [site])[0], cfg[site:site + 1]
 
 
 def local_energy(field: Field, data: DataTerm, config, site: int, label: int) -> float:
@@ -697,8 +706,7 @@ def stability(field: Field, data: DataTerm, config, site: int) -> float:
 def local_energies(field: Field, data: DataTerm, config) -> np.ndarray:
     """Local energies for every site and label as a (num_sites, num_labels) array."""
     cfg = _checked_labels(field, data, config)
-    comp = field.compiled
-    return _local_rows(comp, comp.others, comp.offsets, data.values, cfg)
+    return _local_rows(field.compiled, data.values, cfg)[0]
 
 
 def validate_field(field: Field) -> list[str]:

@@ -193,8 +193,8 @@ def read_mrfl(path) -> tuple[int, int, np.ndarray]:
             raise FileFormatError(f"{path}:{lineno}: expected 'site_id label'") from None
         if not 0 <= site < num_sites:
             raise FileFormatError(f"{path}:{lineno}: site {site} out of range")
-        if label < 0:
-            raise FileFormatError(f"{path}:{lineno}: label must be non-negative")
+        if not 0 <= label <= np.iinfo(np.int64).max:
+            raise FileFormatError(f"{path}:{lineno}: label must be a non-negative 64-bit integer")
         if labels[site] != -1:
             raise FileFormatError(f"{path}:{lineno}: site {site} listed twice")
         labels[site] = label

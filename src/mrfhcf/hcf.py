@@ -9,12 +9,13 @@ per-site rank as tie-break, and the site with the minimum ordered
 stability acts first. Only sites that can act wait in the queue: the
 uncommitted ones and the committed ones with negative stability.
 
-Local energies come from the array reader ``core._local_rows`` and
-stabilities from ``core._stabilities``, the kernels Local HCF's sweep
-uses: the run reads every site once, then, in one call per batch of
-moves, only the moved sites' closed neighbourhoods. The input checks and
-padding come from ``core`` too, as do the one-site readers ``stability``
-and ``best_label``.
+Local energies come from the block reader ``core._local_rows`` (table
+rows from the row former ``core._slot_rows``) and stabilities from
+``core._stabilities``, the kernels Local HCF's sweep uses: the run reads
+every site once, then, in one call per batch of moves, only the moved
+sites' closed neighbourhoods. The input checks and padding come from
+``core`` too, as do the one-site readers ``stability`` and
+``best_label``.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (UNCOMMITTED, _check_count, _check_runnable, _checked_labels, _checked_ranks,
-                   _local_rows, _rows_at, _stabilities, new_configuration)
+                   _local_rows, _stabilities, new_configuration)
 
 
 @dataclass(frozen=True)
@@ -79,7 +80,7 @@ def hcf_run(field, data, ranks=None, max_steps: int | None = None):
     cfg = _checked_labels(field, data, new_configuration(n))
     # every site's best label, kept current: a move changes only the rows
     # of its neighbours, and a site's own label never enters its own row
-    g, best = _stabilities(_local_rows(comp, comp.others, comp.offsets, values, cfg), cfg[:n])
+    g, best = _stabilities(_local_rows(comp, values, cfg)[0], cfg[:n])
     # each site's queued stability, None when it cannot act; the queue
     # holds (stability, rank, site) entries
     key = g.tolist()
@@ -120,7 +121,7 @@ def hcf_run(field, data, ranks=None, max_steps: int | None = None):
         cfg[at] = moves = best[at]
         sites = np.array(block)
         own = cfg[sites]
-        block_e = _rows_at(comp, values, cfg, sites)
+        block_e = _local_rows(comp, values, cfg, sites)[0]
         g, block_best = _stabilities(block_e, own)
         g, own = g.tolist(), own.tolist()
         # a candidate's row before its move opens its block: neither its own

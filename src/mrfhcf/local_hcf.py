@@ -8,13 +8,13 @@ negative or it is uncommitted with stability exactly 0. Two neighbors can
 never change in the same iteration, so the sweep is safe to evaluate in
 parallel. The sweep runs as whole-array numpy work on the field's compiled
 arrays (read, stability, eligibility, energy), on the calling thread.
-``local_hcf_step`` scores its result in full: every committed site
-writes its clique terms (through ``CompiledField.cliques_at``) and its
-data term into an all-+0.0 term array, which is summed in the fixed
-order. A run keeps that array and, after each sweep, only the changed
-sites write their terms again, so every trace energy has the bits of a
-full evaluation. They come from the table rows the sweep read, as no
-neighbor of a changed site moved (``core._rescore`` is not called).
+``local_hcf_step`` scores its result in full. A run keeps the energy
+terms, and after each sweep the term writer ``core._write_terms``
+rewrites only the changed sites' terms from the table rows that the
+row former ``core._slot_rows`` made for the sweep's read
+(``core._local_rows``), as no neighbor of a changed site moved; every
+trace energy has the bits of a full evaluation. This module reads no
+compiled array but ``neighbors``.
 The eligibility test compares every site with its neighbors one slot of
 the slot-major ``neighbors`` array at a time; the rank comparisons do
 not change between sweeps, so a run makes them once. The input checks,
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (UNCOMMITTED, _augmented_sum, _check_count, _check_runnable, _checked_labels,
-                   _checked_ranks, _no_terms, _stabilities, _summed_rows, _table_rows, _total,
+                   _checked_ranks, _local_rows, _no_terms, _stabilities, _total, _write_terms,
                    new_configuration)
 from .trace import RunTrace, TraceRow
 
@@ -65,23 +65,13 @@ def _sweep(comp, values, cfg, lower, padded):
     the read went through. ``cfg`` is not modified.
     """
     own = cfg[:-1]
-    rows = _table_rows(comp, cfg[comp.others])
-    rows += comp.offsets  # in place: one (slots, n) temporary fewer per sweep
-    g, best = _stabilities(_summed_rows(comp, rows, values), own)
+    e, rows = _local_rows(comp, values, cfg)
+    g, best = _stabilities(e, own)
     padded[:-1] = g
     gn = padded[comp.neighbors]
     first = ((g < gn) | ((g == gn) & lower)).all(axis=0)
     can_act = (g < 0) | ((g == 0) & (own == UNCOMMITTED))
     return g, best, np.flatnonzero(first & can_act), rows
-
-
-def _rewrite(comp, values, cfg, terms, rows, changed):
-    """:func:`_rescore` of ``changed`` from the ``rows`` its sweep read: no neighbor moved."""
-    moves = cfg[changed]
-    num_labels = values.shape[1]
-    terms[1 + comp.cliques_at.take(changed, axis=1)] = comp.tables.take(
-        rows.take(changed, axis=1) * num_labels + moves)
-    terms[1 + comp.num_cliques + changed] = values.take(changed * num_labels + moves)
 
 
 def _apply(cfg, best, changed):
@@ -157,7 +147,7 @@ def local_hcf_run(field, data, ranks=None, max_iterations: int | None = None,
             fallback = np.argmin(np.where(g == g.min(), rank[:-1], n), keepdims=True)
             continue
         committed += _apply(cfg, best, changed)
-        _rewrite(comp, values, cfg, terms, rows, changed)
+        _write_terms(comp, values, cfg, terms, rows.take(changed, axis=1), changed)
         del rows  # before the next sweep reads its own
         trace.append(TraceRow(iteration, _total(terms, sums), committed, int(changed.size)))
     raise RuntimeError(f"local HCF exceeded its iteration cap ({cap}); "

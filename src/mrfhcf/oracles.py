@@ -186,6 +186,6 @@ def is_local_minimum(field, data, config, tolerance: float = 1e-12) -> bool:
     cfg = _checked_labels(field, data, config,
                           "local minimum check needs a fully committed configuration")
     comp = field.compiled
-    e = _local_rows(comp, comp.others, comp.offsets, data.values, cfg)
+    e = _local_rows(comp, data.values, cfg)[0]
     own = e[comp.sites, cfg[:-1]]
     return not (e < (own - tolerance)[:, None]).any()

@@ -162,6 +162,16 @@ def test_oracle_refuses_a_labeling_whose_site_count_exceeds_its_body(tmp_path, c
     assert "verify_energy" not in stdout
 
 
+def test_oracle_refuses_a_label_past_int64(tmp_path, capsys):
+    probe = tmp_path / "wide.mrfl"
+    probe.write_text("MRFL 1\n0 0 8\n0 18446744073709551616\n"
+                     + "".join(f"{s} 0\n" for s in range(1, 8)))
+    code, stdout, stderr = run(capsys, "oracle", "--chain-fixture", "--verify", str(probe))
+    assert code == 3
+    assert stderr == f"error: {probe}:3: label must be a non-negative 64-bit integer\n"
+    assert "verify_energy" not in stdout
+
+
 def test_oracle_uses_brute_force_off_chains(tmp_path, capsys):
     board = tmp_path / "tiny.pgm"
     run(capsys, "generate", "--checker", "2x2", "--square", "1", "-o", str(board))

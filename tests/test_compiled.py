@@ -11,7 +11,8 @@ from mrfhcf import (EDGE, Clique, DataTerm, EdgePotentials, Field, assign_ranks,
                     is_local_minimum, llr_data_term, local_energies, local_energy,
                     local_hcf_run, local_hcf_step, new_configuration, stability, tlr)
 from mrfhcf import local_hcf as local_hcf_module
-from mrfhcf.core import _checked_labels, _checked_ranks, _no_terms, _rescore
+from mrfhcf.core import (_checked_labels, _checked_ranks, _columns, _no_terms, _slot_rows,
+                         _write_terms)
 from mrfhcf.local_hcf import _lower, _sweep
 from support import (noisy_board, random_chain, random_field, reference_augmented_energy,
                      reference_compiled, reference_eligible, reference_local_rows,
@@ -105,6 +106,11 @@ def test_one_site_one_label_reads_add_many_cliques_in_order(count):
         assert bits(local_energy(field, data, cfg, 0, 0)) == bits(want[0, 0])
 
 
+def rescore(comp, values, cfg, terms, sites):
+    """The term writer on rows formed afresh from ``cfg``, of ``sites`` or of all for None."""
+    _write_terms(comp, values, cfg, terms, _slot_rows(comp, *_columns(comp, sites), cfg), sites)
+
+
 def committed_cases():
     for labels in (2, 3):
         for seed in range(6):
@@ -124,8 +130,8 @@ def test_full_evaluation_indexes_the_slots_whole_to_the_same_terms():
         for _ in range(3):
             cfg = _checked_labels(field, data, rng.integers(0, num_labels, n))
             whole, taken = _no_terms(comp), _no_terms(comp)
-            _rescore(comp, values, cfg, whole, None)
-            _rescore(comp, values, cfg, taken, np.arange(n))
+            rescore(comp, values, cfg, whole, None)
+            rescore(comp, values, cfg, taken, np.arange(n))
             assert whole.tobytes() == taken.tobytes()
             want = reference_augmented_energy(field, data, cfg[:n])
             assert bits(energy(field, data, cfg[:n])) == bits(want)
@@ -134,8 +140,8 @@ def test_full_evaluation_indexes_the_slots_whole_to_the_same_terms():
             changed = np.flatnonzero(rng.random(n) < 0.4)
             before[changed] = rng.integers(-1, num_labels, changed.size)
             terms = _no_terms(comp)
-            _rescore(comp, values, before, terms, np.flatnonzero(before[:n] >= 0))
-            _rescore(comp, values, cfg, terms, changed)
+            rescore(comp, values, before, terms, np.flatnonzero(before[:n] >= 0))
+            rescore(comp, values, cfg, terms, changed)
             assert terms.tobytes() == whole.tobytes()
 
 
@@ -261,17 +267,20 @@ def rewrite_cases():
 
 
 def test_run_rewrites_each_sweeps_terms_as_rescore_does(monkeypatch):
-    rewrite = local_hcf_module._rewrite
     calls = []
 
     def checked(comp, values, cfg, terms, rows, changed):
         want = terms.copy()
-        _rescore(comp, values, cfg, want, changed)
-        rewrite(comp, values, cfg, terms, rows, changed)
+        rescore(comp, values, cfg, want, changed)
+        _write_terms(comp, values, cfg, terms, rows, changed)
         assert terms.tobytes() == want.tobytes()
+        # and the kept array is the one scoring cfg from scratch builds
+        fresh = _no_terms(comp)
+        rescore(comp, values, cfg, fresh, np.flatnonzero(cfg[:-1] >= 0))
+        assert terms.tobytes() == fresh.tobytes()
         calls.append(changed.size)
 
-    monkeypatch.setattr(local_hcf_module, "_rewrite", checked)
+    monkeypatch.setattr(local_hcf_module, "_write_terms", checked)
     fallbacks = 0
     for field, data, ranks in rewrite_cases():
         calls.clear()

@@ -114,9 +114,11 @@ def test_mrfl_rejects_inconsistent_site_lists(tmp_path):
     path.write_text("MRFL 1\n0 0 2\n0 1\n")
     with pytest.raises(FileFormatError):
         read_mrfl(path)
-    path.write_text("MRFL 1\n0 0 2\n0 1\n1 -2\n")
-    with pytest.raises(FileFormatError, match=":4:"):
-        read_mrfl(path)
+    for label in ("-2", "9223372036854775808", "18446744073709551616"):  # negative or past int64
+        path.write_text(f"MRFL 1\n0 0 2\n0 1\n1 {label}\n")
+        with pytest.raises(FileFormatError,
+                           match=":4: label must be a non-negative 64-bit integer$"):
+            read_mrfl(path)
     path.write_text("MRFL 1\n5 5 7\n" + "".join(f"{s} 0\n" for s in range(7)))
     with pytest.raises(FileFormatError):
         read_mrfl(path)

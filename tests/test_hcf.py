@@ -259,13 +259,14 @@ def test_one_read_serves_several_steps(monkeypatch, make, ranks):
     if ranks is not None:
         ranks = assign_ranks(field, "seeded-permutation", ranks)
     reads = []
-    rows_at = mrfhcf.hcf._rows_at
+    local_rows = mrfhcf.hcf._local_rows
 
-    def counted(*args):
-        reads.append(args)
-        return rows_at(*args)
+    def counted(comp, values, cfg, sites=None):
+        if sites is not None:  # a batch's re-read, not the run's first read of every site
+            reads.append(sites)
+        return local_rows(comp, values, cfg, sites)
 
-    monkeypatch.setattr(mrfhcf.hcf, "_rows_at", counted)
+    monkeypatch.setattr(mrfhcf.hcf, "_local_rows", counted)
     _config, trace = hcf_run(field, data, ranks=ranks)
     assert 0 < 2 * len(reads) <= len(trace.steps)
 

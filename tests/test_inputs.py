@@ -53,6 +53,20 @@ def test_bool_labels_are_refused(chain, entry):
 
 
 @pytest.mark.parametrize("entry", ENTRIES)
+@pytest.mark.parametrize("label", [2**64, -2**70, -2**63 - 1])
+def test_labels_past_int64_are_refused(chain, entry, label):
+    # numpy keeps a Python int past int64 (and past uint64) as an object
+    field, data = chain
+    shown = re.escape(str(label))
+    with pytest.raises(ValueError, match=f"^site 0: label {shown} is not an integer$"):
+        ENTRIES[entry](field, data, [label] + [0] * 7)
+    cfg = tlr(field, data).astype(object)
+    cfg[5] = label
+    with pytest.raises(ValueError, match=f"^site 5: label {shown} is not an integer$"):
+        ENTRIES[entry](field, data, cfg)
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
 def test_integer_labels_of_any_dtype_read_as_before(chain, entry):
     field, data = chain
     start = tlr(field, data)

@@ -1,6 +1,7 @@
 """The estimator modules depend on the energy model (``core``) and the trace rows alone,
-every module leaves its input checks to ``core``, the CLI restates no library default,
-and one function opens every file the package writes as text."""
+every module leaves its input checks to ``core``, only ``core`` knows how a compiled field
+encodes table rows and energy terms, the CLI restates no library default, and one function
+opens every file the package writes as text."""
 
 import ast
 from pathlib import Path
@@ -40,6 +41,38 @@ def test_estimator_modules_define_no_input_check():
         defined = [node.name for node in ast.walk(tree)
                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
         assert not [name for name in defined if name.startswith("_check")], path.stem
+
+
+# the compiled field's tables and term layout, read as attributes, and the row encoding
+ENCODED = {"tables", "cliques_at", "num_cliques"}
+ROW_ENCODER = "_table_rows"
+
+
+def encoding_uses(tree):
+    """The ``ENCODED`` attributes one module reads, and ``ROW_ENCODER`` if it names it."""
+    attrs, names = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            attrs.add(node.attr)
+        elif isinstance(node, (ast.Name, ast.alias)):
+            names.add(getattr(node, "id", getattr(node, "name", None)))
+    return attrs & (ENCODED | {ROW_ENCODER}) | names & {ROW_ENCODER}
+
+
+def test_only_core_reads_the_compiled_encoding():
+    uses = {path.stem: encoding_uses(ast.parse(path.read_text()))
+            for path in PACKAGE.glob("*.py")}
+    assert ENCODED <= uses["core"]  # the reader does find them
+    assert {module: found for module, found in uses.items() if found and module != "core"} == {}
+
+
+def test_the_encoding_reader_sees_every_form():
+    tree = ast.parse("from .core import _table_rows as rows\n"
+                     "def f(comp):\n    return comp.tables, g(comp).cliques_at\n"
+                     "x = field.compiled.num_cliques\n")
+    assert encoding_uses(tree) == ENCODED | {ROW_ENCODER}
+    assert encoding_uses(ast.parse("core._table_rows(comp, labs)")) == {ROW_ENCODER}
+    assert encoding_uses(ast.parse("'comp.tables' if num_tables else tables")) == set()
 
 
 def openers(tree, where=None):
