@@ -401,24 +401,41 @@ def _checked_labels(field, data, config, partial=None):
     if raw.shape != (n,):
         raise ValueError(f"configuration of shape {raw.shape} does not fit {n} sites")
     cfg = np.zeros(n + 1, dtype=np.int64)
-    # numpy keeps Python ints past int64 as objects: 0 stands in, and differs from them below
-    wide = raw.dtype == object and [isinstance(v, int) and not -2**63 <= v < 2**63
-                                    for v in raw.tolist()]
-    with np.errstate(invalid="ignore"):  # NaN and infinities are refused below
-        cfg[:n] = np.where(wide, 0, raw) if wide else raw
-    cast = (cfg[:n] != raw) | (raw.dtype == bool)  # a bool is no label
-    if (first := _first_bool(config, raw)) >= 0:
-        cast[first] = True
+    if raw.dtype.kind in "iu" or (raw.dtype.kind == "f" and isinstance(config, np.ndarray)):
+        with np.errstate(invalid="ignore"):  # NaN and infinities are refused below
+            cfg[:n] = raw
+        cast = cfg[:n] != raw
+        if (first := _first_bool(config, raw)) >= 0:  # numpy reads them as ints
+            cast[first] = True
+    else:
+        # one value at a time: bools, strings and objects such as None, and
+        # a sequence numpy read as floats or objects, whose ints may be past int64
+        exact = [_exact_label(v) for v in np.asarray(config, dtype=object).tolist()]
+        cast = np.array([v is None for v in exact])
+        cfg[:n] = [0 if v is None else v for v in exact]
     bad = np.flatnonzero(cast | (cfg[:n] < UNCOMMITTED) | (cfg[:n] >= field.num_labels))
     if bad.size:
         s = int(bad[0])
         if cast[s]:
-            label = bool(raw[s]) if s == first else raw.item(s)
+            label = np.asarray(config, dtype=object).item(s)  # as given, not as numpy read it
+            if isinstance(label, np.generic):
+                label = label.item()
             raise ValueError(f"site {s}: label {label!r} is not an integer")
         raise ValueError(f"site {s}: label {cfg[s]} out of range")
     if partial is not None and not fully_committed(cfg):
         raise ValueError(partial)
     return cfg
+
+
+def _exact_label(value):
+    """``value`` as a Python int if it is a real number, no bool, equal to an int64; else None."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+        return None
+    try:
+        exact = int(value)
+    except (ValueError, OverflowError):  # NaN, infinities
+        return None
+    return exact if exact == value and -2**63 <= exact < 2**63 else None
 
 
 def _checked_ranks(field, ranks):
@@ -611,6 +628,24 @@ def _summed_rows(comp, rows, values):
         e = np.add.reduce(terms, axis=0, initial=0.0)
     e += values
     return e
+
+
+def _quiet_commits(comp):
+    """(n, num_labels) bools: whether committing site ``s`` to ``b`` is quiet.
+
+    Such a commit, from UNCOMMITTED, leaves every other site's local
+    energies bit for bit as they were: each of the site's stacked tables
+    holds only zeros in its own-label column ``b``, so the rows its
+    neighbours read, a zero row before, are zero rows after. A ±0.0 term
+    added to a running sum from +0.0 leaves it unchanged. The rows past a
+    table's real ones are zero, and a padding slot's table 0 is all
+    zero, so they let any commit be quiet. A unary clique enters only its
+    own site's row, so a nonzero one only makes the test stricter.
+    """
+    zero = ~comp.tables.any(axis=1)  # (stacked table, own label)
+    # per label, indexed by a slot's first row: one (slots, n) gather each
+    by_row = zero.T.repeat(comp.height, axis=1)
+    return np.stack([label[comp.offsets].all(axis=0) for label in by_row], axis=1)
 
 
 def _stabilities(e, own):

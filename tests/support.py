@@ -295,6 +295,42 @@ def zero_lattice(size):
     return field, DataTerm(np.zeros((field.num_sites, 2)))
 
 
+def sparse_field(seed, num_labels, max_sites=10):
+    """Random field whose tables hold zero slices: pairs, triples and unaries.
+
+    A random graph as in :func:`random_field`, a pair clique on every
+    edge, a triple clique on some triangles and a unary on some sites.
+    Each table then has, per axis with probability 1/2, one label's slice
+    set to zero (a whole table one time in four, a -0.0 one time in
+    eight), so many commits change no other site's local energies.
+    """
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, max_sites + 1))
+    nbrs = [set() for _ in range(n)]
+    for a in range(n):
+        for b in range(a + 1, n):
+            if rng.random() < 0.45:
+                nbrs[a].add(b)
+                nbrs[b].add(a)
+    members = [(a, b) for a in range(n) for b in sorted(nbrs[a]) if a < b]
+    members += [(a, b, c) for a, b in members for c in sorted(nbrs[a] & nbrs[b])
+                if c > b and rng.random() < 0.5]
+    members += [(s,) for s in range(n) if rng.random() < 0.3]
+    cliques = []
+    for m in members:
+        table = rng.uniform(-1.0, 1.0, (num_labels,) * len(m))
+        if rng.random() < 0.25:
+            table[...] = 0.0
+        for axis in range(len(m)):
+            if rng.random() < 0.5:
+                index = [slice(None)] * len(m)
+                index[axis] = int(rng.integers(num_labels))
+                table[tuple(index)] = -0.0 if rng.random() < 0.125 else 0.0
+        cliques.append(Clique(m, table))
+    data = DataTerm(rng.uniform(-2.0, 2.0, (n, num_labels)))
+    return Field(n, num_labels, [tuple(sorted(s)) for s in nbrs], cliques), data
+
+
 def triple_clique_field(seed, num_labels):
     """Five sites with one 3-member clique on (0, 1, 2), plus pairs and a unary.
 

@@ -8,8 +8,10 @@ from mrfhcf import (Clique, DataTerm, EdgeModel, EdgePotentials, Field, UNCOMMIT
                     assign_ranks, augmented_energy, best_label, build_edge_field,
                     compute_llr, energy, hcf_run, is_local_minimum, llr_data_term,
                     make_checkerboard, new_configuration, stability)
+from mrfhcf.core import _quiet_commits
 from support import (chain8_field, noisy_board, random_field, reference_hcf_run,
-                     reference_row_stats, scalar_reader, triple_clique_field)
+                     reference_local_rows, reference_row_stats, scalar_reader, sparse_field,
+                     triple_clique_field)
 
 CHAIN_START_STABILITIES = (-4.0, -0.2, -0.4, -0.5, -0.3, -0.1, -0.3, -0.4)
 
@@ -149,6 +151,14 @@ def zero_lattice():
     return field, llr_data_term(np.zeros(field.num_sites))
 
 
+def edge_lattice(potentials, size=10, seed=3):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # zero potentials warn
+        field = build_edge_field(size, size, EdgePotentials(*potentials))
+    image = make_checkerboard(size, size, 5, 64, 192, 40.0, seed)
+    return field, compute_llr(image, EdgeModel(128.0, 40.0))
+
+
 REFERENCE_CASES = {
     **{f"random{seed}-{labels}": (lambda seed=seed, labels=labels:
                                   random_field(seed, labels=labels))
@@ -163,6 +173,12 @@ REFERENCE_CASES = {
     "clean20": lambda: (build_edge_field(20, 20, EdgePotentials()),
                         compute_llr(make_checkerboard(20, 20, 10, 64, 192, 8.0, 1), EdgeModel())),
     "zero9": zero_lattice,
+    # tables with zero slices, where many commits are quiet
+    **{f"sparse{seed}-{labels}": (lambda seed=seed, labels=labels: sparse_field(seed, labels))
+       for seed in range(40) for labels in (2, 3)},
+    **{f"lattice-{'-'.join(map(str, p))}": (lambda p=p: edge_lattice(p))
+       for p in ((-0.5, 0.3, 0.3, 0.0), (-0.5, 0.0, 0.0, 0.4), (0.0, 0.3, 0.0, 0.4),
+                 (0.0, 0.0, 0.0, 0.4), (-0.5, 0.0, 0.0, 0.0), (-0.5, 0.3, 0.3, 0.4))},
 }
 
 
@@ -249,6 +265,20 @@ def test_a_move_that_rekeys_a_neighbour_below_the_next_candidate_goes_first():
     assert list(map(repr, trace.steps)) == list(map(repr, want.steps))
 
 
+def batch_reads(monkeypatch):
+    """The site lists of ``hcf_run``'s batch re-reads, filled as it runs."""
+    reads = []
+    local_rows = mrfhcf.hcf._local_rows
+
+    def counted(comp, values, cfg, sites=None):
+        if sites is not None:
+            reads.append(np.asarray(sites).tolist())
+        return local_rows(comp, values, cfg, sites)
+
+    monkeypatch.setattr(mrfhcf.hcf, "_local_rows", counted)
+    return reads
+
+
 @pytest.mark.parametrize("make, ranks", [(lambda: noisy_board(16), None),
                                          (zero_lattice, 1), (zero_lattice, 2)],
                          ids=["board16", "zero9-seeded1", "zero9-seeded2"])
@@ -258,15 +288,7 @@ def test_one_read_serves_several_steps(monkeypatch, make, ranks):
     field, data = make()
     if ranks is not None:
         ranks = assign_ranks(field, "seeded-permutation", ranks)
-    reads = []
-    local_rows = mrfhcf.hcf._local_rows
-
-    def counted(comp, values, cfg, sites=None):
-        if sites is not None:  # a batch's re-read, not the run's first read of every site
-            reads.append(sites)
-        return local_rows(comp, values, cfg, sites)
-
-    monkeypatch.setattr(mrfhcf.hcf, "_local_rows", counted)
+    reads = batch_reads(monkeypatch)
     _config, trace = hcf_run(field, data, ranks=ranks)
     assert 0 < 2 * len(reads) <= len(trace.steps)
 
@@ -278,3 +300,85 @@ def test_explicit_ranks_change_tie_breaking():
     assert trace.steps[0].site == 1
     with pytest.raises(ValueError):
         hcf_run(field, data, ranks=[0, 0])
+
+
+def test_quiet_commits_are_the_all_zero_own_label_columns():
+    # quiet[s, b] holds exactly when every clique of s is zero wherever s
+    # takes b, and then committing s to b leaves every other site's local
+    # energies as they were, bit for bit
+    seen = set()
+    for seed in range(40):
+        field, data = sparse_field(seed, 2 + seed % 3)
+        quiet = _quiet_commits(field.compiled)
+        assert quiet.shape == (field.num_sites, field.num_labels)
+        rng = np.random.default_rng(seed)
+        for _ in range(3):
+            cfg = rng.integers(-1, field.num_labels, field.num_sites)
+            before = reference_local_rows(field, data, cfg)
+            for s in np.flatnonzero(cfg == UNCOMMITTED).tolist():
+                for b in range(field.num_labels):
+                    want = all((np.take(c.table, b, axis=c.members.index(s)) == 0).all()
+                               for c in field.cliques if s in c.members)
+                    assert quiet[s, b] == want
+                    seen.add(bool(want))
+                    if want:
+                        moved = cfg.copy()
+                        moved[s] = b
+                        after = reference_local_rows(field, data, moved)
+                        for t in range(field.num_sites):
+                            if t != s:
+                                assert ([x.hex() for x in after[t]]
+                                        == [x.hex() for x in before[t]])
+    assert seen == {False, True}
+
+
+def test_a_field_without_cliques_commits_quietly_everywhere():
+    field = Field(3, 2, [(), (), ()], [])
+    assert _quiet_commits(field.compiled).all()
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2, 3])
+def test_zero_lattice_batches_re_read_exactly_the_moved_sites(monkeypatch, seed):
+    # every commit is quiet: one batch takes every site, in serial order,
+    # and re-reads each once, without its neighbours
+    field, data = zero_lattice()
+    ranks = None if seed is None else assign_ranks(field, "seeded-permutation", seed)
+    reads = batch_reads(monkeypatch)
+    _config, trace = hcf_run(field, data, ranks=ranks)
+    assert reads == [[step.site for step in trace.steps]]
+    assert len(trace.steps) == field.num_sites
+
+
+def test_quiet_commits_are_re_read_without_their_neighbours(monkeypatch):
+    # a path 1-0-2: site 0 commits to label 0 first, where both its tables
+    # are zero, so its read holds it alone; sites 1 and 2 then commit to
+    # label 1, whose column is not zero, and each re-reads site 0 too
+    pair = np.array([[0.0, 0.0], [0.5, -1.0]])
+    field = Field(3, 2, [(1, 2), (0,), (0,)], [Clique((0, 1), pair), Clique((0, 2), pair)])
+    data = DataTerm([[-5.0, 0.0], [0.0, -2.0], [0.0, -1.0]])
+    assert _quiet_commits(field.compiled).tolist() == [[True, False], [False, False],
+                                                       [False, False]]
+    reads = batch_reads(monkeypatch)
+    config, trace = hcf_run(field, data)
+    assert reads == [[0], [1, 0], [2, 0]]
+    assert config.tolist() == [0, 1, 1]
+    want_config, want = reference_hcf_run(field, data)
+    assert want_config.tolist() == config.tolist()
+    assert list(map(repr, trace.steps)) == list(map(repr, want.steps))
+
+
+def test_a_revision_to_a_zero_column_still_re_reads_its_neighbours(monkeypatch):
+    # site 0 commits to label 1, site 1 to label 0, then site 0 revises to
+    # label 0, whose column is zero; the move from label 1 still changes
+    # site 1's row, which must be re-read so that site 1 revises to label 1
+    pair = np.array([[0.0, 0.0], [1.5, 3.0]])
+    field = Field(2, 2, [(1,), (0,)], [Clique((0, 1), pair)])
+    data = DataTerm([[0.0, -1.0], [0.0, -0.5]])
+    assert _quiet_commits(field.compiled)[0].tolist() == [True, False]
+    reads = batch_reads(monkeypatch)
+    config, trace = hcf_run(field, data)
+    assert [(step.site, step.label) for step in trace.steps] == [(0, 1), (1, 0), (0, 0), (1, 1)]
+    assert reads == [[0, 1], [1, 0], [0, 1], [1, 0]]
+    want_config, want = reference_hcf_run(field, data)
+    assert config.tolist() == want_config.tolist() == [0, 1]
+    assert list(map(repr, trace.steps)) == list(map(repr, want.steps))

@@ -67,6 +67,21 @@ def test_labels_past_int64_are_refused(chain, entry, label):
 
 
 @pytest.mark.parametrize("entry", ENTRIES)
+@pytest.mark.parametrize("label, shown", [(None, "None"), ("a", "'a'"), ("1", "'1'"),
+                                          (2**63, "9223372036854775808"), (0.5, "0.5"),
+                                          (np.float64(0.5), "0.5")])
+def test_labels_numpy_cannot_cast_are_refused_by_value(chain, entry, label, shown):
+    # numpy reads None as an object, "a" as a string and 2**63 as a float;
+    # each is named as given
+    field, data = chain
+    for cfg, site in (([label] * 8, 0), ([label] + [0] * 7, 0),
+                      ([0] * 5 + [label] + [0] * 2, 5)):
+        with pytest.raises(ValueError,
+                           match=f"^site {site}: label {re.escape(shown)} is not an integer$"):
+            ENTRIES[entry](field, data, cfg)
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
 def test_integer_labels_of_any_dtype_read_as_before(chain, entry):
     field, data = chain
     start = tlr(field, data)

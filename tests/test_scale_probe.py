@@ -70,8 +70,12 @@ def test_probe_writes_every_layer_estimator_and_label_record(tmp_path, capsys):
     # the two boards descend differently
     assert (entry["estimators"]["local_hcf"]["trace_digest"]
             != entry["estimators"]["noisy_local_hcf"]["trace_digest"])
+    for name in ("hcf", "noisy_hcf"):
+        assert set(entry["estimators"][name]) == {"energy", "iterations", "trace_digest"}
+        assert re.fullmatch("[0-9a-f]{16}", entry["estimators"][name]["trace_digest"])
+    assert (entry["estimators"]["hcf"]["trace_digest"]
+            != entry["estimators"]["noisy_hcf"]["trace_digest"])
     # serial HCF steps at least once per site on the noisy board too
-    assert set(entry["estimators"]["noisy_hcf"]) == {"energy", "iterations"}
     assert entry["estimators"]["noisy_hcf"]["iterations"] >= entry["sites"]
     label = entry["label"]
     assert set(label) == {
@@ -79,3 +83,10 @@ def test_probe_writes_every_layer_estimator_and_label_record(tmp_path, capsys):
         "target_wall_s", "target_peak_rss_mb", "wall_target_met", "rss_target_met"}
     assert len(label["wall_s"]) == len(label["peak_rss_mb"]) == label["runs"]
     assert label["peak_rss_mb_median"] > 0
+
+
+def test_trace_digest_hashes_the_exact_bits_in_order():
+    digest = load_probe().trace_digest
+    assert digest([0.0, 1.5]) == digest(iter([0.0, 1.5]))
+    assert len({digest([0.0, 1.5]), digest([1.5, 0.0]), digest([-0.0, 1.5]),
+                digest([0.0, 1.5 + 2**-52])}) == 4

@@ -2,8 +2,8 @@
 
 Usage, from the root of a checkout::
 
-    python3 tools/scale_probe.py --size 200 --entry change -o BENCH_23.json
-    python3 tools/scale_probe.py --size 200 --entry parent --src OTHER/src -o BENCH_23.json
+    python3 tools/scale_probe.py --size 200 --entry change -o BENCH_25.json
+    python3 tools/scale_probe.py --size 200 --entry parent --src OTHER/src -o BENCH_25.json
 
 On a clean ``size`` x ``size`` checkerboard (squares of 10, intensities
 64/192, noise 8, seed 1; default model and potentials) it times, in
@@ -24,7 +24,8 @@ labeling and its iteration count (``RunTrace.iterations``, or the steps
 of ``hcf_run``), so that a speed-up shows it kept the answer; for ICM,
 annealing and MPM also the sweep count and the number of flips. For
 Local HCF it records the sweep count and ``trace_digest``, a short hash of
-every trace energy's exact bits, so that the whole descent shows
+every trace energy's exact bits, and for serial HCF a ``trace_digest`` of
+every step's stability and energy, so that the whole descent shows
 unchanged.
 Before that, it runs ``python -m mrfhcf label`` on the same board
 ``LABEL_RUNS`` times and records each child's wall time and peak RSS,
@@ -78,9 +79,9 @@ def traced_peak_mb(call) -> float:
         tracemalloc.stop()
 
 
-def trace_digest(trace) -> str:
-    """The first 16 hex digits of SHA-256 over the trace energies' ``float.hex``."""
-    text = ",".join(row.energy.hex() for row in trace.rows)
+def trace_digest(values) -> str:
+    """The first 16 hex digits of SHA-256 over the ``float.hex`` of ``values``, in order."""
+    text = ",".join(value.hex() for value in values)
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
@@ -117,9 +118,10 @@ def probe_layers(size: int, board: Path) -> dict:
 
         entry, trace = run("local_hcf", local_hcf_run)
         entry.update(iterations=trace.iterations, sweeps=len(trace.rows) - 1,
-                     trace_digest=trace_digest(trace))
+                     trace_digest=trace_digest(row.energy for row in trace.rows))
         entry, trace = run("hcf", hcf_run)
-        entry["iterations"] = len(trace.steps)
+        entry.update(iterations=len(trace.steps), trace_digest=trace_digest(
+            value for step in trace.steps for value in (step.stability, step.energy_after)))
         init = tlr(field, llr)
         for name, call, args in waves:
             entry, trace = run(name, call, init, *args)
