@@ -20,7 +20,7 @@ from .edges import (EDGE, LABEL_LETTERS, NON_EDGE, EdgeLattice, EdgeModel,
 from .fileio import (COMPARE_HEADER, TRACE_HEADER, FileFormatError, parse_config,
                      read_mrfl, read_mrfllr, read_pgm, write_compare_csv,
                      write_mrfl, write_mrfllr, write_pgm, write_trace_csv)
-from .hcf import HCFStep, HCFTrace, hcf_run
+from .hcf import hcf_run
 from .local_hcf import StepResult, local_hcf_run, local_hcf_step
 from .oracles import (SEARCH_GUARD, OracleResult, brute_force_map, chain_dp_map,
                       is_local_minimum)
@@ -40,7 +40,7 @@ __all__ = [
     "COMPARE_HEADER", "TRACE_HEADER", "FileFormatError", "parse_config",
     "read_mrfl", "read_mrfllr", "read_pgm", "write_compare_csv", "write_mrfl",
     "write_mrfllr", "write_pgm", "write_trace_csv",
-    "HCFStep", "HCFTrace", "best_label", "hcf_run", "stability",
+    "best_label", "hcf_run", "stability",
     "StepResult", "assign_ranks", "local_hcf_run", "local_hcf_step",
     "SEARCH_GUARD", "OracleResult", "brute_force_map", "chain_dp_map",
     "is_local_minimum",

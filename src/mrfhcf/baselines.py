@@ -70,13 +70,14 @@ The start is checked and padded by ``core``, which also scores it.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (_augmented_sum, _check_count, _check_problem, _check_runnable,
                    _checked_labels, _real, _slot_rows, _summed_rows)
-from .trace import RunTrace, TraceRow
+from .trace import RunTrace
 
 
 @dataclass(frozen=True)
@@ -287,14 +288,15 @@ def icm_run(field, data, init, order: str = "scan", seed: int | None = None,
     else:
         raise ValueError(f"unknown ICM order: {order!r}")
 
-    rows = [TraceRow(0, current, n, 0)]
-    for sweep in range(1, cap + 1):
+    energies, changes = array("d", [current]), array("q", [0])
+    for _ in range(cap):
         if order == "random":
             wave = _Wave(field, data, rng.permutation(n), 1)
-        current, changes, labels = next(_sweeps(wave, labels, current))
-        rows.append(TraceRow(sweep, current, n, changes))
-        if changes == 0:
-            return labels, RunTrace(tuple(rows))
+        current, changed, labels = next(_sweeps(wave, labels, current))
+        energies.append(current)
+        changes.append(changed)
+        if changed == 0:
+            return labels, RunTrace(energies, np.full(len(energies), n), changes)
     raise RuntimeError(f"ICM exceeded its sweep cap ({cap})")
 
 
@@ -375,22 +377,24 @@ def _exact_labels(rows, uniforms, temperature):
 def _gibbs_run(field, data, init, temperatures, seed):
     """Gibbs sweeps in scan order from ``init``, one per temperature, drawing from ``seed``.
 
-    Yields the trace rows so far and the labels in site order: first for
-    the checked start, then after each sweep.
+    Yields the trace's columns so far and the labels in site order: first
+    for the checked start, then after each sweep. Every site stays committed.
     """
     _check_count("seed", seed)
     comp = _check_runnable(field, data)
     cfg = _checked_labels(field, data, init, _PARTIAL_START)
     n = field.num_sites
     current = _augmented_sum(comp, data.values, cfg)
-    rows = [TraceRow(0, current, n, 0)]
-    yield rows, cfg[:n].copy()
+    energies, commits, changes = array("d", [current]), array("q", [n]), array("q", [0])
+    yield (energies, commits, changes), cfg[:n].copy()
     wave = _Wave(field, data, comp.sites, len(temperatures))
     sweeps = _sweeps(wave, cfg, current, np.maximum(temperatures, 1e-300),
                      np.random.default_rng(seed))
-    for k, (current, changes, labels) in enumerate(sweeps, 1):
-        rows.append(TraceRow(k, current, n, changes))
-        yield rows, labels
+    for current, changed, labels in sweeps:
+        energies.append(current)
+        commits.append(n)
+        changes.append(changed)
+        yield (energies, commits, changes), labels
 
 
 def anneal_run(field, data, init, schedule: AnnealSchedule, seed: int):
@@ -403,19 +407,20 @@ def anneal_run(field, data, init, schedule: AnnealSchedule, seed: int):
     its start.
     """
     temperatures = np.array([schedule.t0 * schedule.alpha ** k for k in range(schedule.sweeps)])
-    for rows, labels in _gibbs_run(field, data, init, temperatures, seed):
-        if len(rows) == 1 or rows[-1].energy < best_energy:
-            best_energy, best_cfg = rows[-1].energy, labels
-    return best_cfg, RunTrace(tuple(rows))
+    for columns, labels in _gibbs_run(field, data, init, temperatures, seed):
+        energies = columns[0]
+        if len(energies) == 1 or energies[-1] < best_energy:
+            best_energy, best_cfg = energies[-1], labels
+    return best_cfg, RunTrace(*columns)
 
 
 def _mpm_core(field, data, init, params):
     count = params.burn_in + params.samples
     counts = 0
-    for rows, labels in _gibbs_run(field, data, init, np.ones(count), params.seed):
-        if len(rows) > 1 + params.burn_in:
+    for columns, labels in _gibbs_run(field, data, init, np.ones(count), params.seed):
+        if len(columns[0]) > 1 + params.burn_in:
             counts = counts + (labels[:, None] == np.arange(field.num_labels))
-    return counts / params.samples, RunTrace(tuple(rows))
+    return counts / params.samples, RunTrace(*columns)
 
 
 def mpm_marginals(field, data, init, params: MpmParams) -> np.ndarray:

@@ -23,7 +23,7 @@ from .fileio import (FileFormatError, _fmt, parse_config, read_mrfl, read_mrfllr
 from .hcf import hcf_run
 from .local_hcf import local_hcf_run
 from .oracles import brute_force_map, chain_dp_map, is_local_minimum
-from .trace import TraceRow
+from .trace import RunTrace
 
 ESTIMATORS = ("tlr", "annealing", "mpm", "icm-scan", "icm-random", "hcf", "local-hcf")
 STOCHASTIC = frozenset({"annealing", "mpm", "icm-random"})
@@ -134,37 +134,26 @@ def load_problem(args, cfg: RunConfig):
 
 
 def run_estimator(name: str, field, data, cfg: RunConfig, seed: int | None = None):
-    """Run one estimator; returns (configuration, trace rows, iteration count)."""
+    """Run one estimator; returns (configuration, RunTrace)."""
     if name == "tlr":
         out = tlr(field, data)
-        rows = (TraceRow(0, energy(field, data, out), field.num_sites, 0),)
-        return out, rows, 0
+        return out, RunTrace([energy(field, data, out)], [field.num_sites], [0])
     if name == "hcf":
-        out, trace = hcf_run(field, data,
-                             ranks=assign_ranks(field, cfg.rank_mode, cfg.rank_seed))
-        rows = [TraceRow(0, 0.0, 0, 0)]
-        rows.extend(TraceRow(st.step + 1, st.energy_after, st.committed_after, 1)
-                    for st in trace.steps)
-        return out, tuple(rows), len(trace.steps)
+        return hcf_run(field, data, ranks=assign_ranks(field, cfg.rank_mode, cfg.rank_seed))
     if name == "local-hcf":
         ranks = assign_ranks(field, cfg.rank_mode, cfg.rank_seed)
-        out, trace = local_hcf_run(field, data, ranks=ranks,
-                                   max_iterations=cfg.max_iterations)
-        return out, trace.rows, trace.iterations
+        return local_hcf_run(field, data, ranks=ranks, max_iterations=cfg.max_iterations)
     init = tlr(field, data)
     seed = cfg.seed if seed is None else seed
     if name == "icm-scan":
-        out, trace = icm_run(field, data, init, order="scan")
-    elif name == "icm-random":
-        out, trace = icm_run(field, data, init, order="random", seed=seed)
-    elif name == "annealing":
-        schedule = AnnealSchedule(cfg.t0, cfg.alpha, cfg.sweeps)
-        out, trace = anneal_run(field, data, init, schedule, seed)
-    elif name == "mpm":
-        out, trace = mpm_run(field, data, init, MpmParams(cfg.burn_in, cfg.samples, seed))
-    else:
-        raise UsageError(f"unknown estimator {name!r}")
-    return out, trace.rows, trace.iterations
+        return icm_run(field, data, init, order="scan")
+    if name == "icm-random":
+        return icm_run(field, data, init, order="random", seed=seed)
+    if name == "annealing":
+        return anneal_run(field, data, init, AnnealSchedule(cfg.t0, cfg.alpha, cfg.sweeps), seed)
+    if name == "mpm":
+        return mpm_run(field, data, init, MpmParams(cfg.burn_in, cfg.samples, seed))
+    raise UsageError(f"unknown estimator {name!r}")
 
 
 def _letters(config) -> str:
@@ -189,12 +178,12 @@ def cmd_generate(args) -> int:
 def cmd_label(args) -> int:
     cfg = resolve_run_config(args)
     field, data, image, dims = load_problem(args, cfg)
-    out, rows, iterations = run_estimator(cfg.estimator, field, data, cfg)
+    out, trace = run_estimator(cfg.estimator, field, data, cfg)
     if args.chain_fixture:
         print(f"labeling: {_letters(out)}")
     print(f"sites: {field.num_sites}")
     print(f"energy: {_fmt(energy(field, data, out))}")
-    print(f"iterations: {iterations}")
+    print(f"iterations: {trace.iterations}")
     if args.output is not None:
         outdir = Path(args.output)
         outdir.mkdir(parents=True, exist_ok=True)
@@ -203,7 +192,7 @@ def cmd_label(args) -> int:
         write_mrfl(labels_path, out, width, height)
         print(f"wrote {labels_path}")
         trace_path = outdir / "trace.csv"
-        write_trace_csv(trace_path, rows)
+        write_trace_csv(trace_path, trace.rows)
         print(f"wrote {trace_path}")
         if image is not None:
             overlay_path = outdir / "overlay.pgm"
@@ -222,11 +211,11 @@ def cmd_compare(args) -> int:
         iteration_counts = []
         for sd in seeds:
             try:
-                out, _rows, iterations = run_estimator(name, field, data, cfg, seed=sd)
+                out, trace = run_estimator(name, field, data, cfg, seed=sd)
             except (ValueError, RuntimeError) as exc:
                 raise RuntimeError(f"estimator {name} failed: {exc}") from exc
             finals.append(energy(field, data, out))
-            iteration_counts.append(iterations)
+            iteration_counts.append(trace.iterations)
         mean = sum(finals) / len(finals)
         iters_mean = sum(iteration_counts) / len(iteration_counts)
         table.append((name, mean, min(finals), len(finals), iters_mean))

@@ -22,24 +22,13 @@ come from ``core`` too, as do the one-site readers ``stability`` and
 from __future__ import annotations
 
 import heapq
-from collections import namedtuple
-from dataclasses import dataclass
+from array import array
 
 import numpy as np
 
 from .core import (UNCOMMITTED, _check_count, _check_runnable, _checked_labels, _checked_ranks,
                    _local_rows, _quiet_commits, _stabilities, new_configuration)
-
-
-# a named tuple, not a frozen dataclass: a run builds one per step, and a
-# tuple is built in less than half the time
-HCFStep = namedtuple("HCFStep", ["step", "site", "label", "stability", "energy_after",
-                                 "committed_after"])
-
-
-@dataclass(frozen=True)
-class HCFTrace:
-    steps: tuple[HCFStep, ...]
+from .trace import RunTrace
 
 
 def hcf_run(field, data, ranks=None, max_steps: int | None = None):
@@ -67,10 +56,11 @@ def hcf_run(field, data, ranks=None, max_steps: int | None = None):
     an earlier step sorts below the next site's (the queue would pop that
     site first), and undoes and re-queues the rest.
 
-    Returns (configuration, HCFTrace). The trace's energy entries are the
-    augmented energy maintained incrementally from the exact per-step
-    deltas; each change of an already committed site lowers it by exactly
-    the magnitude of that site's stability.
+    Returns (configuration, RunTrace) with one row per step after row 0 and
+    the step's site, label and stability in the move columns. The energy
+    column is the augmented energy maintained incrementally from the exact
+    per-step deltas; each change of an already committed site lowers it by
+    exactly the magnitude of that site's stability.
     """
     comp = _check_runnable(field, data)
     n = field.num_sites
@@ -93,7 +83,9 @@ def hcf_run(field, data, ranks=None, max_steps: int | None = None):
     queue = [(k, rank[s], s) for s, k in enumerate(key)]
     heapq.heapify(queue)
 
-    steps = []
+    # the trace's columns: row 0 is the all-uncommitted start
+    energies, commits = array("d", [0.0]), array("q", [0])
+    movers, labels, stabilities = array("q"), array("q"), array("d")
     aug = 0.0
     committed = 0
     while queue:
@@ -106,7 +98,7 @@ def hcf_run(field, data, ranks=None, max_steps: int | None = None):
             if k != key[s]:
                 heapq.heappop(queue)
                 continue
-            if len(steps) + len(cands) == cap:
+            if len(movers) + len(cands) == cap:
                 if cands:
                     break
                 raise RuntimeError(f"HCF exceeded its step cap ({cap}); "
@@ -164,9 +156,14 @@ def hcf_run(field, data, ranks=None, max_steps: int | None = None):
                         heapq.heappush(queue, entry)
                         if entry < low:
                             low = entry
-            steps.append(HCFStep(len(steps), s, b, k, aug, committed))
+            movers.append(s)
+            labels.append(b)
+            stabilities.append(k)
+            energies.append(aug)
+            commits.append(committed)
             start = end
         best[sites[:start]] = block_best[:start]
         quiet[sites[:start]] = block_quiet[:start]
 
-    return cfg[:n].copy(), HCFTrace(tuple(steps))
+    return cfg[:n].copy(), RunTrace(energies, commits, [0] + [1] * len(movers),
+                                    movers, labels, stabilities)

@@ -24,6 +24,7 @@ the padded configuration and ranks, and the per-site ranks of
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +32,7 @@ import numpy as np
 from .core import (UNCOMMITTED, _augmented_sum, _check_count, _check_runnable, _checked_labels,
                    _checked_ranks, _local_rows, _no_terms, _stabilities, _total, _write_terms,
                    new_configuration)
-from .trace import RunTrace, TraceRow
+from .trace import RunTrace
 
 
 @dataclass(frozen=True)
@@ -123,21 +124,24 @@ def local_hcf_run(field, data, ranks=None, max_iterations: int | None = None,
     terms = _no_terms(comp)  # the energy terms of cfg
     sums = np.empty_like(terms)
     padded = np.full(n + 1, np.inf)
-    trace = [TraceRow(0, 0.0, 0, 0)]
+    # the trace's columns: row 0 is the all-uncommitted start
+    energies, commits, changes = array("d", [0.0]), array("q", [0]), array("q", [0])
     committed = 0
     fallback = None  # the site the tie fallback commits in the next iteration
 
-    for iteration in range(1, cap + 1):
+    for _ in range(cap):
         if fallback is None:
             g, best, changed, rows = _sweep(comp, values, cfg, lower, padded)
         else:
             changed, fallback = fallback, None
         if not changed.size:
             # a quiet sweep leaves the configuration, so its energy, as it was
-            trace.append(TraceRow(iteration, trace[-1].energy, committed, 0))
+            energies.append(energies[-1])
+            commits.append(committed)
+            changes.append(0)
             left = cfg[:n] == UNCOMMITTED
             if not left.any():
-                return cfg[:-1].copy(), RunTrace(tuple(trace))
+                return cfg[:-1].copy(), RunTrace(energies, commits, changes)
             # Exact-tie degenerate case: a zero-stability uncommitted site
             # can be blocked forever by a committed neighbor of equal
             # stability and lower rank. The quiet sweep just read every
@@ -149,6 +153,8 @@ def local_hcf_run(field, data, ranks=None, max_iterations: int | None = None,
         committed += _apply(cfg, best, changed)
         _write_terms(comp, values, cfg, terms, rows.take(changed, axis=1), changed)
         del rows  # before the next sweep reads its own
-        trace.append(TraceRow(iteration, _total(terms, sums), committed, int(changed.size)))
+        energies.append(_total(terms, sums))
+        commits.append(committed)
+        changes.append(changed.size)
     raise RuntimeError(f"local HCF exceeded its iteration cap ({cap}); "
                        "check the inputs for pathological values")

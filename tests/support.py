@@ -7,8 +7,7 @@ import warnings
 import numpy as np
 
 from mrfhcf import (UNCOMMITTED, Clique, DataTerm, EdgeModel, EdgePotentials, Field,
-                    HCFStep, HCFTrace, RunTrace, TraceRow, build_edge_field, compute_llr,
-                    energy, make_checkerboard)
+                    RunTrace, build_edge_field, compute_llr, energy, make_checkerboard)
 
 
 def random_field(seed, max_sites=12, labels=None):
@@ -434,7 +433,7 @@ def reference_row_stats(row, current):
 
 
 def reference_hcf_run(field, data, ranks=None):
-    """Serial HCF one scalar row at a time: (configuration, HCFTrace).
+    """Serial HCF one scalar row at a time: (configuration, RunTrace).
 
     A heap of (stability, rank) keys over the sites that can act; each pop
     re-reads the site, moves it to its best label and re-keys it and its
@@ -457,7 +456,7 @@ def reference_hcf_run(field, data, ranks=None):
 
     for s in range(n):
         refresh(s, read(cfg, s))
-    steps = []
+    energies, commits, moves = [0.0], [0], []
     aug = 0.0
     committed = 0
     while queue:
@@ -476,8 +475,12 @@ def reference_hcf_run(field, data, ranks=None):
         refresh(s, row)
         for r in field.adjacency[s]:
             refresh(r, read(cfg, r))
-        steps.append(HCFStep(len(steps), s, best, k[0], aug, committed))
-    return np.array(cfg, dtype=np.int64), HCFTrace(tuple(steps))
+        energies.append(aug)
+        commits.append(committed)
+        moves.append((s, best, k[0]))
+    sites, labels, stabilities = zip(*moves) if moves else ((), (), ())
+    return np.array(cfg, dtype=np.int64), RunTrace(
+        energies, commits, [0] + [1] * len(moves), sites, labels, stabilities)
 
 
 def reference_gibbs_draw(row, temperature, rng):
@@ -534,10 +537,8 @@ def reference_icm_run(field, data, init, order="scan", seed=None):
     n = field.num_sites
     rng = np.random.default_rng(seed) if order == "random" else None
     current = energy(field, data, cfg)
-    rows = [TraceRow(0, current, n, 0)]
-    sweep = 0
+    energies, flips = [current], [0]
     while True:
-        sweep += 1
         visit = range(n) if rng is None else rng.permutation(n).tolist()
         changes = 0
         for s in visit:
@@ -547,9 +548,10 @@ def reference_icm_run(field, data, init, order="scan", seed=None):
                 current += bv - row[cfg[s]]
                 cfg[s] = b
                 changes += 1
-        rows.append(TraceRow(sweep, current, n, changes))
+        energies.append(current)
+        flips.append(changes)
         if changes == 0:
-            return np.array(cfg, dtype=np.int64), RunTrace(tuple(rows))
+            return np.array(cfg, dtype=np.int64), RunTrace(energies, [n] * len(flips), flips)
 
 
 def reference_anneal_run(field, data, init, schedule, seed):
@@ -560,14 +562,15 @@ def reference_anneal_run(field, data, init, schedule, seed):
     rng = np.random.default_rng(seed)
     current = energy(field, data, cfg)
     best_cfg, best_energy = list(cfg), current
-    rows = [TraceRow(0, current, n, 0)]
+    energies, flips = [current], [0]
     for k in range(schedule.sweeps):
         temperature = schedule.t0 * schedule.alpha ** k
         current, changes = reference_gibbs_sweep(read, cfg, temperature, rng, current)
-        rows.append(TraceRow(k + 1, current, n, changes))
+        energies.append(current)
+        flips.append(changes)
         if current < best_energy:
             best_energy, best_cfg = current, list(cfg)
-    return np.array(best_cfg, dtype=np.int64), RunTrace(tuple(rows))
+    return np.array(best_cfg, dtype=np.int64), RunTrace(energies, [n] * len(flips), flips)
 
 
 def reference_mpm_marginals(field, data, init, params):
@@ -577,11 +580,12 @@ def reference_mpm_marginals(field, data, init, params):
     n = field.num_sites
     rng = np.random.default_rng(params.seed)
     current = energy(field, data, cfg)
-    rows = [TraceRow(0, current, n, 0)]
+    energies, flips = [current], [0]
     counts = np.zeros((n, field.num_labels), dtype=np.int64)
     for k in range(params.burn_in + params.samples):
         current, changes = reference_gibbs_sweep(read, cfg, 1.0, rng, current)
-        rows.append(TraceRow(k + 1, current, n, changes))
+        energies.append(current)
+        flips.append(changes)
         if k >= params.burn_in:
             counts[np.arange(n), cfg] += 1
-    return counts / params.samples, RunTrace(tuple(rows))
+    return counts / params.samples, RunTrace(energies, [n] * len(flips), flips)

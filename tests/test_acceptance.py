@@ -134,10 +134,10 @@ def test_criterion_4_serial_run_invariants():
                 assert step.site == best
             assert abs(step.stability - stab[step.site]) < 1e-12
             if cfg[step.site] != UNCOMMITTED:
-                assert step.energy_after < prev_energy
-                assert abs((step.energy_after - prev_energy) - step.stability) < 1e-9
+                assert step.energy < prev_energy
+                assert abs((step.energy - prev_energy) - step.stability) < 1e-9
             cfg[step.site] = step.label
-            prev_energy = step.energy_after
+            prev_energy = step.energy
             stab[step.site] = stability(field, data, cfg, step.site)
             for r in field.adjacency[step.site]:
                 stab[r] = stability(field, data, cfg, r)

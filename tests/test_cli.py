@@ -1,3 +1,4 @@
+import hashlib
 import re
 import warnings
 from pathlib import Path
@@ -120,6 +121,69 @@ def test_compare_on_the_chain_fixture(tmp_path, capsys):
     first = table.read_bytes()
     run(capsys, "compare", "--chain-fixture", "--seeds", "1,2", "-o", str(table))
     assert table.read_bytes() == first
+
+
+def sha(data):
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+# the first 16 hex digits of the SHA-256 of each `label -o` output, and of the
+# stdout without its `wrote` lines: on a 16x16 board with noise 40 and model
+# sigma 40, where serial HCF revises 3 sites and Local HCF 3, and on the chain
+# fixture; any change to a trace, labeling or overlay byte shows here
+PINNED_LABEL = {
+    "tlr": ("6910081f789ec140", "d4c41a4ac6b64e67", "2b3c858790e0739d",
+            "sites: 480\nenergy: -605.0600000000004\niterations: 0\n"),
+    "annealing": ("132b1195e80ff18f", "57fb89b8ec300958", "26d1691a27e5ff2d",
+                  "sites: 480\nenergy: -613.8200000000003\niterations: 99\n"),
+    "mpm": ("24362644d5a414af", "9f2977867835f15b", "701978427aca6205",
+            "sites: 480\nenergy: -612.4800000000004\niterations: 120\n"),
+    "icm-scan": ("132b1195e80ff18f", "3a52f1547dc72d00", "26d1691a27e5ff2d",
+                 "sites: 480\nenergy: -613.8200000000003\niterations: 2\n"),
+    "icm-random": ("132b1195e80ff18f", "170855af63c2e777", "26d1691a27e5ff2d",
+                   "sites: 480\nenergy: -613.8200000000003\niterations: 2\n"),
+    "hcf": ("9018d07bbe9c9d83", "2c0f3baf94ef5f3d", "82f2df83ff5e4612",
+            "sites: 480\nenergy: -613.7600000000003\niterations: 483\n"),
+    "local-hcf": ("9018d07bbe9c9d83", "5d187517d427438b", "82f2df83ff5e4612",
+                  "sites: 480\nenergy: -613.7600000000003\niterations: 17\n"),
+    "chain-hcf": ("8800b625bcc5e829", "996bf9a02eaff661", None,
+                  "labeling: e e e e e e e e\nsites: 8\nenergy: -5.499999999999999\n"
+                  "iterations: 8\n"),
+}
+PINNED_COMPARE = "0d07f6786fd1c8e9"
+
+
+@pytest.fixture(scope="module")
+def pin_board(tmp_path_factory):
+    board = tmp_path_factory.mktemp("pin") / "board.pgm"
+    assert main(["generate", "--checker", "16x16", "--square", "4", "--noise-sigma", "40",
+                 "--seed", "1", "-o", str(board)]) == 0
+    return board
+
+
+@pytest.mark.parametrize("name", list(PINNED_LABEL))
+def test_label_outputs_are_pinned_byte_for_byte(tmp_path, capsys, pin_board, name):
+    capsys.readouterr()
+    source = (("--chain-fixture", "--estimator", "hcf") if name == "chain-hcf" else
+              ("--in", str(pin_board), "--sigma", "40", "--estimator", name))
+    code, stdout, _ = run(capsys, "label", *source, "-o", str(tmp_path))
+    assert code == 0
+    labels, trace, overlay, text = PINNED_LABEL[name]
+    assert "".join(line for line in stdout.splitlines(True)
+                   if not line.startswith("wrote ")) == text
+    assert sha((tmp_path / "labels.mrfl").read_bytes()) == labels
+    assert sha((tmp_path / "trace.csv").read_bytes()) == trace
+    if overlay is None:
+        assert not (tmp_path / "overlay.pgm").exists()
+    else:
+        assert sha((tmp_path / "overlay.pgm").read_bytes()) == overlay
+
+
+def test_compare_output_is_pinned_byte_for_byte(tmp_path, capsys, pin_board):
+    table = tmp_path / "table.csv"
+    assert run(capsys, "compare", "--in", str(pin_board), "--sigma", "40", "--seeds", "1,2",
+               "-o", str(table))[0] == 0
+    assert sha(table.read_bytes()) == PINNED_COMPARE
 
 
 def test_oracle_on_the_chain_fixture(capsys):

@@ -81,7 +81,7 @@ def test_hcf_chain_golden(chain):
     assert energy(field, data, config) == pytest.approx(-5.5, abs=1e-9)
     assert len(trace.steps) == 8
     assert trace.steps[0].site == 0
-    assert trace.steps[-1].committed_after == 8
+    assert trace.steps[-1].committed == 8
 
 
 def test_hcf_single_site_commits_in_one_step():
@@ -90,7 +90,7 @@ def test_hcf_single_site_commits_in_one_step():
     config, trace = hcf_run(field, data)
     assert config.tolist() == [1]
     assert len(trace.steps) == 1
-    assert trace.steps[0].energy_after == -2.0
+    assert trace.steps[0].energy == -2.0
 
 
 def test_sites_commit_once_and_trace_is_consistent():
@@ -104,10 +104,10 @@ def test_sites_commit_once_and_trace_is_consistent():
             if step.site not in committed:
                 committed.add(step.site)
                 count += 1
-            assert step.committed_after == count
+            assert step.committed == count
         assert count == field.num_sites
         assert augmented_energy(field, data, config) == pytest.approx(
-            trace.steps[-1].energy_after, abs=1e-9)
+            trace.steps[-1].energy, abs=1e-9)
 
 
 def test_committed_changes_descend_by_their_stability():
@@ -119,10 +119,10 @@ def test_committed_changes_descend_by_their_stability():
         for step in trace.steps:
             if step.site in seen:
                 assert step.stability < 0
-                delta = step.energy_after - prev_energy
+                delta = step.energy - prev_energy
                 assert delta == pytest.approx(step.stability, abs=1e-9)
             seen.add(step.site)
-            prev_energy = step.energy_after
+            prev_energy = step.energy
 
 
 def test_every_pop_is_the_linear_scan_minimum():

@@ -1,7 +1,7 @@
-"""The estimator modules depend on the energy model (``core``) and the trace rows alone,
+"""The estimator modules depend on the energy model (``core``) and the trace alone,
 every module leaves its input checks to ``core``, only ``core`` knows how a compiled field
-encodes table rows and energy terms, the CLI restates no library default, and one function
-opens every file the package writes as text."""
+encodes table rows and energy terms, only ``trace`` builds trace rows, the CLI restates no
+library default, and one function opens every file the package writes as text."""
 
 import ast
 from pathlib import Path
@@ -73,6 +73,38 @@ def test_the_encoding_reader_sees_every_form():
     assert encoding_uses(tree) == ENCODED | {ROW_ENCODER}
     assert encoding_uses(ast.parse("core._table_rows(comp, labs)")) == {ROW_ENCODER}
     assert encoding_uses(ast.parse("'comp.tables' if num_tables else tables")) == set()
+
+
+def row_builders(tree):
+    """The lines where one module names ``TraceRow`` in code, and those that import it."""
+    named, imported = [], []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Name) and node.id == "TraceRow"
+                or isinstance(node, ast.Attribute) and node.attr == "TraceRow"):
+            named.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and "TraceRow" in {a.name for a in node.names}:
+            imported.append(node.lineno)
+    return sorted(named), sorted(imported)
+
+
+def test_only_trace_builds_trace_rows():
+    # one row schema: every other module writes a RunTrace's columns, and the
+    # package only re-exports the row type
+    found = {path.stem: row_builders(ast.parse(path.read_text()))
+             for path in PACKAGE.glob("*.py")}
+    assert found["trace"][0] and found["__init__"][1]  # the reader does find them
+    assert {module: named for module, (named, _) in found.items()
+            if named and module != "trace"} == {}
+    assert {module: imported for module, (_, imported) in found.items()
+            if imported and module != "__init__"} == {}
+
+
+def test_the_row_reader_sees_every_form():
+    tree = ast.parse("from .trace import RunTrace, TraceRow as Row\n"
+                     "rows = [TraceRow(0, 0.0, 0, 0)]\n"
+                     "more = map(trace.TraceRow._make, pairs)\n"
+                     "text = 'TraceRow' + row.TraceRows\n")
+    assert row_builders(tree) == ([2, 3], [1])
 
 
 def openers(tree, where=None):

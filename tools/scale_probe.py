@@ -2,8 +2,8 @@
 
 Usage, from the root of a checkout::
 
-    python3 tools/scale_probe.py --size 200 --entry change -o BENCH_25.json
-    python3 tools/scale_probe.py --size 200 --entry parent --src OTHER/src -o BENCH_25.json
+    python3 tools/scale_probe.py --size 200 --entry change -o BENCH_26.json
+    python3 tools/scale_probe.py --size 200 --entry parent --src OTHER/src -o BENCH_26.json
 
 On a clean ``size`` x ``size`` checkerboard (squares of 10, intensities
 64/192, noise 8, seed 1; default model and potentials) it times, in
@@ -19,21 +19,25 @@ at the same sigma; entries ``noisy_*``), where the Gibbs sweeps flip
 sites and the HCF drivers revise them: ``local_hcf_run``, ``hcf_run``,
 and from the TLR start ``icm_run`` in scan order and in random order
 (seed 1), ``anneal_run`` (default schedule, seed 1) and ``mpm_run``
-(default parameters). Next to each run it records the energy of its
-labeling and its iteration count (``RunTrace.iterations``, or the steps
-of ``hcf_run``), so that a speed-up shows it kept the answer; for ICM,
-annealing and MPM also the sweep count and the number of flips. For
-Local HCF it records the sweep count and ``trace_digest``, a short hash of
-every trace energy's exact bits, and for serial HCF a ``trace_digest`` of
-every step's stability and energy, so that the whole descent shows
-unchanged.
+(default parameters). Next to each run it records, from the trace's
+columns, the energy of its labeling and its iteration count
+(``RunTrace.iterations``: the sweeps or, for serial HCF, the steps that
+changed a site), so that a speed-up shows it kept the answer; for ICM,
+annealing and MPM also the sweep count and the number of flips. For Local
+HCF it records the sweep count and ``trace_digest``, a short hash of every
+trace energy's exact bits, and for serial HCF a ``trace_digest`` of each
+step's stability and then its energy, in step order, so that the whole
+descent shows unchanged.
 Before that, it runs ``python -m mrfhcf label`` on the same board
-``LABEL_RUNS`` times and records each child's wall time and peak RSS,
-and the medians against the targets of at most ``TARGET_LABEL_S``
-seconds and below ``TARGET_RSS_MB`` MB.
+``LABEL_RUNS`` times with Local HCF (``label``) and ``LABEL_RUNS`` times
+with serial HCF (``label_hcf``), and records each child's wall time and
+peak RSS, and the medians against the targets of at most
+``TARGET_LABEL_S`` seconds and below ``TARGET_RSS_MB`` MB.
 
 ``--src`` probes the ``mrfhcf`` package of another checkout (its ``src``
-directory), so two commits can be measured with one probe. The result is
+directory), so two commits can be measured with one probe. It reads the
+columnar ``RunTrace``, so a checkout from before that schema is probed
+with its own copy of this file. The result is
 stored under ``entries[ENTRY]`` of the output JSON; other entries already
 in the file are kept. ``-o`` has no default, so that a plain run cannot
 add to an earlier record by mistake. Single runs on a shared machine:
@@ -117,16 +121,17 @@ def probe_layers(size: int, board: Path) -> dict:
             return estimators[prefix + name], trace
 
         entry, trace = run("local_hcf", local_hcf_run)
-        entry.update(iterations=trace.iterations, sweeps=len(trace.rows) - 1,
-                     trace_digest=trace_digest(row.energy for row in trace.rows))
+        entry.update(iterations=trace.iterations, sweeps=trace.energy.size - 1,
+                     trace_digest=trace_digest(trace.energy.tolist()))
         entry, trace = run("hcf", hcf_run)
-        entry.update(iterations=len(trace.steps), trace_digest=trace_digest(
-            value for step in trace.steps for value in (step.stability, step.energy_after)))
+        steps = zip(trace.stability.tolist(), trace.energy[1:].tolist())
+        entry.update(iterations=trace.iterations,
+                     trace_digest=trace_digest(value for step in steps for value in step))
         init = tlr(field, llr)
         for name, call, args in waves:
             entry, trace = run(name, call, init, *args)
-            entry.update(iterations=trace.iterations, sweeps=len(trace.rows) - 1,
-                         flips=sum(r.changed for r in trace.rows))
+            entry.update(iterations=trace.iterations, sweeps=trace.energy.size - 1,
+                         flips=int(trace.changed.sum()))
     init = tlr(field, data)
     energy(field, data, init)
     return {"sites": field.num_sites, "layers_s": layers, "estimators": estimators,
@@ -134,10 +139,12 @@ def probe_layers(size: int, board: Path) -> dict:
             "energy_peak_mb": traced_peak_mb(lambda: energy(field, data, init))}
 
 
-def probe_label(src: Path, board: Path, outdir: Path) -> dict:
-    """``label`` on the board ``LABEL_RUNS`` times: each child's wall time and peak RSS."""
+def probe_label(src: Path, board: Path, outdir: Path, estimator: str) -> dict:
+    """``label`` with ``estimator`` on the board ``LABEL_RUNS`` times: each child's
+    wall time and peak RSS."""
     env = dict(os.environ, PYTHONPATH=str(src))
-    argv = [sys.executable, "-m", "mrfhcf", "label", "--in", str(board), "-o", str(outdir)]
+    argv = [sys.executable, "-m", "mrfhcf", "label", "--in", str(board), "--estimator",
+            estimator, "-o", str(outdir)]
     walls, rss = [], []
     for _ in range(LABEL_RUNS):
         start = time.perf_counter()
@@ -168,9 +175,10 @@ def probe(size: int, src: Path) -> dict:
         write_pgm(board, make_checkerboard(size, size, 10, 64, 192, 8.0, 1))
         # label first: on Linux a child's ru_maxrss also counts the address
         # space it was started from, so the probe must still be small
-        label = probe_label(src, board, Path(tmp) / "out")
+        label = probe_label(src, board, Path(tmp) / "out", "local-hcf")
+        label_hcf = probe_label(src, board, Path(tmp) / "out_hcf", "hcf")
         entry = probe_layers(size, board)
-    entry.update(label=label, size=size, machine={
+    entry.update(label=label, label_hcf=label_hcf, size=size, machine={
         "python": platform.python_version(), "numpy": np.__version__,
         "cpus": os.cpu_count(), "platform": platform.platform()})
     return entry
@@ -189,9 +197,11 @@ def main(argv=None) -> int:
     record = json.loads(args.output.read_text()) if args.output.exists() else {}
     record.setdefault("entries", {})[args.entry] = entry
     args.output.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
-    label = entry["label"]
+    label, label_hcf = entry["label"], entry["label_hcf"]
     print(f"{args.entry}: build {entry['layers_s']['build_edge_field_s']:.3f} s, "
-          f"label {label['wall_s_median']:.2f} s, {label['peak_rss_mb_median']:.0f} MB")
+          f"label {label['wall_s_median']:.2f} s, {label['peak_rss_mb_median']:.0f} MB, "
+          f"label hcf {label_hcf['wall_s_median']:.2f} s, "
+          f"{label_hcf['peak_rss_mb_median']:.0f} MB")
     return 0
 
 
