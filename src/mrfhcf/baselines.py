@@ -31,8 +31,7 @@ neighbours and every earlier neighbour sits in a lower level. Reading one
 level's local energies as one array therefore sees exactly what the
 one-site-at-a-time visit sees. The levels are built in rounds, as in
 Kahn's topological sort, one whole level per round. No wave is cached on
-the field: the benchmarks build a new field per run, and the three
-scan-order waves ``compare`` builds per field take about 1 ms of 0.3 s.
+the field; ICM builds one only once a sweep moves a site (below).
 
 A Gibbs run pipelines its whole budget as one space-time wavefront:
 sweep ``k`` visits site ``s`` at level ``L(s) + k*S``. With the pace
@@ -61,8 +60,16 @@ levels for ``K`` sweeps instead of ``depth * K``.
 
 A wave schedules a known number of sweeps, all run by one ``_sweeps``
 call; a one-sweep wave takes ``S = depth`` and computes no pace. ICM, whose
-sweep count is not known in advance, runs one call per sweep on a one-sweep
-wave (a new one per sweep in random order). Annealing and MPM share one run.
+sweep count is not known in advance, runs one call per moving sweep on a
+one-sweep wave, built at the first such sweep in scan order and for each
+one in random order. Its closing quiet sweep is not run: a sweep changes
+nothing iff every site's argmin (ties to the lowest label) under the
+sweep's start labels is its label, since the first site in visit order
+that fails the test still sees the start labels and moves. One read of
+every site decides the first sweep; after a moving sweep only the flipped
+sites' neighbours are read again, because every other site's row is the
+one its visit read and its label that row's argmin. Annealing and MPM
+share one run.
 
 The start is checked and padded by ``core``, which also scores it.
 """
@@ -76,7 +83,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (_augmented_sum, _check_count, _check_problem, _check_runnable,
-                   _checked_labels, _real, _slot_rows, _summed_rows)
+                   _checked_labels, _local_rows, _real, _slot_rows, _summed_rows)
 from .trace import RunTrace
 
 
@@ -274,29 +281,44 @@ def icm_run(field, data, init, order: str = "scan", seed: int | None = None,
     seeded permutation each sweep. Sites are updated in place, so later
     sites in a sweep see earlier changes. Stops after the first sweep that
     changes nothing; the fixpoint is a single-flip local minimum.
+
+    That sweep is decided, not run: it is quiet iff every site's argmin
+    under its start labels is its label, since the first site in visit
+    order that fails this moves (see the module docstring). Its row
+    repeats the energy with 0 changed and counts toward ``max_sweeps``.
     """
     comp = _check_runnable(field, data)
-    labels = _checked_labels(field, data, init, _PARTIAL_START)
+    cfg = _checked_labels(field, data, init, _PARTIAL_START)
     n = field.num_sites
     cap = _check_count("max_sweeps", max_sweeps, default=100 * n * field.num_labels)
-    current = _augmented_sum(comp, data.values, labels)
-    if order == "scan":
-        wave = _Wave(field, data, comp.sites, 1)
-    elif order == "random":
+    current = _augmented_sum(comp, data.values, cfg)
+    if order == "random":
         _check_count("seed", seed)  # None too: a random order needs a seed
         rng = np.random.default_rng(seed)
-    else:
+    elif order != "scan":
         raise ValueError(f"unknown ICM order: {order!r}")
 
     energies, changes = array("d", [current]), array("q", [0])
+    wave, dirty = None, None  # every site is read before the first sweep
     for _ in range(cap):
+        rows = _local_rows(comp, data.values, cfg, dirty)[0]
+        if (rows.argmin(axis=1) == (cfg[:n] if dirty is None else cfg[dirty])).all():
+            # the sweep is quiet: every site would keep its label
+            energies.append(current)
+            changes.append(0)
+            return cfg[:n].copy(), RunTrace(energies, np.full(len(energies), n), changes)
         if order == "random":
             wave = _Wave(field, data, rng.permutation(n), 1)
-        current, changed, labels = next(_sweeps(wave, labels, current))
+        elif wave is None:
+            wave = _Wave(field, data, comp.sites, 1)
+        current, changed, labels = next(_sweeps(wave, cfg, current))
         energies.append(current)
         changes.append(changed)
-        if changed == 0:
-            return labels, RunTrace(energies, np.full(len(energies), n), changes)
+        # only the flipped sites' neighbours can read rows their visit did not
+        near = np.zeros(n + 1, dtype=bool)
+        near[comp.neighbors[:, (labels != cfg[:n]).nonzero()[0]]] = True
+        dirty = np.flatnonzero(near[:n])
+        cfg[:n] = labels
     raise RuntimeError(f"ICM exceeded its sweep cap ({cap})")
 
 

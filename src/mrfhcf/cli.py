@@ -192,7 +192,9 @@ def cmd_label(args) -> int:
         write_mrfl(labels_path, out, width, height)
         print(f"wrote {labels_path}")
         trace_path = outdir / "trace.csv"
-        write_trace_csv(trace_path, trace.rows)
+        # straight from the columns: no row objects are built
+        write_trace_csv(trace_path, zip(range(trace.energy.size), trace.energy.tolist(),
+                                        trace.committed.tolist(), trace.changed.tolist()))
         print(f"wrote {trace_path}")
         if image is not None:
             overlay_path = outdir / "overlay.pgm"

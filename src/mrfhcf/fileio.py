@@ -9,6 +9,7 @@ number.
 
 from __future__ import annotations
 
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -114,10 +115,13 @@ def _read_records(path, magic: str, names: tuple[str, ...]):
 
 
 def _write_lines(path, lines) -> None:
-    """Write each line and a plain "\n" in one call; no other function opens a file."""
-    text = "".join(f"{line}\n" for line in lines)
+    """Write each line and a plain "\n" in one call; no other function opens a file.
+
+    ``lines`` may be any iterable: it is consumed one line at a time, so no
+    whole text is ever held.
+    """
     with open(path, "w", newline="\n") as f:
-        f.write(text)
+        f.writelines(f"{line}\n" for line in lines)
 
 
 def read_mrfllr(path) -> tuple[int, int, np.ndarray]:
@@ -153,7 +157,7 @@ def write_mrfllr(path, width: int, height: int, llr) -> None:
         raise ValueError(f"expected {expected} values for a {width}x{height} image")
     if not np.isfinite(arr).all():
         raise ValueError("LLR values must be finite")
-    _write_lines(path, ["MRFLLR 1", f"{width} {height}", *map(_fmt, arr.tolist())])
+    _write_lines(path, chain(("MRFLLR 1", f"{width} {height}"), map(_fmt, arr.tolist())))
 
 
 def read_mrfl(path) -> tuple[int, int, np.ndarray]:
@@ -214,20 +218,24 @@ def write_mrfl(path, labels, width: int = 0, height: int = 0) -> None:
     if (width, height) != (0, 0) and (sites := EdgeLattice(width, height).num_sites) != arr.size:
         raise ValueError(f"a {width}x{height} image has {sites} sites, not {arr.size}")
     lines = (f"{site} {label}" for site, label in enumerate(arr.tolist()))
-    _write_lines(path, ["MRFL 1", f"{width} {height} {arr.size}", *lines])
+    _write_lines(path, chain(("MRFL 1", f"{width} {height} {arr.size}"), lines))
 
 
 def write_trace_csv(path, rows) -> None:
-    """Write trace rows with the exact header iteration,energy,committed,changed."""
-    lines = (f"{r.iteration},{_fmt(r.energy)},{r.committed},{r.changed}" for r in rows)
-    _write_lines(path, [TRACE_HEADER, *lines])
+    """Write trace rows with the exact header iteration,energy,committed,changed.
+
+    A row is a ``TraceRow`` or any tuple that starts with those four
+    values; ``rows`` may be a lazy iterable, read one row at a time.
+    """
+    lines = (f"{i},{_fmt(e)},{c},{ch}" for i, e, c, ch, *_ in rows)
+    _write_lines(path, chain((TRACE_HEADER,), lines))
 
 
 def write_compare_csv(path, rows) -> None:
     """Write (method, energy_mean, energy_best, runs, iterations_mean) rows."""
     lines = (f"{method},{_fmt(mean)},{_fmt(best)},{runs},{_fmt(iters)}"
              for method, mean, best, runs, iters in rows)
-    _write_lines(path, [COMPARE_HEADER, *lines])
+    _write_lines(path, chain((COMPARE_HEADER,), lines))
 
 
 def parse_config(path, schema: dict) -> dict:

@@ -51,10 +51,13 @@ def hcf_run(field, data, ranks=None, max_steps: int | None = None):
     closed neighbourhood. Any other move is loud: its block is its closed
     neighbourhood, which must miss every earlier block, so it lies at
     distance 3 or more from the earlier loud moves and no row it re-reads
-    reads one of theirs. A quiet move after a loud one is the batch's
-    last. The batch keeps the longest prefix in which no key re-keyed by
-    an earlier step sorts below the next site's (the queue would pop that
-    site first), and undoes and re-queues the rest.
+    reads one of theirs. The batch keeps the longest prefix in which no
+    key re-keyed by an earlier step sorts below the next site's (the
+    queue would pop that site first), and undoes and re-queues the rest.
+    A quiet move after a loud one is the batch's last. That rule is not
+    needed for the result, which the prefix rule keeps exact; it limits
+    the speculative reads undone: a loud move re-keys its neighbours, and
+    one of those keys often sorts below the candidates taken after it.
 
     Returns (configuration, RunTrace) with one row per step after row 0 and
     the step's site, label and stability in the move columns. The energy

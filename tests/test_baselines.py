@@ -5,7 +5,7 @@ from mrfhcf import (AnnealSchedule, Clique, DataTerm, Field, MpmParams,
                     UNCOMMITTED, anneal_run, brute_force_map, energy,
                     icm_run, is_local_minimum, local_energies, mpm_marginals,
                     mpm_run, tlr)
-from support import exact_marginals, random_field
+from support import exact_marginals, random_field, sparse_field
 
 
 def test_tlr_chain_golden(chain):
@@ -55,6 +55,19 @@ def test_icm_energy_never_increases():
             assert is_local_minimum(field, data, config)
             assert trace.rows[-1].energy == pytest.approx(
                 energy(field, data, config), abs=1e-9)
+
+
+def test_icm_ends_at_an_argmin_fixpoint_at_every_site():
+    # ties included: every site holds the lowest label of least local energy
+    for seed in range(40):
+        labels = 2 + seed % 3
+        field, data = random_field(seed, labels=labels) if seed % 2 else sparse_field(seed, labels)
+        n = field.num_sites
+        for init in (tlr(field, data), np.random.default_rng(seed).integers(field.num_labels, size=n)):
+            for order, kw in (("scan", {}), ("random", {"seed": seed})):
+                config, _trace = icm_run(field, data, init, order=order, **kw)
+                rows = local_energies(field, data, config)
+                assert rows.argmin(axis=1).tolist() == config.tolist()
 
 
 def test_icm_validates_arguments(chain):

@@ -10,14 +10,15 @@ import warnings
 import numpy as np
 import pytest
 
-from mrfhcf import (AnnealSchedule, Clique, DataTerm, Field, MpmParams, anneal_run, icm_run,
-                    make_chain_fixture, mpm_marginals, mpm_run, tlr)
+from mrfhcf import (AnnealSchedule, Clique, DataTerm, EdgeModel, EdgePotentials, Field,
+                    MpmParams, anneal_run, build_edge_field, compute_llr, icm_run,
+                    make_chain_fixture, make_checkerboard, mpm_marginals, mpm_run, tlr)
 from mrfhcf import baselines
-from mrfhcf.baselines import _gibbs_labels, _Wave
+from mrfhcf.baselines import _gibbs_labels, _local_rows, _Wave
 from mrfhcf.cli import main
 from support import (chain8_field, noisy_board, random_field, reference_anneal_run,
                      reference_gibbs_draw, reference_icm_run, reference_levels,
-                     reference_mpm_marginals, triple_clique_field)
+                     reference_mpm_marginals, triple_clique_field, zero_lattice)
 
 
 CASES = {
@@ -50,11 +51,94 @@ def same_run(got, want):
 @pytest.mark.parametrize("name", list(CASES))
 def test_icm_matches_the_scalar_reference(name):
     field, data = CASES[name]()
+    n = field.num_sites
+    drawn = np.random.default_rng(sum(name.encode())).integers(field.num_labels, size=n)
+    for init in (tlr(field, data), drawn):
+        for order, seed in (("scan", None), ("random", 0), ("random", 1)):
+            want = reference_icm_run(field, data, init, order, seed)
+            same_run(icm_run(field, data, init, order, seed), want)
+            # the closing quiet sweep counts toward the cap
+            needed = len(want[1].rows) - 1
+            for cap in (0, 1, 2):
+                if cap < needed:
+                    with pytest.raises(RuntimeError, match=rf"sweep cap \({cap}\)"):
+                        icm_run(field, data, init, order, seed, max_sweeps=cap)
+                else:
+                    same_run(icm_run(field, data, init, order, seed, max_sweeps=cap), want)
+
+
+def clean_board(size):
+    image = make_checkerboard(size, size, 4, 64, 192, 8.0, 1)
+    return build_edge_field(size, size, EdgePotentials()), compute_llr(image, EdgeModel())
+
+
+@pytest.fixture
+def icm_calls(monkeypatch):
+    """The waves ``icm_run`` builds and the ``(sites, labels)`` of each local-energy read."""
+    calls = {"waves": [], "reads": []}
+
+    def wave(*args):
+        calls["waves"].append(args)
+        return _Wave(*args)
+
+    def local_rows(comp, values, cfg, sites=None):
+        calls["reads"].append((sites, cfg[:comp.sites.size].copy()))
+        return _local_rows(comp, values, cfg, sites)
+
+    monkeypatch.setattr(baselines, "_Wave", wave)
+    monkeypatch.setattr(baselines, "_local_rows", local_rows)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["clean-board", "zero-lattice", "chain8"])
+def test_icm_from_a_fixpoint_builds_no_wave(name, icm_calls):
+    field, data = {"clean-board": lambda: clean_board(12), "zero-lattice": lambda: zero_lattice(6),
+                   "chain8": chain8_field}[name]()
     init = tlr(field, data)
-    same_run(icm_run(field, data, init), reference_icm_run(field, data, init))
-    for seed in (0, 1):
-        same_run(icm_run(field, data, init, order="random", seed=seed),
-                 reference_icm_run(field, data, init, order="random", seed=seed))
+    if name == "chain8":  # its TLR start moves; start from where ICM ends
+        init = reference_icm_run(field, data, init)[0]
+    for order, seed in (("scan", None), ("random", 4)):
+        want = reference_icm_run(field, data, init, order, seed)
+        assert len(want[1].rows) == 2
+        got = icm_run(field, data, init, order, seed)
+        same_run(got, want)
+        assert got[0].flags.owndata  # not a view of the padded configuration
+    assert icm_calls["waves"] == []
+    assert [sites for sites, _ in icm_calls["reads"]] == [None, None]
+
+
+@pytest.mark.parametrize("name", ["chain8", "triple1-3", "random5-2", "random17-3", "board16"])
+def test_icm_rereads_exactly_the_flipped_sites_neighbours(name, icm_calls):
+    field, data = CASES[name]()
+    n = field.num_sites
+    init = np.random.default_rng(2).integers(field.num_labels, size=n)
+    for order, seed in (("scan", None), ("random", 3)):
+        icm_calls["reads"].clear()
+        icm_calls["waves"].clear()
+        icm_run(field, data, init, order, seed)
+        reads = icm_calls["reads"]
+        assert reads[0][0] is None
+        for (_, before), (sites, after) in zip(reads, reads[1:]):
+            flipped = (before != after).nonzero()[0]
+            assert flipped.size
+            near = sorted({r for s in flipped.tolist() for r in field.adjacency[s]})
+            assert sites.dtype == np.int64
+            assert sites.tolist() == near
+        # a wave per moving sweep in random order, one in all in scan order
+        assert len(icm_calls["waves"]) == (len(reads) - 1 if order == "random" else 1)
+
+
+def test_icm_without_cliques_ends_on_an_empty_read(icm_calls):
+    rng = np.random.default_rng(6)
+    field = Field(7, 3, [()] * 7, [])
+    data = DataTerm(rng.uniform(-2.0, 2.0, (7, 3)))
+    init = (tlr(field, data) + 1) % 3
+    cfg, trace = icm_run(field, data, init)
+    assert cfg.tolist() == tlr(field, data).tolist()
+    assert trace.changed.tolist() == [0, 7, 0]
+    (first, _), (last, _) = icm_calls["reads"]
+    assert first is None and last.size == 0
+    assert len(icm_calls["waves"]) == 1
 
 
 @pytest.mark.parametrize("name", list(GIBBS_CASES))
