@@ -257,6 +257,8 @@ class CompiledField:
       its degree hold ``n``. Slot-major like ``offsets``.
     - ``num_cliques`` counts the cliques, which fixes the layout of the
       energy terms (:func:`_no_terms`).
+    - ``bound`` sums over the cliques the largest magnitude in each one's
+      table: no sum of clique terms is larger in magnitude.
 
     These per-site slots are the one clique layout: local energies read
     them, and energies write their clique terms through them. Built from
@@ -274,6 +276,9 @@ class CompiledField:
         self.height = num_labels ** m + 1
         self.num_cliques = arity.size
         self.tables, first = _stacked_tables(field.tables, self.height, num_labels)
+        # a distinct table's first stacked arrangement holds all its entries
+        peak = np.abs(self.tables).max(axis=(1, 2)).take(first)
+        self.bound = _bound(peak.take(field.table_ids))
 
         # one incidence per member, keyed by its site, then its index in the
         # clique-major members: the keys are unique, so any sort orders the
@@ -337,6 +342,8 @@ class DataTerm:
 
     ``values[s, l]`` is the energy added when site ``s`` takes label ``l``.
     Values must be finite; the array is frozen after construction.
+    ``bound`` sums over the sites the largest magnitude in each one's row:
+    no sum of data terms is larger in magnitude.
     """
 
     def __init__(self, values):
@@ -347,6 +354,10 @@ class DataTerm:
             raise ValueError("data term contains non-finite values")
         v.setflags(write=False)
         self.values = v
+        peak = np.zeros(len(v))
+        for column in np.abs(v).T:  # numpy reduces many short rows slowly
+            np.maximum(peak, column, out=peak)
+        self.bound = _bound(peak)
 
     @property
     def num_sites(self):
@@ -360,6 +371,17 @@ class DataTerm:
         return f"DataTerm(num_sites={self.num_sites}, num_labels={self.num_labels})"
 
 
+def _bound(magnitudes):
+    """The sum of ``magnitudes`` as a float, +inf if it overflows."""
+    with np.errstate(over="ignore"):
+        return float(magnitudes.sum())
+
+
+# no local energy, energy or difference of two of them can overflow on a
+# problem whose clique and data bounds sum to at most this
+_LARGEST_BOUND = np.finfo(np.float64).max / 2
+
+
 def new_configuration(num_sites: int) -> np.ndarray:
     """All-uncommitted configuration array."""
     return np.full(_checked_index(num_sites, "num_sites"), UNCOMMITTED, dtype=np.int64)
@@ -371,12 +393,21 @@ def fully_committed(config) -> bool:
 
 
 def _check_problem(field, data):
-    """The compiled field, after checking the field and that the data term fits it."""
+    """The compiled field, after checking the field and that the data term fits it.
+
+    Also refuses a problem whose energies could overflow: one where the
+    largest magnitudes of every clique table and every data row sum to
+    more than half the largest float.
+    """
     comp = field.compiled
     if data.values.shape != (field.num_sites, field.num_labels):
         raise ValueError(
             f"data term shape {data.values.shape} does not match field "
             f"({field.num_sites} sites, {field.num_labels} labels)")
+    if comp.bound + data.bound > _LARGEST_BOUND:
+        raise ValueError(
+            "energies could overflow: the largest clique and data terms sum in magnitude "
+            "to more than half the largest float")
     return comp
 
 

@@ -12,11 +12,13 @@ uncommitted ones and the committed ones with negative stability.
 Local energies come from the block reader ``core._local_rows`` (table
 rows from the row former ``core._slot_rows``) and stabilities from
 ``core._stabilities``, the kernels Local HCF's sweep uses: the run reads
-every site once, then, in one call per batch of moves, only the sites
-whose rows or labels the moves changed. ``core._quiet_commits`` tells
-which commits change no other site's rows. The input checks and padding
-come from ``core`` too, as do the one-site readers ``stability`` and
-``best_label``.
+every site once and keeps those local energies. A site's own label never
+enters its own row, and a quiet commit (``core._quiet_commits``) changes
+no other site's row, so a row changes only when a neighbour makes a loud
+move; in one call per batch, the run re-reads the loud moves' closed
+neighbourhoods, sliced from the field's CSR arrays, and a quiet move
+reads nothing. The input checks and padding come from ``core`` too, as
+do the one-site readers ``stability`` and ``best_label``.
 """
 
 from __future__ import annotations
@@ -43,18 +45,22 @@ def hcf_run(field, data, ranks=None, max_steps: int | None = None):
     commit after them in rank order, so the run ends fully committed when
     the queue is empty.
 
-    Steps are taken in batches, with the same result. A batch pops entries
-    in order, moves them all and re-reads their blocks in one call. A
-    quiet move, an uncommitted site's commit to a label where each of its
-    cliques is zero, changes no other site's row: its block is its own
-    site, and it stops the batch if it lies in an earlier loud move's
-    closed neighbourhood. Any other move is loud: its block is its closed
-    neighbourhood, which must miss every earlier block, so it lies at
-    distance 3 or more from the earlier loud moves and no row it re-reads
-    reads one of theirs. The batch keeps the longest prefix in which no
-    key re-keyed by an earlier step sorts below the next site's (the
-    queue would pop that site first), and undoes and re-queues the rest.
-    A quiet move after a loud one is the batch's last. That rule is not
+    Steps are taken in batches, with the same result. The run keeps every
+    site's local energies from its first read; a move's row is the kept
+    one. A batch pops entries in order, moves them all, re-reads the
+    blocks of its loud moves in one call and keeps those rows. A quiet
+    move, an uncommitted site's commit to a label where each of its
+    cliques is zero, changes no other site's row, and a site's own label
+    never enters its own: it reads nothing, leaves the queue (at its best
+    label its stability is at least 0), and stops the batch if it lies in
+    an earlier loud move's closed neighbourhood. A batch of quiet moves
+    reads nothing at all. Any other move is loud: its block is its closed
+    neighbourhood, which must miss every earlier move and block, so it lies
+    at distance 3 or more from the earlier loud moves and no row it
+    re-reads reads one of theirs. The batch keeps the longest prefix in
+    which no key re-keyed by an earlier step sorts below the next site's
+    (the queue would pop that site first), and undoes and re-queues the
+    rest. A quiet move after a loud one is the batch's last. That rule is not
     needed for the result, which the prefix rule keeps exact; it limits
     the speculative reads undone: a loud move re-keys its neighbours, and
     one of those keys often sorts below the candidates taken after it.
@@ -71,13 +77,16 @@ def hcf_run(field, data, ranks=None, max_steps: int | None = None):
     cap = _check_count("max_steps", max_steps, default=100 * n * field.num_labels)
 
     values = data.values
-    nbrs, ptr = field.indices.tolist(), field.indptr.tolist()
+    indices, ptr = field.indices, field.indptr.tolist()
 
     cfg = _checked_labels(field, data, new_configuration(n))
-    # every site's best label, kept current: a move changes only the rows
-    # of its neighbours, and a site's own label never enters its own row
-    g, best = _stabilities(_local_rows(comp, values, cfg)[0], cfg[:n])
-    # whether each site's move is a quiet commit, kept current with best
+    # every site's local energies and best label, kept current: a row
+    # changes only when a neighbour makes a loud move, and the batch that
+    # keeps the move re-reads the row; a site's own label never enters it
+    e = _local_rows(comp, values, cfg)[0]
+    g, best = _stabilities(e, cfg[:n])
+    # whether each site's move is a quiet commit, kept current with best for
+    # every site that can act
     quiet_at = _quiet_commits(comp)
     quiet = quiet_at[comp.sites, best]
     # each site's queued stability, None when it cannot act; the queue
@@ -107,33 +116,35 @@ def hcf_run(field, data, ranks=None, max_steps: int | None = None):
                 raise RuntimeError(f"HCF exceeded its step cap ({cap}); "
                                    "check the inputs for pathological values")
             is_quiet = quiet[s]
-            hood = [s] if is_quiet else [s] + nbrs[ptr[s]:ptr[s + 1]]
+            hood = [s] if is_quiet else [s, *indices[ptr[s]:ptr[s + 1]].tolist()]
             if not taken.isdisjoint(hood):
                 break
             heapq.heappop(queue)
             taken.update(hood)
-            cands.append(s)
-            block += hood
-            bounds.append(len(block))
             if not is_quiet:
+                block += hood
                 loud = True
-            elif loud:
+            cands.append(s)
+            bounds.append(len(block))
+            if is_quiet and loud:
                 break
         if not cands:
             break
-        # move every candidate, then re-read all their blocks at once
+        # each candidate's row before its move: neither its own label nor
+        # another candidate's move changes it
         at = np.array(cands)
+        rows = e[at].tolist()
         prev = cfg[at].tolist()
         cfg[at] = moves = best[at]
-        sites = np.array(block)
-        own = cfg[sites]
-        block_e = _local_rows(comp, values, cfg, sites)[0]
-        g, block_best = _stabilities(block_e, own)
-        # a candidate's row before its move opens its block: neither its own
-        # label nor another candidate's move changes it
-        rows = block_e[[0, *bounds[:-1]]].tolist()
-        block_quiet = quiet_at[sites, block_best] & (own == UNCOMMITTED)
-        g, own = g.tolist(), own.tolist()
+        # re-read the loud moves' blocks at once; quiet moves need no read
+        entries = []
+        if block:
+            sites = np.array(block)
+            own = cfg[sites]
+            block_e = _local_rows(comp, values, cfg, sites)[0]
+            g, block_best = _stabilities(block_e, own)
+            block_quiet = quiet_at[sites, block_best] & (own == UNCOMMITTED)
+            entries = list(zip(block, g.tolist(), own.tolist()))
         # keep the prefix serial HCF would take; low is the least entry
         # queued by the steps kept so far
         low, start = (np.inf,), 0
@@ -150,7 +161,9 @@ def hcf_run(field, data, ranks=None, max_steps: int | None = None):
                 aug += row[b]
             else:
                 aug += row[b] - row[was]
-            for t, gt, lt in zip(block[start:end], g[start:end], own[start:end]):
+            # at its best label a site's stability is >= 0: it cannot act
+            key[s] = None
+            for t, gt, lt in entries[start:end]:
                 kt = gt if lt == UNCOMMITTED or gt < 0 else None
                 if kt != key[t]:
                     key[t] = kt
@@ -165,8 +178,11 @@ def hcf_run(field, data, ranks=None, max_steps: int | None = None):
             energies.append(aug)
             commits.append(committed)
             start = end
-        best[sites[:start]] = block_best[:start]
-        quiet[sites[:start]] = block_quiet[:start]
+        if start:
+            kept = sites[:start]
+            e[kept] = block_e[:start]
+            best[kept] = block_best[:start]
+            quiet[kept] = block_quiet[:start]
 
     return cfg[:n].copy(), RunTrace(energies, commits, [0] + [1] * len(movers),
                                     movers, labels, stabilities)

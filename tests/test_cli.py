@@ -383,6 +383,19 @@ def test_model_values_past_the_float_range_exit_4_without_a_warning(tmp_path, ca
     assert stderr == "error: mu_e and sigma give non-finite log likelihood ratios\n"
 
 
+@pytest.mark.parametrize("estimator", ["hcf", "local-hcf", "icm-scan", "tlr"])
+def test_llrs_whose_energies_overflow_exit_4_without_a_warning(tmp_path, capsys, estimator):
+    # 24 finite LLRs of 1e307 sum past the float range
+    llr = tmp_path / "big.llr"
+    write_mrfllr(llr, 4, 4, np.full(24, 1e307))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, stdout, stderr = run(capsys, "label", "--llr", str(llr), "--estimator", estimator)
+    assert (code, stdout) == (4, "")
+    assert stderr == ("error: energies could overflow: the largest clique and data terms sum "
+                      "in magnitude to more than half the largest float\n")
+
+
 def test_bad_flags_exit_through_argparse(capsys):
     with pytest.raises(SystemExit) as info:
         main(["label", "--chain-fixture", "--estimator", "bogus"])

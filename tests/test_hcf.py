@@ -279,18 +279,20 @@ def batch_reads(monkeypatch):
     return reads
 
 
-@pytest.mark.parametrize("make, ranks", [(lambda: noisy_board(16), None),
-                                         (zero_lattice, 1), (zero_lattice, 2)],
+@pytest.mark.parametrize("make, ranks, loud", [(lambda: noisy_board(16), None, True),
+                                               (zero_lattice, 1, False), (zero_lattice, 2, False)],
                          ids=["board16", "zero9-seeded1", "zero9-seeded2"])
-def test_one_read_serves_several_steps(monkeypatch, make, ranks):
-    # the closed neighbourhoods of a batch are re-read in one call, so a
-    # run reads far fewer times than it steps
+def test_one_read_serves_several_steps(monkeypatch, make, ranks, loud):
+    # the closed neighbourhoods of a batch's loud moves are re-read in one
+    # call and its quiet moves read nothing, so a run reads far fewer times
+    # than it steps; a lattice of quiet commits reads nothing at all
     field, data = make()
     if ranks is not None:
         ranks = assign_ranks(field, "seeded-permutation", ranks)
     reads = batch_reads(monkeypatch)
     _config, trace = hcf_run(field, data, ranks=ranks)
-    assert 0 < 2 * len(reads) <= len(trace.steps)
+    assert 2 * len(reads) <= len(trace.steps)
+    assert bool(reads) == loud
 
 
 def test_explicit_ranks_change_tie_breaking():
@@ -339,20 +341,22 @@ def test_a_field_without_cliques_commits_quietly_everywhere():
 
 @pytest.mark.parametrize("seed", [None, 1, 2, 3])
 def test_zero_lattice_batches_re_read_exactly_the_moved_sites(monkeypatch, seed):
-    # every commit is quiet: one batch takes every site, in serial order,
-    # and re-reads each once, without its neighbours
+    # every commit is quiet: the run takes every site once, in rank order,
+    # and neither re-reads a moved site nor any other
     field, data = zero_lattice()
     ranks = None if seed is None else assign_ranks(field, "seeded-permutation", seed)
     reads = batch_reads(monkeypatch)
-    _config, trace = hcf_run(field, data, ranks=ranks)
-    assert reads == [[step.site for step in trace.steps]]
-    assert len(trace.steps) == field.num_sites
+    config, trace = hcf_run(field, data, ranks=ranks)
+    assert reads == []
+    order = np.argsort(ranks) if seed is not None else np.arange(field.num_sites)
+    assert [step.site for step in trace.steps] == order.tolist()
+    assert config.tolist() == [0] * field.num_sites
 
 
 def test_quiet_commits_are_re_read_without_their_neighbours(monkeypatch):
     # a path 1-0-2: site 0 commits to label 0 first, where both its tables
-    # are zero, so its read holds it alone; sites 1 and 2 then commit to
-    # label 1, whose column is not zero, and each re-reads site 0 too
+    # are zero, so it reads nothing; sites 1 and 2 then commit to label 1,
+    # whose column is not zero, and each re-reads itself and site 0
     pair = np.array([[0.0, 0.0], [0.5, -1.0]])
     field = Field(3, 2, [(1, 2), (0,), (0,)], [Clique((0, 1), pair), Clique((0, 2), pair)])
     data = DataTerm([[-5.0, 0.0], [0.0, -2.0], [0.0, -1.0]])
@@ -360,10 +364,30 @@ def test_quiet_commits_are_re_read_without_their_neighbours(monkeypatch):
                                                        [False, False]]
     reads = batch_reads(monkeypatch)
     config, trace = hcf_run(field, data)
-    assert reads == [[0], [1, 0], [2, 0]]
+    assert reads == [[1, 0], [2, 0]]
     assert config.tolist() == [0, 1, 1]
     want_config, want = reference_hcf_run(field, data)
     assert want_config.tolist() == config.tolist()
+    assert list(map(repr, trace.steps)) == list(map(repr, want.steps))
+
+
+def test_a_quiet_commit_revises_after_a_loud_neighbour_moves(monkeypatch):
+    # site 0 commits quietly to label 0 and is not re-read; site 1 then
+    # commits to label 1, whose column is not zero, and its read of site 0
+    # makes label 1 better there, so site 0 revises from the row that read
+    # left, and the energy drops by exactly its stability
+    pair = np.array([[0.0, 0.0], [0.0, -3.0]])
+    field = Field(2, 2, [(1,), (0,)], [Clique((0, 1), pair)])
+    data = DataTerm([[-2.0, 0.0], [0.0, -1.0]])
+    assert _quiet_commits(field.compiled).tolist() == [[True, False], [True, False]]
+    reads = batch_reads(monkeypatch)
+    config, trace = hcf_run(field, data)
+    assert [(step.site, step.label) for step in trace.steps] == [(0, 0), (1, 1), (0, 1)]
+    assert reads == [[1, 0], [0, 1]]
+    assert trace.stability.tolist() == [-2.0, -1.0, -1.0]
+    assert trace.energy.tolist() == [0.0, -2.0, -3.0, -4.0]
+    want_config, want = reference_hcf_run(field, data)
+    assert config.tolist() == want_config.tolist() == [1, 1]
     assert list(map(repr, trace.steps)) == list(map(repr, want.steps))
 
 

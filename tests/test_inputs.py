@@ -390,3 +390,40 @@ def test_ranks_must_be_integers(chain, entry):
     field, data = chain
     for ranks in (np.arange(8, dtype=np.uint8), list(range(8))):
         assert repr(RANKED[entry](field, data, ranks)) == repr(RANKED[entry](field, data, None))
+
+
+OVERFLOW = "^energies could overflow: the largest clique and data terms sum in magnitude "
+
+
+def overflowing_problems():
+    # a 4x4 edge lattice whose 24 LLRs of 1e307 sum past the float range;
+    # a clique table and a data row each within it, whose bounds together
+    # pass half the largest float; and data rows whose bound is exactly at it
+    lattice = build_edge_field(4, 4)
+    half = np.finfo(np.float64).max / 2
+    pair = Field(2, 2, [(1,), (0,)], [Clique((0, 1), np.array([[0.0, half], [0.0, 0.0]]))])
+    return [(lattice, DataTerm(np.tile([0.0, 1e307], (lattice.num_sites, 1)))),
+            (pair, DataTerm([[0.0, 0.0], [-half / 2 ** 40, 0.0]]))]
+
+
+@pytest.mark.parametrize("index", [0, 1])
+@pytest.mark.parametrize("entry", ["energy", "hcf_run", "local_hcf_run", "icm_run"])
+def test_problems_whose_energies_can_overflow_are_refused(entry, index):
+    field, data = overflowing_problems()[index]
+    start = np.zeros(field.num_sites, dtype=np.int64)
+    call = {"energy": lambda: energy(field, data, start),
+            "hcf_run": lambda: hcf_run(field, data),
+            "local_hcf_run": lambda: local_hcf_run(field, data),
+            "icm_run": lambda: icm_run(field, data, start)}[entry]
+    with pytest.raises(ValueError, match=OVERFLOW):
+        call()
+
+
+def test_a_problem_at_the_overflow_bound_runs():
+    # clique and data bounds summing to exactly half the largest float
+    half = np.finfo(np.float64).max / 2
+    field = Field(2, 2, [(1,), (0,)], [Clique((0, 1), np.array([[0.0, half / 2], [0.0, 0.0]]))])
+    data = DataTerm([[0.0, -half / 4], [half / 4, 0.0]])
+    assert field.compiled.bound + data.bound == half
+    config, _trace = hcf_run(field, data)
+    assert energy(field, data, config) == -half / 4

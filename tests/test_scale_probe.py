@@ -35,9 +35,10 @@ def test_probe_writes_every_layer_estimator_and_label_record(tmp_path, capsys):
     assert entries["parent"] == {"kept": True}
     entry = entries["change"]
     assert set(entry) == {"size", "sites", "machine", "layers_s", "estimators", "label",
-                          "label_hcf", "compile_peak_mb", "energy_peak_mb"}
+                          "label_hcf", "compile_peak_mb", "energy_peak_mb", "hcf_peak_mb"}
     # the compile's transients outgrow one energy() of the same field
     assert entry["compile_peak_mb"] > entry["energy_peak_mb"] > 0
+    assert entry["hcf_peak_mb"] > 0
     assert entry["size"] == 8 and entry["sites"] == 2 * 8 * 7
     assert set(entry["layers_s"]) == {
         "read_s", "llr_s", "build_edge_field_s", "check_s", "compile_s", "local_hcf_s",
@@ -83,6 +84,8 @@ def test_probe_writes_every_layer_estimator_and_label_record(tmp_path, capsys):
             "target_wall_s", "target_peak_rss_mb", "wall_target_met", "rss_target_met"}
         assert len(label["wall_s"]) == len(label["peak_rss_mb"]) == label["runs"]
         assert label["peak_rss_mb_median"] > 0
+    assert (entry["label"]["target_peak_rss_mb"], entry["label_hcf"]["target_peak_rss_mb"]) == (
+        100.0, 125.0)
 
 
 def test_trace_digest_hashes_the_exact_bits_in_order():
