@@ -15,6 +15,15 @@ row former ``core._slot_rows`` made for the sweep's read
 (``core._local_rows``), as no neighbor of a changed site moved; every
 trace energy has the bits of a full evaluation. This module reads no
 compiled array but ``neighbors``.
+A sweep that changes nothing while sites are uncommitted starts the tie
+phase. After such a quiet sweep every leftover has stability exactly 0
+(the least (g, rank) site is committed with g >= 0), so the tie fallback
+commits the lowest-ranked leftover at its best label, one per iteration.
+When that commit is quiet (``core._quiet_commits``) no other site's local
+energies and no eligibility change, so the next sweep is quiet as well:
+its row is recorded without a read, and the next leftover in the rank
+order of the last quiet sweep follows. A loud fallback commit is followed
+by a full sweep.
 The eligibility test compares every site with its neighbors one slot of
 the slot-major ``neighbors`` array at a time; the rank comparisons do
 not change between sweeps, so a run makes them once. The input checks,
@@ -30,8 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (UNCOMMITTED, _augmented_sum, _check_count, _check_runnable, _checked_labels,
-                   _checked_ranks, _local_rows, _no_terms, _stabilities, _total, _write_terms,
-                   new_configuration)
+                   _checked_ranks, _local_rows, _no_terms, _quiet_commits, _stabilities, _total,
+                   _write_terms, new_configuration)
 from .trace import RunTrace
 
 
@@ -111,6 +120,13 @@ def local_hcf_run(field, data, ranks=None, max_iterations: int | None = None,
     configuration is fully committed; output and trace are bit-identical
     across repeated runs. ``threads`` must be a positive integer and has
     no effect on results; the run starts no thread.
+
+    After a quiet sweep with sites left uncommitted, all of which then
+    have stability 0, the tie fallback commits the lowest-ranked leftover
+    in the next iteration. If that commit is quiet the sweep after it
+    would be quiet too, so its row is recorded without a read and the
+    fallback goes on in the same rank order; every row, read or not,
+    counts toward ``max_iterations``.
     """
     comp = _check_runnable(field, data)
     n = field.num_sites
@@ -127,32 +143,44 @@ def local_hcf_run(field, data, ranks=None, max_iterations: int | None = None,
     # the trace's columns: row 0 is the all-uncommitted start
     energies, commits, changes = array("d", [0.0]), array("q", [0]), array("q", [0])
     committed = 0
-    fallback = None  # the site the tie fallback commits in the next iteration
+    ties = None  # after a quiet sweep: the leftovers by rank, which the tie fallback commits
+    quiet_at = None  # core._quiet_commits, made at the first tie
+    quiet = False  # the last iteration was a quiet fallback commit, so this sweep is quiet
 
     for _ in range(cap):
-        if fallback is None:
-            g, best, changed, rows = _sweep(comp, values, cfg, lower, padded)
+        if quiet:
+            changed, quiet = ties[:0], False  # no site changes: the sweep is not run
+        elif ties is not None:
+            # the tie fallback: commit the lowest-ranked leftover. Its best
+            # label is the last sweep's, as only quiet commits came since;
+            # they may have moved its table rows, so it forms them afresh
+            changed, ties = ties[:1], ties[1:]
+            rows = _local_rows(comp, values, cfg, changed)[1]
+            quiet = quiet_at[changed[0], best[changed[0]]]
+            if not quiet:
+                ties = None
         else:
-            changed, fallback = fallback, None
+            _g, best, changed, rows = _sweep(comp, values, cfg, lower, padded)
+            rows = rows.take(changed, axis=1)
         if not changed.size:
             # a quiet sweep leaves the configuration, so its energy, as it was
             energies.append(energies[-1])
             commits.append(committed)
             changes.append(0)
-            left = cfg[:n] == UNCOMMITTED
-            if not left.any():
+            if ties is None:
+                # Exact-tie degenerate case: a zero-stability uncommitted
+                # site can be blocked forever by a committed neighbor of
+                # equal stability and lower rank. Every leftover is at
+                # stability 0 here, so the fallback takes them by rank.
+                ties = np.flatnonzero(cfg[:n] == UNCOMMITTED)
+                ties = ties[np.argsort(rank[ties])]
+            if not ties.size:
                 return cfg[:-1].copy(), RunTrace(energies, commits, changes)
-            # Exact-tie degenerate case: a zero-stability uncommitted site
-            # can be blocked forever by a committed neighbor of equal
-            # stability and lower rank. The quiet sweep just read every
-            # leftover on this very configuration, so the next iteration
-            # commits only the lowest ordered stability among them.
-            g = np.where(left, g, np.inf)
-            fallback = np.argmin(np.where(g == g.min(), rank[:-1], n), keepdims=True)
+            if quiet_at is None:
+                quiet_at = _quiet_commits(comp)
             continue
         committed += _apply(cfg, best, changed)
-        _write_terms(comp, values, cfg, terms, rows.take(changed, axis=1), changed)
-        del rows  # before the next sweep reads its own
+        _write_terms(comp, values, cfg, terms, rows, changed)
         energies.append(_total(terms, sums))
         commits.append(committed)
         changes.append(changed.size)

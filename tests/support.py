@@ -589,3 +589,27 @@ def reference_mpm_marginals(field, data, init, params):
         if k >= params.burn_in:
             counts[np.arange(n), cfg] += 1
     return counts / params.samples, RunTrace(energies, [n] * len(flips), flips)
+
+
+def tie_field(seed, num_labels=2, max_sites=12):
+    """Random field of exact ties: tables in {-1, ±0.0, 1}, data in {±0.0, ±0.5}.
+
+    A random graph as in :func:`random_field` with a pair clique on every
+    edge. Most table entries are zeros of either sign, so many stabilities
+    are exactly 0, and about a third of these fields end their runs in the
+    tie fallback.
+    """
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, max_sites + 1))
+    nbrs = [set() for _ in range(n)]
+    cliques = []
+    for a in range(n):
+        for b in range(a + 1, n):
+            if rng.random() < 0.4:
+                nbrs[a].add(b)
+                nbrs[b].add(a)
+                table = rng.choice([-1.0, -0.0, 0.0, 1.0], (num_labels, num_labels),
+                                   p=[0.1, 0.35, 0.45, 0.1])
+                cliques.append(Clique((a, b), table))
+    data = DataTerm(rng.choice([-0.5, -0.0, 0.0, 0.5], (n, num_labels), p=[0.1, 0.3, 0.5, 0.1]))
+    return Field(n, num_labels, [tuple(sorted(s)) for s in nbrs], cliques), data

@@ -255,13 +255,21 @@ def test_a_full_evaluation_frees_its_table_rows_before_the_scatter():
 
 def rewrite_cases():
     """(field, data, ranks): random and triple-clique fields at 2 and 3
-    labels, all-zero lattices, whose runs take the tie fallback, and a field
-    without cliques, whose slot arrays have no rows."""
+    labels, all-zero lattices, whose runs take the tie fallback, the 4x4
+    lattice with -0.0 tables and data, whose quiet fallback commits chain
+    (a site's rows move as its neighbors commit, from +0.0 zero rows to
+    -0.0 table rows), and a field without cliques, whose slot arrays have
+    no rows."""
     for field, data in cases():
         yield field, data, None
     for size in (3, 4):
         field, data = zero_lattice(size)
         yield field, data, assign_ranks(field, "seeded-permutation", size)
+    field, _data = zero_lattice(4)
+    negative = [Clique(c.members, np.full(c.table.shape, -0.0)) for c in field.cliques]
+    field = Field(field.num_sites, 2, field.adjacency, negative)
+    yield field, DataTerm(np.full((field.num_sites, 2), -0.0)), assign_ranks(
+        field, "seeded-permutation", 5)
     data = DataTerm(np.random.default_rng(9).uniform(-2.0, 2.0, (6, 3)))
     yield Field(6, 3, [()] * 6, []), data, None
 

@@ -8,7 +8,10 @@ from mrfhcf import (Clique, DataTerm, EdgePotentials, Field, TraceRow, UNCOMMITT
                     assign_ranks, augmented_energy, best_label, build_edge_field,
                     energy, is_local_minimum, local_hcf_run, local_hcf_step,
                     new_configuration, stability)
-from support import noisy_board, random_field, triple_clique_field, zero_lattice
+from mrfhcf import local_hcf as local_hcf_module
+from mrfhcf.core import _quiet_commits
+from support import (noisy_board, random_field, sparse_field, tie_field, triple_clique_field,
+                     zero_lattice)
 
 
 def drive(field, data, checks=None):
@@ -184,16 +187,19 @@ def test_iteration_cap_triggers(chain):
         local_hcf_run(field, data, max_iterations=1)
 
 
-@pytest.mark.parametrize("cap", [1, 2])
+@pytest.mark.parametrize("cap", [1, 2, 3, 4])
 def test_the_cap_expires_with_one_message_in_a_sweep_and_in_the_tie_fallback(cap):
     # on the all-zero 4x4 lattice sweep 1 commits one site and sweep 2 is
-    # quiet, so iteration 2 is a sweep under cap 1 and the fallback's under cap 2
+    # quiet, so iteration 2 is a sweep under cap 1, the fallback's under cap
+    # 2, the quiet row made without a read under cap 3 and the chained
+    # fallback's under cap 4
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         field = build_edge_field(4, 4, EdgePotentials(0.0, 0.0, 0.0, 0.0))
     data = DataTerm(np.zeros((field.num_sites, 2)))
     rows = local_hcf_run(field, data)[1].rows
-    assert [(r.committed, r.changed) for r in rows[1:4]] == [(1, 1), (1, 0), (2, 1)]
+    assert [(r.committed, r.changed) for r in rows[1:6]] == [(1, 1), (1, 0), (2, 1), (2, 0),
+                                                             (3, 1)]
     with pytest.raises(RuntimeError, match=rf"^local HCF exceeded its iteration cap \({cap}\); "
                                            "check the inputs for pathological values$"):
         local_hcf_run(field, data, max_iterations=cap)
@@ -226,12 +232,13 @@ def test_threads_start_no_os_thread(monkeypatch):
 
 def stepped_run(field, data, ranks):
     """An outside ``local_hcf_step`` loop that commits a tie-fallback site after
-    a quiet sweep as ``local_hcf_run`` does: its trace rows, the configuration
-    after each row, and the number of fallback commits."""
+    a quiet sweep as ``local_hcf_run`` does, and reads every sweep: its trace
+    rows, the configuration after each row, and the (row, site, label) of
+    each fallback commit."""
     n = field.num_sites
     cfg = new_configuration(n)
-    rows, states = [TraceRow(0, 0.0, 0, 0)], [cfg]
-    committed = fallbacks = 0
+    rows, states, fallbacks = [TraceRow(0, 0.0, 0, 0)], [cfg], []
+    committed = 0
     while True:
         cfg, result = local_hcf_step(field, data, cfg, ranks)
         committed += result.new_commits
@@ -247,9 +254,14 @@ def stepped_run(field, data, ranks):
         cfg = cfg.copy()
         cfg[s] = best_label(field, data, cfg, s)[0]
         committed += 1
-        fallbacks += 1
+        fallbacks.append((len(rows), s, int(cfg[s])))
         rows.append(TraceRow(len(rows), augmented_energy(field, data, cfg), committed, 1))
         states.append(cfg)
+
+
+def bitwise(rows):
+    """Trace rows with each energy as its exact bits."""
+    return [(r.iteration, r.energy.hex(), r.committed, r.changed) for r in rows]
 
 
 def test_tie_fallback_commits_the_lowest_ordered_leftover():
@@ -260,10 +272,72 @@ def test_tie_fallback_commits_the_lowest_ordered_leftover():
     for seed in range(1, 9):
         ranks = assign_ranks(field, "seeded-permutation", seed)
         rows, states, fallbacks = stepped_run(field, data, ranks)
-        assert fallbacks > 0
+        assert fallbacks
         run_cfg, trace = local_hcf_run(field, data, ranks=ranks)
         assert trace.rows == tuple(rows)
         assert run_cfg.tolist() == states[-1].tolist()
+
+
+def tie_cases():
+    """(field, data, ranks): all-zero lattices under seeded ranks, fields
+    with zero slices (-0.0 ones too) and fields of exact ties, whose runs
+    take quiet and loud tie fallbacks."""
+    for size in (3, 4, 5, 6):
+        field, data = zero_lattice(size)
+        for seed in (1, 2, 3):
+            yield field, data, assign_ranks(field, "seeded-permutation", seed)
+    for labels in (2, 3):
+        for seed in range(24):
+            yield (*sparse_field(seed, labels), None)
+            yield (*tie_field(seed, labels), None)
+
+
+def test_the_tie_fallback_matches_a_loop_that_reads_every_sweep():
+    # after a quiet fallback commit the run makes the next, quiet, row
+    # without a read; the outside loop reads it
+    quiet_fallbacks = loud_fallbacks = chained = 0
+    for field, data, ranks in tie_cases():
+        ranks = assign_ranks(field) if ranks is None else ranks
+        rows, states, fallbacks = stepped_run(field, data, ranks)
+        config, trace = local_hcf_run(field, data, ranks=ranks)
+        assert bitwise(trace.rows) == bitwise(rows)
+        assert config.tobytes() == states[-1].tobytes()
+        quiet_at = _quiet_commits(field.compiled)
+        at = {row for row, _s, _b in fallbacks}
+        for row, s, b in fallbacks:
+            if quiet_at[s, b]:
+                quiet_fallbacks += 1
+                chained += row + 2 in at
+            else:
+                loud_fallbacks += 1
+    assert quiet_fallbacks and loud_fallbacks and chained
+
+
+def test_a_quiet_fallback_commit_is_followed_by_a_quiet_row_without_a_read(monkeypatch):
+    # on the all-zero lattice every commit is quiet: after the first quiet
+    # sweep the fallback commits the leftovers in rank order, and no row
+    # after it reads the configuration
+    sweep, reads = local_hcf_module._sweep, []
+
+    def spy(comp, values, cfg, lower, padded):
+        reads.append(int(np.count_nonzero(cfg[:-1] != UNCOMMITTED)))
+        return sweep(comp, values, cfg, lower, padded)
+
+    monkeypatch.setattr(local_hcf_module, "_sweep", spy)
+    field, data = zero_lattice(5)
+    for seed in (1, 2):
+        ranks = assign_ranks(field, "seeded-permutation", seed)
+        reads.clear()
+        config, trace = local_hcf_run(field, data, ranks=ranks)
+        changed = trace.changed.tolist()
+        first_quiet = changed.index(0, 1)
+        leftovers = field.num_sites - int(trace.committed[first_quiet])
+        assert leftovers > 1
+        assert reads == trace.committed[:first_quiet].tolist()
+        assert changed[first_quiet:] == [0] + [1, 0] * leftovers
+        rows, states, _fallbacks = stepped_run(field, data, ranks)
+        assert bitwise(trace.rows) == bitwise(rows)
+        assert config.tolist() == states[-1].tolist()
 
 
 def test_every_run_energy_has_the_bits_of_a_full_evaluation():
@@ -287,7 +361,7 @@ def test_every_run_energy_has_the_bits_of_a_full_evaluation():
             [augmented_energy(field, data, cfg).hex() for cfg in states]
         revisions[kind] = revisions.get(kind, 0) + sum(
             r.changed - (r.committed - q.committed) for q, r in zip(rows, rows[1:]))
-        fallbacks[kind] = fallbacks.get(kind, 0) + fell_back
+        fallbacks[kind] = fallbacks.get(kind, 0) + len(fell_back)
     assert revisions["noisy"] > 0 and fallbacks["zero"] > 0
 
 

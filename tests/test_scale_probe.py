@@ -43,10 +43,12 @@ def test_probe_writes_every_layer_estimator_and_label_record(tmp_path, capsys):
     assert set(entry["layers_s"]) == {
         "read_s", "llr_s", "build_edge_field_s", "check_s", "compile_s", "local_hcf_s",
         "hcf_s", "icm_s", "icm_random_s", "anneal_s", "mpm_s", "noisy_local_hcf_s",
-        "noisy_hcf_s", "noisy_icm_s", "noisy_icm_random_s", "noisy_anneal_s", "noisy_mpm_s"}
+        "noisy_hcf_s", "noisy_icm_s", "noisy_icm_random_s", "noisy_anneal_s", "noisy_mpm_s",
+        "zero_local_hcf_s"}
     assert set(entry["estimators"]) == {"local_hcf", "hcf", "icm", "icm_random", "anneal", "mpm",
                                         "noisy_local_hcf", "noisy_hcf", "noisy_icm",
-                                        "noisy_icm_random", "noisy_anneal", "noisy_mpm"}
+                                        "noisy_icm_random", "noisy_anneal", "noisy_mpm",
+                                        "zero_local_hcf"}
     # a clean board: every deterministic estimator finds the same labeling
     deterministic = [entry["estimators"][name]
                      for name in ("local_hcf", "hcf", "icm", "icm_random")]
@@ -71,6 +73,13 @@ def test_probe_writes_every_layer_estimator_and_label_record(tmp_path, capsys):
     # the two boards descend differently
     assert (entry["estimators"]["local_hcf"]["trace_digest"]
             != entry["estimators"]["noisy_local_hcf"]["trace_digest"])
+    # on the all-zero lattice sweep 1 commits the sites that rank below
+    # their neighbours and sweep 2 is quiet; the tie fallback then commits
+    # the rest one row at a time, each followed by a quiet row
+    zero = entry["estimators"]["zero_local_hcf"]
+    assert set(zero) == {"iterations", "sweeps", "trace_digest"}
+    assert zero["iterations"] > 1 and zero["sweeps"] == 2 * zero["iterations"]
+    assert re.fullmatch("[0-9a-f]{16}", zero["trace_digest"])
     for name in ("hcf", "noisy_hcf"):
         assert set(entry["estimators"][name]) == {"energy", "iterations", "trace_digest"}
         assert re.fullmatch("[0-9a-f]{16}", entry["estimators"][name]["trace_digest"])

@@ -28,7 +28,11 @@ annealing and MPM also the sweep count and the number of flips. For Local
 HCF it records the sweep count and ``trace_digest``, a short hash of every
 trace energy's exact bits, and for serial HCF a ``trace_digest`` of each
 step's stability and then its energy, in step order, so that the whole
-descent shows unchanged.
+descent shows unchanged. After those runs it times ``local_hcf_run`` on
+the all-zero edge lattice of ``min(size, ZERO_MAX_SIZE)`` (all potentials
+and data 0, ranks seeded with 1), where every stability ties and the run
+ends in the tie fallback: ``zero_local_hcf_s``, with the sweep and
+iteration counts and the ``trace_digest`` under ``zero_local_hcf``.
 Before that, it runs ``python -m mrfhcf label`` on the same board
 ``LABEL_RUNS`` times with Local HCF (``label``) and ``LABEL_RUNS`` times
 with serial HCF (``label_hcf``), and records each child's wall time and
@@ -67,6 +71,7 @@ TARGET_LABEL_S = 1.5
 TARGET_RSS_MB = 100.0
 TARGET_HCF_RSS_MB = 125.0
 NOISY_SIGMA = 40.0
+ZERO_MAX_SIZE = 50
 
 
 def _timed(layers, name, call, *args, **kwargs):
@@ -94,9 +99,13 @@ def trace_digest(values) -> str:
 
 def probe_layers(size: int, board: Path) -> dict:
     """In-process layer times and estimator results on the board file."""
-    from mrfhcf import (AnnealSchedule, EdgeModel, MpmParams, anneal_run, build_edge_field,
-                        compute_llr, energy, hcf_run, icm_run, local_hcf_run,
-                        make_checkerboard, mpm_run, tlr)
+    import warnings
+
+    import numpy as np
+
+    from mrfhcf import (AnnealSchedule, DataTerm, EdgeModel, EdgePotentials, MpmParams,
+                        anneal_run, assign_ranks, build_edge_field, compute_llr, energy,
+                        hcf_run, icm_run, local_hcf_run, make_checkerboard, mpm_run, tlr)
     from mrfhcf.core import _structure_problems
     from mrfhcf.fileio import read_pgm
 
@@ -135,6 +144,17 @@ def probe_layers(size: int, board: Path) -> dict:
             entry, trace = run(name, call, init, *args)
             entry.update(iterations=trace.iterations, sweeps=trace.energy.size - 1,
                          flips=int(trace.changed.sum()))
+    side = min(size, ZERO_MAX_SIZE)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # zero potentials are legal, just unusual
+        zero = build_edge_field(side, side, EdgePotentials(0.0, 0.0, 0.0, 0.0))
+    zero.compiled  # compiled outside the timed run, as the boards are
+    _cfg, trace = _timed(layers, "zero_local_hcf_s", local_hcf_run, zero,
+                         DataTerm(np.zeros((zero.num_sites, 2))),
+                         assign_ranks(zero, "seeded-permutation", 1))
+    estimators["zero_local_hcf"] = {"iterations": trace.iterations,
+                                    "sweeps": trace.energy.size - 1,
+                                    "trace_digest": trace_digest(trace.energy.tolist())}
     init = tlr(field, data)
     energy(field, data, init)
     return {"sites": field.num_sites, "layers_s": layers, "estimators": estimators,
