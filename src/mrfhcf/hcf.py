@@ -15,10 +15,12 @@ rows from the row former ``core._slot_rows``) and stabilities from
 every site once and keeps those local energies. A site's own label never
 enters its own row, and a quiet commit (``core._quiet_commits``) changes
 no other site's row, so a row changes only when a neighbour makes a loud
-move; in one call per batch, the run re-reads the loud moves' closed
-neighbourhoods, sliced from the field's CSR arrays, and a quiet move
-reads nothing. The input checks and padding come from ``core`` too, as
-do the one-site readers ``stability`` and ``best_label``.
+move. The run alternates two phases: a quiet run commits the quiet
+entries at the head of the queue in one array step and reads nothing,
+and a loud batch re-reads its moves' closed neighbourhoods, sliced from
+the field's CSR arrays, in one call. The input checks and padding come
+from ``core`` too, as do the one-site readers ``stability`` and
+``best_label``.
 """
 
 from __future__ import annotations
@@ -45,25 +47,25 @@ def hcf_run(field, data, ranks=None, max_steps: int | None = None):
     commit after them in rank order, so the run ends fully committed when
     the queue is empty.
 
-    Steps are taken in batches, with the same result. The run keeps every
-    site's local energies from its first read; a move's row is the kept
-    one. A batch pops entries in order, moves them all, re-reads the
-    blocks of its loud moves in one call and keeps those rows. A quiet
-    move, an uncommitted site's commit to a label where each of its
-    cliques is zero, changes no other site's row, and a site's own label
-    never enters its own: it reads nothing, leaves the queue (at its best
-    label its stability is at least 0), and stops the batch if it lies in
-    an earlier loud move's closed neighbourhood. A batch of quiet moves
-    reads nothing at all. Any other move is loud: its block is its closed
-    neighbourhood, which must miss every earlier move and block, so it lies
-    at distance 3 or more from the earlier loud moves and no row it
-    re-reads reads one of theirs. The batch keeps the longest prefix in
-    which no key re-keyed by an earlier step sorts below the next site's
-    (the queue would pop that site first), and undoes and re-queues the
-    rest. A quiet move after a loud one is the batch's last. That rule is not
-    needed for the result, which the prefix rule keeps exact; it limits
-    the speculative reads undone: a loud move re-keys its neighbours, and
-    one of those keys often sorts below the candidates taken after it.
+    Steps are taken in two alternating phases, with the same result. The
+    run keeps every site's local energies from its first read; a move's
+    row is the kept one. A quiet move, an uncommitted site's commit to a
+    label where each of its cliques is zero, changes no other site's row,
+    and a site's own label never enters its own. The quiet run pops the
+    quiet entries at the head of the queue, up to the step cap, and
+    commits them in one array step without a read: each leaves the queue
+    (at its best label its stability is at least 0) and re-keys no other
+    site, so the run is exactly the queue's order, and its energies are
+    one ``np.add.accumulate`` from the running energy, the additions of
+    one move at a time in the same order. The loud batch then pops the
+    loud entries that follow, up to the step cap, the first quiet entry or
+    the first whose block, its closed neighbourhood, meets an earlier
+    block: each move lies at distance 3 or more from the earlier ones, and
+    no row it re-reads reads one of theirs. The batch moves them all and
+    re-reads their blocks in one call, after the quiet run's commits. It
+    keeps the longest prefix in which no key re-keyed by an earlier step
+    sorts below the next site's (the queue would pop that site first),
+    and undoes and re-queues the rest.
 
     Returns (configuration, RunTrace) with one row per step after row 0 and
     the step's site, label and stability in the move columns. The energy
@@ -101,10 +103,34 @@ def hcf_run(field, data, ranks=None, max_steps: int | None = None):
     aug = 0.0
     committed = 0
     while queue:
-        # collect valid entries in heap order, up to the step cap or the
-        # first that meets an earlier one (it stays); a quiet commit after
-        # a loud move is the last
-        cands, block, bounds, taken, loud = [], [], [], set(), False
+        # the quiet run: the valid quiet entries at the head of the queue, up
+        # to the step cap; a quiet commit re-keys no other site, so the run
+        # is in heap order, and each energy is one addition in step order
+        run, run_keys = [], []
+        while queue and len(movers) + len(run) < cap:
+            k, _, s = queue[0]
+            if k == key[s]:
+                if not quiet[s]:
+                    break
+                run.append(s)
+                run_keys.append(k)
+                key[s] = None  # at its best label a site cannot act
+            heapq.heappop(queue)
+        if run:
+            at = np.array(run)
+            cfg[at] = moves = best[at]
+            steps = np.add.accumulate(np.concatenate(([aug], e[at, moves]))).tolist()
+            aug = steps[-1]
+            energies.extend(steps[1:])
+            commits.extend(range(committed + 1, committed + len(run) + 1))
+            committed += len(run)
+            movers.extend(run)
+            labels.extend(moves.tolist())
+            stabilities.extend(run_keys)
+        # the loud batch: valid loud entries in heap order whose closed
+        # neighbourhoods miss the earlier ones, up to the step cap or the
+        # first quiet entry
+        cands, block, bounds, taken = [], [], [], set()
         while queue:
             k, _, s = queue[0]
             if k != key[s]:
@@ -115,36 +141,31 @@ def hcf_run(field, data, ranks=None, max_steps: int | None = None):
                     break
                 raise RuntimeError(f"HCF exceeded its step cap ({cap}); "
                                    "check the inputs for pathological values")
-            is_quiet = quiet[s]
-            hood = [s] if is_quiet else [s, *indices[ptr[s]:ptr[s + 1]].tolist()]
+            if quiet[s]:
+                break
+            hood = [s, *indices[ptr[s]:ptr[s + 1]].tolist()]
             if not taken.isdisjoint(hood):
                 break
             heapq.heappop(queue)
             taken.update(hood)
-            if not is_quiet:
-                block += hood
-                loud = True
+            block += hood
             cands.append(s)
             bounds.append(len(block))
-            if is_quiet and loud:
-                break
         if not cands:
-            break
+            break  # only stale entries were left
         # each candidate's row before its move: neither its own label nor
         # another candidate's move changes it
         at = np.array(cands)
         rows = e[at].tolist()
         prev = cfg[at].tolist()
         cfg[at] = moves = best[at]
-        # re-read the loud moves' blocks at once; quiet moves need no read
-        entries = []
-        if block:
-            sites = np.array(block)
-            own = cfg[sites]
-            block_e = _local_rows(comp, values, cfg, sites)[0]
-            g, block_best = _stabilities(block_e, own)
-            block_quiet = quiet_at[sites, block_best] & (own == UNCOMMITTED)
-            entries = list(zip(block, g.tolist(), own.tolist()))
+        # re-read the blocks at once, after the quiet run's commits
+        sites = np.array(block)
+        own = cfg[sites]
+        block_e = _local_rows(comp, values, cfg, sites)[0]
+        g, block_best = _stabilities(block_e, own)
+        block_quiet = quiet_at[sites, block_best] & (own == UNCOMMITTED)
+        entries = list(zip(block, g.tolist(), own.tolist()))
         # keep the prefix serial HCF would take; low is the least entry
         # queued by the steps kept so far
         low, start = (np.inf,), 0
@@ -178,11 +199,11 @@ def hcf_run(field, data, ranks=None, max_steps: int | None = None):
             energies.append(aug)
             commits.append(committed)
             start = end
-        if start:
-            kept = sites[:start]
-            e[kept] = block_e[:start]
-            best[kept] = block_best[:start]
-            quiet[kept] = block_quiet[:start]
+        # the first candidate is always kept
+        kept = sites[:start]
+        e[kept] = block_e[:start]
+        best[kept] = block_best[:start]
+        quiet[kept] = block_quiet[:start]
 
     return cfg[:n].copy(), RunTrace(energies, commits, [0] + [1] * len(movers),
                                     movers, labels, stabilities)

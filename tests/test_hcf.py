@@ -11,7 +11,10 @@ from mrfhcf import (Clique, DataTerm, EdgeModel, EdgePotentials, Field, UNCOMMIT
 from mrfhcf.core import _quiet_commits
 from support import (chain8_field, noisy_board, random_field, reference_hcf_run,
                      reference_local_rows, reference_row_stats, scalar_reader, sparse_field,
-                     triple_clique_field)
+                     tie_field, triple_clique_field)
+from support import zero_lattice as zero_square
+
+CAP_MESSAGE = "HCF exceeded its step cap ({}); check the inputs for pathological values"
 
 CHAIN_START_STABILITIES = (-4.0, -0.2, -0.4, -0.5, -0.3, -0.1, -0.3, -0.4)
 
@@ -179,6 +182,11 @@ REFERENCE_CASES = {
     **{f"lattice-{'-'.join(map(str, p))}": (lambda p=p: edge_lattice(p))
        for p in ((-0.5, 0.3, 0.3, 0.0), (-0.5, 0.0, 0.0, 0.4), (0.0, 0.3, 0.0, 0.4),
                  (0.0, 0.0, 0.0, 0.4), (-0.5, 0.0, 0.0, 0.0), (-0.5, 0.3, 0.3, 0.4))},
+    # exact ties: ±0.0 tables and data, so many keys are 0 of either sign
+    **{f"tie{seed}-{labels}": (lambda seed=seed, labels=labels: tie_field(seed, labels))
+       for seed in range(40) for labels in (2, 3)},
+    **{f"zero{size}": (lambda size=size: zero_square(size)) for size in range(3, 7)},
+    **{f"board16-{seed}": (lambda seed=seed: noisy_board(16, seed)) for seed in range(1, 4)},
 }
 
 
@@ -187,7 +195,7 @@ def test_hcf_matches_the_scalar_reference(name):
     # configurations and the repr of every step, bit for bit, with
     # site-index and seeded ranks
     field, data = REFERENCE_CASES[name]()
-    for ranks in (None, *(assign_ranks(field, "seeded-permutation", seed) for seed in (1, 2))):
+    for ranks in (None, *(assign_ranks(field, "seeded-permutation", seed) for seed in (1, 2, 3))):
         got_cfg, got = hcf_run(field, data, ranks=ranks)
         want_cfg, want = reference_hcf_run(field, data, ranks=ranks)
         assert got_cfg.dtype == np.int64
@@ -230,20 +238,52 @@ def test_step_cap_triggers():
         hcf_run(field, data, max_steps=1)
 
 
-@pytest.mark.parametrize("make", [lambda: noisy_board(16),
-                                  *(lambda seed=seed: random_field(seed) for seed in range(5))],
-                         ids=["board16", *(f"random{seed}" for seed in range(5))])
-def test_step_cap_is_exact(make):
-    # a batch never runs past the cap, and the cap is reached only by the
-    # step that would exceed it
-    field, data = make()
+CAP_CASES = {"board16": lambda: noisy_board(16),
+             **{f"random{seed}": (lambda seed=seed: random_field(seed)) for seed in range(5)},
+             "zero5": lambda: zero_square(5),
+             **{f"sparse{seed}": (lambda seed=seed: sparse_field(seed, 2 + seed % 2))
+                for seed in range(6)},
+             **{f"tie{seed}": (lambda seed=seed: tie_field(seed, 2 + seed % 2))
+                for seed in range(6)}}
+
+
+@pytest.mark.parametrize("name", list(CAP_CASES))
+def test_step_cap_is_exact(name):
+    # neither phase runs past the cap, and the cap is reached only by the
+    # step that would exceed it: every cap below the reference's step count
+    # raises, inside a quiet run, inside a loud batch and between them
+    field, data = CAP_CASES[name]()
     config, trace = hcf_run(field, data)
     steps = len(trace.steps)
+    assert steps == len(reference_hcf_run(field, data)[1].steps)
     capped_config, capped = hcf_run(field, data, max_steps=steps)
     assert capped_config.tolist() == config.tolist()
     assert list(map(repr, capped.steps)) == list(map(repr, trace.steps))
-    with pytest.raises(RuntimeError, match=f"cap \\({steps - 1}\\)"):
-        hcf_run(field, data, max_steps=steps - 1)
+    for cap in range(steps):
+        with pytest.raises(RuntimeError) as raised:
+            hcf_run(field, data, max_steps=cap)
+        assert str(raised.value) == CAP_MESSAGE.format(cap)
+
+
+def loud_steps(field, trace):
+    """Whether each step of a serial HCF trace is loud: not an uncommitted site's quiet commit."""
+    quiet_at = _quiet_commits(field.compiled)
+    seen, loud = set(), []
+    for s, b in zip(trace.site.tolist(), trace.label.tolist()):
+        loud.append(s in seen or not quiet_at[s, b])
+        seen.add(s)
+    return loud
+
+
+def test_the_cap_cases_expire_inside_quiet_runs_and_loud_batches():
+    # the exhaustive caps above meet two quiet steps in a row, two loud
+    # steps in a row and each change between them
+    pairs = set()
+    for make in CAP_CASES.values():
+        field, data = make()
+        loud = loud_steps(field, hcf_run(field, data)[1])
+        pairs.update(zip(loud, loud[1:]))
+    assert pairs == {(False, False), (False, True), (True, False), (True, True)}
 
 
 def test_a_move_that_rekeys_a_neighbour_below_the_next_candidate_goes_first():
@@ -265,14 +305,19 @@ def test_a_move_that_rekeys_a_neighbour_below_the_next_candidate_goes_first():
     assert list(map(repr, trace.steps)) == list(map(repr, want.steps))
 
 
-def batch_reads(monkeypatch):
-    """The site lists of ``hcf_run``'s batch re-reads, filled as it runs."""
+def batch_reads(monkeypatch, first=False):
+    """The site lists of ``hcf_run``'s batch re-reads, filled as it runs.
+
+    With ``first``, the read of every site is listed too, as None.
+    """
     reads = []
     local_rows = mrfhcf.hcf._local_rows
 
     def counted(comp, values, cfg, sites=None):
         if sites is not None:
             reads.append(np.asarray(sites).tolist())
+        elif first:
+            reads.append(None)
         return local_rows(comp, values, cfg, sites)
 
     monkeypatch.setattr(mrfhcf.hcf, "_local_rows", counted)
@@ -342,12 +387,12 @@ def test_a_field_without_cliques_commits_quietly_everywhere():
 @pytest.mark.parametrize("seed", [None, 1, 2, 3])
 def test_zero_lattice_batches_re_read_exactly_the_moved_sites(monkeypatch, seed):
     # every commit is quiet: the run takes every site once, in rank order,
-    # and neither re-reads a moved site nor any other
+    # in quiet runs that read nothing, so the only read is the first
     field, data = zero_lattice()
     ranks = None if seed is None else assign_ranks(field, "seeded-permutation", seed)
-    reads = batch_reads(monkeypatch)
+    reads = batch_reads(monkeypatch, first=True)
     config, trace = hcf_run(field, data, ranks=ranks)
-    assert reads == []
+    assert reads == [None]
     order = np.argsort(ranks) if seed is not None else np.arange(field.num_sites)
     assert [step.site for step in trace.steps] == order.tolist()
     assert config.tolist() == [0] * field.num_sites
@@ -406,3 +451,85 @@ def test_a_revision_to_a_zero_column_still_re_reads_its_neighbours(monkeypatch):
     want_config, want = reference_hcf_run(field, data)
     assert config.tolist() == want_config.tolist() == [0, 1]
     assert list(map(repr, trace.steps)) == list(map(repr, want.steps))
+
+
+def test_a_loud_head_reads_the_label_the_quiet_run_just_committed(monkeypatch):
+    # a path 0-1-2-3: the quiet run commits 0, 1 and 2 to label 0, whose
+    # columns are zero; site 3 then commits to label 1, and its read of
+    # site 2 sees that commit, so site 2 is committed and revises to label 1
+    pull = np.array([[0.0, 0.0], [0.0, -3.0]])
+    zero = np.zeros((2, 2))
+    field = Field(4, 2, [(1,), (0, 2), (1, 3), (2,)],
+                  [Clique((0, 1), zero), Clique((1, 2), zero), Clique((2, 3), pull)])
+    data = DataTerm([[-4.0, 0.0], [-3.0, 0.0], [-2.0, 0.0], [0.0, -1.0]])
+    reads = batch_reads(monkeypatch, first=True)
+    config, trace = hcf_run(field, data)
+    assert [(step.site, step.label) for step in trace.steps] == [(0, 0), (1, 0), (2, 0), (3, 1),
+                                                                 (2, 1)]
+    assert loud_steps(field, trace) == [False, False, False, True, True]
+    assert reads == [None, [3, 2], [2, 1, 3]]
+    assert trace.stability.tolist() == [-4.0, -3.0, -2.0, -1.0, -1.0]
+    want_config, want = reference_hcf_run(field, data)
+    assert config.tolist() == want_config.tolist() == [0, 0, 1, 1]
+    assert list(map(repr, trace.steps)) == list(map(repr, want.steps))
+
+
+def test_quiet_and_loud_entries_alternate_one_by_one(monkeypatch):
+    # isolated sites q0-q2 commit quietly; each pair (a_i, b_i) shares a
+    # table with no zero column, so a_i's commit is loud. The keys sort
+    # q0 a0 q1 a1 q2 a2: each quiet run holds one step and each loud batch
+    # stops at the next quiet entry. a_i's commit pulls b_i to -0.9, so the
+    # last batch goes on to b0 and b1, and b2, next to a2, waits for a batch
+    # of its own
+    q, a, b = (0, 1, 2), (3, 4, 5), (6, 7, 8)
+    repel = np.array([[1.0, 0.5], [0.5, 1.0]])
+    adjacency = [(), (), (), (6,), (7,), (8,), (3,), (4,), (5,)]
+    cliques = [Clique((a[i], b[i]), repel) for i in range(3)]
+    data = DataTerm([[-10.0, 0.0], [-8.0, 0.0], [-6.0, 0.0], [-9.0, 0.0], [-7.0, 0.0],
+                     [-5.0, 0.0], [-0.1, 0.0], [-0.1, 0.0], [-0.1, 0.0]])
+    field = Field(9, 2, adjacency, cliques)
+    reads = batch_reads(monkeypatch, first=True)
+    config, trace = hcf_run(field, data)
+    assert trace.site.tolist() == [q[0], a[0], q[1], a[1], q[2], a[2], *b]
+    assert loud_steps(field, trace) == [False, True] * 3 + [True] * 3
+    assert reads == [None, [a[0], b[0]], [a[1], b[1]], [a[2], b[2], b[0], a[0], b[1], a[1]],
+                     [b[2], a[2]]]
+    want_config, want = reference_hcf_run(field, data)
+    assert config.tolist() == want_config.tolist() == [0] * 6 + [1] * 3
+    assert list(map(repr, trace.steps)) == list(map(repr, want.steps))
+
+
+SPY_CASES = {"board16": lambda: noisy_board(16), "clean20": REFERENCE_CASES["clean20"],
+             **{f"sparse{seed}-{labels}": (lambda seed=seed, labels=labels:
+                                           sparse_field(seed, labels))
+                for seed in range(10) for labels in (2, 3)},
+             **{f"tie{seed}": (lambda seed=seed: tie_field(seed, 3)) for seed in range(10)}}
+
+
+@pytest.mark.parametrize("name", list(SPY_CASES))
+def test_each_read_after_the_first_is_one_loud_batch(monkeypatch, name):
+    # a read after the first is the concatenated closed neighbourhoods of
+    # one loud batch's candidates, each kept batch a prefix of them, and
+    # the kept prefixes in read order are the run's loud steps: a quiet
+    # run reads nothing
+    field, data = SPY_CASES[name]()
+    reads = batch_reads(monkeypatch, first=True)
+    _config, trace = hcf_run(field, data)
+    assert reads[0] is None and None not in reads[1:]
+    ptr, indices = field.indptr.tolist(), field.indices.tolist()
+    loud = [s for s, is_loud in zip(trace.site.tolist(), loud_steps(field, trace)) if is_loud]
+    # the numbers of loud steps that the reads so far can have kept
+    reached = {0}
+    for read in reads[1:]:
+        assert len(set(read)) == len(read)
+        cands, at = [], 0
+        while at < len(read):
+            s = read[at]
+            hood = [s, *indices[ptr[s]:ptr[s + 1]]]
+            assert read[at:at + len(hood)] == hood
+            cands.append(s)
+            at += len(hood)
+        reached = {p + m for p in reached for m in range(1, len(cands) + 1)
+                   if loud[p:p + m] == cands[:m]}
+        assert reached
+    assert len(loud) in reached

@@ -81,8 +81,12 @@ def test_probe_writes_every_layer_estimator_and_label_record(tmp_path, capsys):
     assert zero["iterations"] > 1 and zero["sweeps"] == 2 * zero["iterations"]
     assert re.fullmatch("[0-9a-f]{16}", zero["trace_digest"])
     for name in ("hcf", "noisy_hcf"):
-        assert set(entry["estimators"][name]) == {"energy", "iterations", "trace_digest"}
-        assert re.fullmatch("[0-9a-f]{16}", entry["estimators"][name]["trace_digest"])
+        hcf = entry["estimators"][name]
+        assert set(hcf) == {"energy", "iterations", "trace_digest", "wall_s"}
+        assert re.fullmatch("[0-9a-f]{16}", hcf["trace_digest"])
+        # the recorded time is the median of three in-process runs
+        assert len(hcf["wall_s"]) == 3 and all(wall > 0 for wall in hcf["wall_s"])
+        assert entry["layers_s"][f"{name}_s"] == sorted(hcf["wall_s"])[1]
     assert (entry["estimators"]["hcf"]["trace_digest"]
             != entry["estimators"]["noisy_hcf"]["trace_digest"])
     # serial HCF steps at least once per site on the noisy board too

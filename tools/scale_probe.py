@@ -1,4 +1,4 @@
-"""Large-board probe: every set-up layer and estimator timed once, and ``label`` wall time.
+"""Large-board probe: set-up layer and estimator times, and ``label`` wall time.
 
 Usage, from the root of a checkout::
 
@@ -17,10 +17,11 @@ and of one warm ``hcf_run`` on the clean board (``hcf_peak_mb``), all in
 MiB. It then runs every estimator once on that board and
 once on a noisy board of the same size (noise ``NOISY_SIGMA``, the model
 at the same sigma; entries ``noisy_*``), where the Gibbs sweeps flip
-sites and the HCF drivers revise them: ``local_hcf_run``, ``hcf_run``,
-and from the TLR start ``icm_run`` in scan order and in random order
-(seed 1), ``anneal_run`` (default schedule, seed 1) and ``mpm_run``
-(default parameters). Next to each run it records, from the trace's
+sites and the HCF drivers revise them: ``local_hcf_run``, ``hcf_run``
+(``HCF_RUNS`` times, recording the median time and, as ``wall_s`` of its
+entry, every run's), and from the TLR start ``icm_run`` in scan order
+and in random order (seed 1), ``anneal_run`` (default schedule, seed 1)
+and ``mpm_run`` (default parameters). Next to each run it records, from the trace's
 columns, the energy of its labeling and its iteration count
 (``RunTrace.iterations``: the sweeps or, for serial HCF, the steps that
 changed a site), so that a speed-up shows it kept the answer; for ICM,
@@ -72,6 +73,7 @@ TARGET_RSS_MB = 100.0
 TARGET_HCF_RSS_MB = 125.0
 NOISY_SIGMA = 40.0
 ZERO_MAX_SIZE = 50
+HCF_RUNS = 3
 
 
 def _timed(layers, name, call, *args, **kwargs):
@@ -127,15 +129,22 @@ def probe_layers(size: int, board: Path) -> dict:
              ("anneal", anneal_run, (AnnealSchedule(), 1)), ("mpm", mpm_run, (MpmParams(),)))
     estimators = {}
     for prefix, llr in (("", data), ("noisy_", noisy)):
-        def run(name, call, *args):
-            cfg, trace = _timed(layers, f"{prefix}{name}_s", call, field, llr, *args)
+        def run(name, call, *args, runs=1):
+            walls = []
+            for _ in range(runs):
+                start = time.perf_counter()
+                cfg, trace = call(field, llr, *args)
+                walls.append(time.perf_counter() - start)
+            layers[f"{prefix}{name}_s"] = statistics.median(walls)
             estimators[prefix + name] = {"energy": energy(field, llr, cfg)}
+            if runs > 1:
+                estimators[prefix + name]["wall_s"] = walls
             return estimators[prefix + name], trace
 
         entry, trace = run("local_hcf", local_hcf_run)
         entry.update(iterations=trace.iterations, sweeps=trace.energy.size - 1,
                      trace_digest=trace_digest(trace.energy.tolist()))
-        entry, trace = run("hcf", hcf_run)
+        entry, trace = run("hcf", hcf_run, runs=HCF_RUNS)
         steps = zip(trace.stability.tolist(), trace.energy[1:].tolist())
         entry.update(iterations=trace.iterations,
                      trace_digest=trace_digest(value for step in steps for value in step))
